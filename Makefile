@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench-smoke bench bench-json bench-compare alloc-gate shard-smoke fault-smoke batch-smoke snapshot-smoke compile-smoke fleet-smoke chaos-smoke fuzz-smoke check
+.PHONY: all build test race vet bench-smoke bench bench-json bench-compare alloc-gate fault-smoke batch-smoke snapshot-smoke compile-smoke fleet-smoke chaos-smoke fuzz-smoke check
 
 all: build
 
@@ -48,19 +48,14 @@ bench-compare:
 	$(GO) run ./cmd/tiabench -json-out /tmp/bench-fresh.json \
 		-compare "$$(ls BENCH_*.json | sort | tail -1)"
 
-# Zero-allocation gates on the per-cycle hot paths (fabric step loop —
-# interpreted and compiled, dense and event — trigger classification,
+# Zero-allocation gates on the per-cycle hot paths (the fabric cycle
+# loop — interpreted and compiled, under the dense and event wake
+# policies — trigger classification,
 # channel reset/restore reuse): any regression to >0 allocs/op fails
 # these tests, not just a benchmark number. One-time compilation cost
 # is gated separately as a bounded constant.
 alloc-gate:
 	$(GO) test -run 'AllocationFree|AllocationBounded|ReusesCapacity' -count=1 ./internal/fabric ./internal/pe ./internal/channel ./internal/batchrun
-
-# Sharded-stepping differential smoke under the race detector: random
-# topologies across shard counts plus one kernel's three-way
-# dense/event/sharded snapshot differential.
-shard-smoke:
-	$(GO) test -race -run 'TestSharded|TestShardCount|TestSnapshotRestoreDifferential$$/mergesort/sharded' -count=1 ./internal/fabric ./internal/workloads
 
 # Seeded fault-campaign smoke: one kernel, fixed seed, exact expected
 # masked/detected/sdc/hang taxonomy (see internal/core/resilience_test.go).
@@ -77,7 +72,7 @@ batch-smoke:
 	$(GO) test -race -run 'TestBatchedCampaign|TestBatchedTiming' -count=1 ./internal/core
 
 # Checkpoint/restore differential smoke under the race detector: two
-# kernels on both steppers, run-to-completion vs snapshot-then-restore
+# kernels in every stepping mode, run-to-completion vs snapshot-then-restore
 # must be byte-identical (see internal/workloads/snapshot_differential_test.go).
 snapshot-smoke:
 	$(GO) test -race -run 'TestSnapshotRestoreDifferential$$/(dmm|mergesort)/' -count=1 ./internal/workloads
@@ -112,10 +107,10 @@ chaos-smoke:
 
 # Generative differential fuzz smoke: 60 seconds of FuzzSimulate —
 # seeded random netlists (plus hostile mutations) assembled, validated
-# and run on all four stepping backends to bit-identical results, with a
+# and run on all three stepping backends to bit-identical results, with a
 # mid-run snapshot/restore arm (see internal/gen). The committed corpus
 # also replays as an ordinary test in `make test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzSimulate' -fuzztime 60s ./internal/gen
 
-check: vet race bench-smoke alloc-gate shard-smoke fault-smoke batch-smoke snapshot-smoke compile-smoke fleet-smoke chaos-smoke fuzz-smoke
+check: vet race bench-smoke alloc-gate fault-smoke batch-smoke snapshot-smoke compile-smoke fleet-smoke chaos-smoke fuzz-smoke

@@ -4,8 +4,7 @@
 // several times and the minimum wall-clock kept (min-of-N discards
 // scheduler noise and cache-cold first runs); two micro-benchmarks gate
 // the per-cycle hot paths — trigger resolution (pe.ClassifyAll) and
-// whole-fabric stepping in its event, dense, sharded and compiled
-// modes — with
+// whole-fabric stepping in its event, dense and compiled modes — with
 // allocs/op recorded so allocation regressions show up in the committed
 // BENCH_*.json history (see make bench-json and .github/workflows).
 package main
@@ -52,7 +51,6 @@ type benchReport struct {
 	Date       string        `json:"date"`
 	GoVersion  string        `json:"go_version"`
 	GOMAXPROCS int           `json:"gomaxprocs"`
-	Shards     int           `json:"shards"`
 	Compiled   bool          `json:"compiled,omitempty"`
 	Size       int           `json:"size"`
 	Seed       int64         `json:"seed"`
@@ -76,18 +74,17 @@ type benchReport struct {
 // ("-" = stdout). Kernel timings honor ctx (a -timeout mid-suite fails
 // the report rather than recording partial numbers — a trajectory file
 // with missing rows would not be comparable to its neighbors).
-func emitBenchJSON(ctx context.Context, p workloads.Params, shards int, compiled bool, path string) (*benchReport, error) {
+func emitBenchJSON(ctx context.Context, p workloads.Params, compiled bool, path string) (*benchReport, error) {
 	rep := &benchReport{
 		Date:       time.Now().UTC().Format("2006-01-02"),
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Shards:     shards,
 		Compiled:   compiled,
 		Size:       p.Size,
 		Seed:       p.Seed,
 	}
 	for _, spec := range workloads.All() {
-		row, err := benchKernelRow(ctx, spec, p, shards, compiled)
+		row, err := benchKernelRow(ctx, spec, p, compiled)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", spec.Name, err)
 		}
@@ -97,10 +94,9 @@ func emitBenchJSON(ctx context.Context, p workloads.Params, shards int, compiled
 	rep.Micro = append(rep.Micro,
 		microResult("classify/fast", benchClassify(false)),
 		microResult("classify/ref", benchClassify(true)),
-		microResult("fabric_step/event", benchFabricStep(false, 0, false)),
-		microResult("fabric_step/dense", benchFabricStep(true, 0, false)),
-		microResult("fabric_step/sharded", benchFabricStep(false, 4, false)),
-		microResult("fabric_step/compiled", benchFabricStep(false, 0, true)),
+		microResult("fabric_step/event", benchFabricStep(false, false)),
+		microResult("fabric_step/dense", benchFabricStep(true, false)),
+		microResult("fabric_step/compiled", benchFabricStep(false, true)),
 	)
 	cam, err := benchCampaignRow(ctx)
 	if err != nil {
@@ -138,9 +134,8 @@ func emitBenchJSON(ctx context.Context, p workloads.Params, shards int, compiled
 // benchKernelRow times one kernel's triggered instance: min-of-N
 // wall-clock of a full run, Reset between repeats (simulations are
 // deterministic, so every repeat does identical work).
-func benchKernelRow(ctx context.Context, spec *workloads.Spec, p workloads.Params, shards int, compiled bool) (benchKernel, error) {
+func benchKernelRow(ctx context.Context, spec *workloads.Spec, p workloads.Params, compiled bool) (benchKernel, error) {
 	pp := spec.Normalize(p)
-	pp.FabricCfg.Shards = shards
 	pp.FabricCfg.Compiled = compiled
 	inst, err := spec.BuildTIA(pp)
 	if err != nil {
@@ -277,7 +272,7 @@ func benchClassify(reference bool) testing.BenchmarkResult {
 // benchFabricStep measures per-cycle overhead on the mostly-idle
 // heartbeat fabric (the out-of-package twin of BenchmarkFabricStep_Idle):
 // one PE fires every cycle while eight merge PEs sit stalled.
-func benchFabricStep(dense bool, shards int, compiled bool) testing.BenchmarkResult {
+func benchFabricStep(dense, compiled bool) testing.BenchmarkResult {
 	heartbeat := []isa.Instruction{{
 		Op:   isa.OpAdd,
 		Srcs: [2]isa.Src{isa.Reg(0), isa.Imm(1)},
@@ -306,7 +301,6 @@ func benchFabricStep(dense bool, shards int, compiled bool) testing.BenchmarkRes
 		f.Wire(m, 0, snk, 0)
 	}
 	f.SetDenseStepping(dense)
-	f.SetShards(shards)
 	f.SetCompiled(compiled)
 	return testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()

@@ -37,7 +37,7 @@ func genParams(seed int64, size int) gen.Params {
 // under the configured stepping backend, and print the topology census
 // plus throughput. The netlist is a pure function of (seed, size), so a
 // number in a discussion reproduces anywhere.
-func runGenerated(ctx context.Context, w io.Writer, seed int64, size, shards int, compiled bool, lanes int) error {
+func runGenerated(ctx context.Context, w io.Writer, seed int64, size int, compiled bool, lanes int) error {
 	if lanes > 1 {
 		return runGeneratedBatch(ctx, w, seed, size, lanes)
 	}
@@ -60,7 +60,6 @@ func runGenerated(ctx context.Context, w io.Writer, seed int64, size, shards int
 		if err != nil {
 			return err
 		}
-		nl.Fabric.SetShards(shards)
 		nl.Fabric.SetCompiled(compiled)
 		start := time.Now()
 		res, err := nl.Fabric.RunContext(ctx, genMaxCycles)

@@ -14,11 +14,6 @@
 //	tiabench -json-out BENCH_$(date +%F).json   # perf-trajectory report
 //	tiabench -gen SEED [-size N]   # benchmark a generated netlist (internal/gen)
 //
-// -shards K turns on sharded parallel stepping inside each simulation
-// (bit-identical results; K < 0 means auto). The count is arbitrated
-// against -workers so suite concurrency and intra-fabric sharding share
-// one CPU budget.
-//
 // -compiled switches every simulation to the closure-compiled stepping
 // backend (internal/compile): per-PE trigger pools are specialized into
 // step closures with constant operands folded and dead triggers
@@ -70,7 +65,6 @@ func main() {
 	faultSeed := flag.Int64("fault-seed", 4242, "fault plan seed (with -faults)")
 	faultState := flag.String("state", "", "campaign progress file: finished kernels are recorded and an interrupted sweep resumes (with -faults)")
 	workers := flag.Int("workers", 0, "max concurrent design-point simulations (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "fabric shard count per simulation (0/1 = serial, <0 = auto; clamped so workers x shards <= GOMAXPROCS)")
 	compiled := flag.Bool("compiled", false, "use the closure-compiled stepping backend (bit-identical results)")
 	benchOut := flag.String("json-out", "", "run the bench suite (min-of-N kernel wall-clock + micro-benchmarks) and write a BENCH json report to this file ('-' = stdout)")
 	compare := flag.String("compare", "", "with -json-out: compare the fresh report against this older BENCH json; exit non-zero on a >10% per-kernel regression")
@@ -88,7 +82,6 @@ func main() {
 	})
 
 	core.MaxWorkers = *workers
-	core.Shards = *shards
 	core.Compiled = *compiled
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -127,14 +120,14 @@ func main() {
 
 	p := workloads.Params{Size: *size, Seed: *seed}
 	if genSet {
-		if err := runGenerated(ctx, os.Stdout, *genSeed, *size, *shards, *compiled, *batch); err != nil {
+		if err := runGenerated(ctx, os.Stdout, *genSeed, *size, *compiled, *batch); err != nil {
 			fmt.Fprintln(os.Stderr, "tiabench:", err)
 			os.Exit(1)
 		}
 		return
 	}
 	if *benchOut != "" {
-		rep, err := emitBenchJSON(ctx, p, *shards, *compiled, *benchOut)
+		rep, err := emitBenchJSON(ctx, p, *compiled, *benchOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tiabench:", err)
 			os.Exit(1)

@@ -24,18 +24,12 @@
 // Usage:
 //
 //	tiad [-addr :8080] [-workers N] [-queue N] [-result-cache N]
-//	     [-program-cache N] [-max-cycles N] [-check-every N] [-shards K]
-//	     [-compiled]
+//	     [-program-cache N] [-max-cycles N] [-check-every N] [-compiled]
 //	     [-drain-timeout D] [-journal FILE] [-snapshot-dir DIR]
 //	     [-checkpoint-every N]
 //	     [-max-elements N] [-max-channel-tokens N]
 //	     [-max-scratchpad-words N] [-max-cost-words N]
 //	     [-server-cost-budget N]
-//
-// -shards K turns on sharded parallel stepping inside each simulation
-// (bit-identical results; K < 0 means auto). Per-job requests via the
-// "shards" field override it; either way the server clamps the count so
-// the worker pool and intra-job sharding share one CPU budget.
 //
 // -compiled makes the closure-compiled stepping backend the default for
 // every job (bit-identical results; jobs can also opt in per-request
@@ -106,7 +100,6 @@ func main() {
 	programCache := flag.Int("program-cache", 128, "assembled-program cache entries")
 	maxCycles := flag.Int64("max-cycles", 100_000_000, "hard per-job cycle ceiling")
 	checkEvery := flag.Int("check-every", 1024, "cycles between cancellation checks")
-	shards := flag.Int("shards", 0, "default fabric shard count per job (0 = serial, <0 = auto; clamped so workers x shards <= GOMAXPROCS)")
 	compiled := flag.Bool("compiled", false, "step jobs with the closure-compiled backend by default (bit-identical results)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
 	journal := flag.String("journal", "", "job journal path (enables crash-safe durability)")
@@ -152,7 +145,6 @@ func main() {
 	cfg.ProgramCacheEntries = *programCache
 	cfg.MaxCyclesCap = *maxCycles
 	cfg.CancelCheckInterval = *checkEvery
-	cfg.DefaultShards = *shards
 	cfg.DefaultCompiled = *compiled
 	cfg.JournalPath = *journal
 	cfg.SnapshotDir = *snapshotDir

@@ -14,19 +14,14 @@
 //
 // Usage:
 //
-//	tiasim [-max N] [-stats] [-trace N] [-chrome out.json] [-shards K]
-//	       [-compiled]
+//	tiasim [-max N] [-stats] [-trace N] [-chrome out.json] [-compiled]
 //	       [-checkpoint FILE [-checkpoint-every N]] [-restore FILE]
 //	       fabric.tia
-//
-// -shards K steps the fabric's compute phase on K parallel workers
-// (K < 0 means one per CPU). Results are bit-identical to serial
-// stepping; only wall-clock changes.
 //
 // -compiled switches stepping to the closure-compiled backend
 // (internal/compile): each PE's trigger pool is specialized into a step
 // closure with constant operands folded and dead triggers dropped.
-// Like -shards, results are bit-identical; only wall clock changes.
+// Results are bit-identical to the interpreter; only wall clock changes.
 package main
 
 import (
@@ -51,9 +46,6 @@ type options struct {
 	stats      bool
 	traceN     int64
 	chromePath string
-	// shards steps the fabric's compute phase on this many workers
-	// (bit-identical results; 0/1 serial, negative = GOMAXPROCS).
-	shards int
 	// compiled steps via closure-compiled per-PE step functions
 	// (bit-identical results; only wall clock changes).
 	compiled bool
@@ -71,7 +63,6 @@ func main() {
 	flag.Int64Var(&opt.maxCycles, "max", 1_000_000, "cycle budget")
 	flag.BoolVar(&opt.stats, "stats", false, "print per-element utilization")
 	flag.Int64Var(&opt.traceN, "trace", 0, "render a fire timeline of the first N cycles")
-	flag.IntVar(&opt.shards, "shards", 0, "parallel stepping shards (0/1 = serial, <0 = all CPUs; results are bit-identical)")
 	flag.BoolVar(&opt.compiled, "compiled", false, "use the closure-compiled stepping backend (results are bit-identical)")
 	flag.StringVar(&opt.chromePath, "chrome", "", "write a Chrome trace-event JSON file of all fires")
 	flag.StringVar(&opt.checkpoint, "checkpoint", "", "write a state snapshot to this file periodically")
@@ -130,7 +121,6 @@ func run(path string, opt options) error {
 		return err
 	}
 	fingerprint := nl.Fingerprint()
-	nl.Fabric.SetShards(opt.shards)
 	nl.Fabric.SetCompiled(opt.compiled)
 
 	budget := opt.maxCycles

@@ -22,8 +22,8 @@
 // flight; lanes retire independently (completion, deadlock, fault
 // divergence, budget exhaustion) and are immediately re-armed with the
 // next pending run. A lane that outlives the batch's eviction horizon
-// is evicted: its remaining cycles are finished on the serial stepper
-// (Stepper.Finish) so one livelocked run cannot hold the lockstep loop
+// is evicted: its remaining cycles are finished outside the lockstep
+// loop (Stepper.Finish) so one livelocked run cannot hold the loop
 // hostage — eviction changes scheduling, never results, and the
 // recorded outcome taxonomy is exact.
 package batchrun
@@ -68,7 +68,7 @@ type Config struct {
 	MaxCycles int64
 	// EvictAfter, when positive, is the lockstep-cycle horizon after
 	// which a still-running lane is evicted from the batch and finished
-	// on the serial stepper. Zero means lanes are never evicted (a
+	// outside the lockstep loop. Zero means lanes are never evicted (a
 	// hung lane then runs its full budget inside the lockstep loop,
 	// which is correct but lets one livelocked run dominate the loop).
 	EvictAfter int64
@@ -133,7 +133,7 @@ func (b *Batch) setActive(i int, on bool) {
 // picks an idle lane, calls arm(lane, run) to re-arm the lane's
 // dynamic state (Reset + Rearm, or a first-run Attach), then advances
 // all armed lanes in lockstep, one cycle per lane per turn. When a
-// lane's run finishes — for any reason the serial stepper would have
+// lane's run finishes — for any reason a serial RunContext would have
 // finished it — done(lane, run, result, err) is called with exactly the
 // Result and error a serial RunContext of that run would have
 // returned, and the lane is re-armed with the next pending run.
@@ -205,8 +205,8 @@ func (b *Batch) Run(ctx context.Context, runs int, arm func(l *Lane, run int) er
 				l.steps++
 				if b.cfg.EvictAfter > 0 && l.steps >= b.cfg.EvictAfter {
 					// Evict: the lane has outlived the horizon (almost
-					// always a hung run burning its budget). Finish it on
-					// the serial stepper so the lockstep loop stays dense;
+					// always a hung run burning its budget). Finish it
+					// outside the lockstep loop so the loop stays full;
 					// the outcome is the same stepper's, hence identical.
 					l.stepper.Finish()
 					if err := retire(l); err != nil {

@@ -29,11 +29,12 @@ type campaignLane struct {
 // `lanes` batch lanes and returns the per-run records indexed by run.
 // Each record is bit-identical to what faultyRun would have produced
 // for the same seed: the lanes re-arm via Reset+Rearm (differentially
-// proven equal to a fresh build+Attach), the stepper is the serial
-// event stepper advanced in lockstep, and classification goes through
-// the same classifyRun. Fresh golden tokens and the anchored plan are
-// the caller's, exactly as in the serial runners.
-func runCampaignBatch(ctx context.Context, spec *workloads.Spec, p workloads.Params, plan faults.Plan, runs, lanes int, budget int64, golden []channel.Token) ([]FaultRun, error) {
+// proven equal to a fresh build+Attach), each lane is the fabric's own
+// cycle loop advanced in lockstep under the requested wake policy, and
+// classification goes through the same classifyRun. Fresh golden tokens
+// and the anchored plan are the caller's, exactly as in the serial
+// runners.
+func runCampaignBatch(ctx context.Context, spec *workloads.Spec, p workloads.Params, plan faults.Plan, runs, lanes int, dense bool, budget int64, golden []channel.Token) ([]FaultRun, error) {
 	if lanes > runs {
 		lanes = runs
 	}
@@ -43,7 +44,7 @@ func runCampaignBatch(ctx context.Context, spec *workloads.Spec, p workloads.Par
 			MaxCycles: budget,
 			// Eviction is scheduling only: a lane that outlives a quarter
 			// of the budget is almost certainly a hung run; finishing it
-			// on the serial stepper keeps the lockstep loop dense without
+			// outside the lockstep loop keeps that loop full without
 			// touching its outcome.
 			EvictAfter: budget / 4,
 		},
@@ -52,6 +53,7 @@ func runCampaignBatch(ctx context.Context, spec *workloads.Spec, p workloads.Par
 			if err != nil {
 				return nil, nil, fmt.Errorf("%s: build lane %d: %w", spec.Name, lane, err)
 			}
+			inst.Fabric.SetDenseStepping(dense)
 			return inst.Fabric, &campaignLane{inst: inst}, nil
 		})
 	if err != nil {
@@ -108,7 +110,7 @@ func RunDataCampaignBatch(ctx context.Context, spec *workloads.Spec, p workloads
 	}
 	rep := &CampaignReport{Workload: spec.Name, Plan: plan, GoldenCycles: cycles}
 	budget := campaignBudget(cycles, spec.MaxCycles(p))
-	recs, err := runCampaignBatch(ctx, spec, p, plan, runs, lanes, budget, golden)
+	recs, err := runCampaignBatch(ctx, spec, p, plan, runs, lanes, false, budget, golden)
 	if err != nil {
 		return nil, err
 	}
@@ -123,18 +125,18 @@ func RunDataCampaignBatch(ctx context.Context, spec *workloads.Spec, p workloads
 // The serial runner aborts at the first (lowest-seed) violating run;
 // the batch runs retire out of order, so the batch collects all
 // outcomes and reports the lowest-run violation — the same error the
-// serial runner would have returned. Dense stepping has no batched
-// path (lanes are driven by the event stepper); dense or lanes <= 1
-// delegates to the serial runner.
+// serial runner would have returned. dense selects the dense wake
+// policy for the golden run and every lane; lanes <= 1 delegates to the
+// serial runner.
 func RunTimingCampaignBatch(ctx context.Context, spec *workloads.Spec, p workloads.Params, plan faults.Plan, runs, lanes int, dense bool) (*CampaignReport, error) {
-	if lanes <= 1 || dense {
+	if lanes <= 1 {
 		return RunTimingCampaign(ctx, spec, p, plan, runs, dense)
 	}
 	if !plan.Timing() {
 		return nil, fmt.Errorf("%s: timing campaign given a data-fault plan", spec.Name)
 	}
 	p = spec.Normalize(p)
-	golden, cycles, err := goldenRun(ctx, spec, p, false)
+	golden, cycles, err := goldenRun(ctx, spec, p, dense)
 	if err != nil {
 		return nil, err
 	}
@@ -143,7 +145,7 @@ func RunTimingCampaignBatch(ctx context.Context, spec *workloads.Spec, p workloa
 	}
 	rep := &CampaignReport{Workload: spec.Name, Plan: plan, GoldenCycles: cycles}
 	budget := campaignBudget(cycles, spec.MaxCycles(p))
-	recs, err := runCampaignBatch(ctx, spec, p, plan, runs, lanes, budget, golden)
+	recs, err := runCampaignBatch(ctx, spec, p, plan, runs, lanes, dense, budget, golden)
 	if err != nil {
 		return nil, err
 	}

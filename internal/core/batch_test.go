@@ -49,6 +49,13 @@ func TestBatchedCampaignDifferential(t *testing.T) {
 			if !reflect.DeepEqual(serialT, batchedT) {
 				t.Errorf("timing campaign reports diverge:\nserial:  %+v\nbatched: %+v", serialT, batchedT)
 			}
+			denseT, err := RunTimingCampaignBatch(ctx, spec, p, timing, 6, 3, true)
+			if err != nil {
+				t.Fatalf("batched dense timing campaign: %v", err)
+			}
+			if !reflect.DeepEqual(serialT, denseT) {
+				t.Errorf("dense batched timing campaign diverges:\nserial: %+v\ndense:  %+v", serialT, denseT)
+			}
 		})
 	}
 }

@@ -62,70 +62,19 @@ type Row struct {
 // MaxWorkers bounds the concurrency of suite-level fan-out (RunSuite and
 // the sensitivity sweeps). Zero or negative means GOMAXPROCS. Results
 // are deterministic either way; only independent design points run
-// concurrently, and each simulation is itself serial unless Shards
-// enables the fabric's sharded stepper.
+// concurrently, and each simulation is itself serial.
 var MaxWorkers int
 
-// Shards requests sharded parallel stepping (fabric.Config.Shards)
-// inside every simulation the harness runs: 0 leaves parameters alone
-// (serial stepping unless the caller set FabricCfg.Shards), 1 forces
-// serial, k > 1 requests up to k shards, and negative means "auto" —
-// use whatever CPU budget suite-level fan-out leaves over. Sharding
-// never changes results (the sharded stepper is bit-identical), only
-// wall-clock.
-var Shards int
-
-// ShardBudget arbitrates one CPU budget between suite-level fan-out and
-// intra-fabric sharding, so the two never oversubscribe the machine:
-// with w workers running nTasks independent design points, each
-// simulation gets at most GOMAXPROCS/min(w, nTasks) shards (at least
-// one), further capped by Shards when it names a positive count. It
-// returns 0 when Shards is 0 (leave parameters untouched).
-func ShardBudget(nTasks int) int {
-	if Shards == 0 {
-		return 0
-	}
-	if Shards == 1 {
-		return 1
-	}
-	budget := runtime.GOMAXPROCS(0)
-	w := MaxWorkers
-	if w <= 0 {
-		w = budget
-	}
-	if nTasks < 1 {
-		nTasks = 1
-	}
-	if w > nTasks {
-		w = nTasks
-	}
-	per := budget / w
-	if per < 1 {
-		per = 1
-	}
-	if Shards > 0 && Shards < per {
-		per = Shards
-	}
-	return per
-}
-
 // Compiled requests closure-compiled stepping (fabric.Config.Compiled)
-// inside every simulation the harness runs. Like Shards it is a
-// stepping knob: bit-identical results, different wall-clock.
+// inside every simulation the harness runs. It is a stepping knob:
+// bit-identical results, different wall-clock.
 var Compiled bool
 
-// applyShards stamps the arbitrated shard count and the compiled-
-// stepping flag into a normalized parameter set, unless the caller
-// already chose them explicitly.
-func applyShards(p *workloads.Params, nTasks int) {
+// applyCompiled stamps the compiled-stepping flag into a normalized
+// parameter set; a caller that already enabled it keeps it.
+func applyCompiled(p *workloads.Params) {
 	if Compiled {
 		p.FabricCfg.Compiled = true
-	}
-	if p.FabricCfg.Shards != 0 {
-		return
-	}
-	if k := ShardBudget(nTasks); k != 0 {
-		p.FabricCfg.Shards = k
 	}
 }
 
@@ -202,14 +151,8 @@ func RunWorkload(spec *workloads.Spec, p workloads.Params) (*Row, error) {
 // deadline expiry aborts whichever simulation is in flight with an error
 // wrapping fabric.ErrCancelled.
 func RunWorkloadContext(ctx context.Context, spec *workloads.Spec, p workloads.Params) (*Row, error) {
-	return runWorkload(ctx, spec, p, 1)
-}
-
-// runWorkload is RunWorkloadContext with the caller's fan-out width, so
-// the shard arbitration knows how many sibling tasks share the CPUs.
-func runWorkload(ctx context.Context, spec *workloads.Spec, p workloads.Params, nTasks int) (*Row, error) {
 	p = spec.Normalize(p)
-	applyShards(&p, nTasks)
+	applyCompiled(&p)
 	v, err := spec.VerifyFullContext(ctx, p)
 	if err != nil {
 		return nil, err
@@ -295,7 +238,7 @@ func RunSuiteContext(ctx context.Context, p workloads.Params) ([]*Row, error) {
 	rows := make([]*Row, len(specs))
 	errs := make([]error, len(specs))
 	forEachCtx(ctx, len(specs), func(i int) {
-		rows[i], errs[i] = runWorkload(ctx, specs[i], p, len(specs))
+		rows[i], errs[i] = RunWorkloadContext(ctx, specs[i], p)
 	})
 	if err := ctx.Err(); err != nil {
 		return rows, fmt.Errorf("suite: %w: %w", fabric.ErrCancelled, err)
@@ -358,7 +301,7 @@ func DepthSweepContext(ctx context.Context, spec *workloads.Spec, p workloads.Pa
 	forEachCtx(ctx, len(depths), func(i int) {
 		d := depths[i]
 		pp := spec.Normalize(p)
-		applyShards(&pp, len(depths))
+		applyCompiled(&pp)
 		pp.FabricCfg.ChannelCapacity = d
 		inst, err := spec.BuildTIA(pp)
 		if err != nil {
@@ -395,7 +338,7 @@ func LatencySweepContext(ctx context.Context, spec *workloads.Spec, p workloads.
 	forEachCtx(ctx, len(lats), func(i int) {
 		l := lats[i]
 		pp := spec.Normalize(p)
-		applyShards(&pp, len(lats))
+		applyCompiled(&pp)
 		pp.FabricCfg.ChannelLatency = l
 		inst, err := spec.BuildTIA(pp)
 		if err != nil {
@@ -443,7 +386,7 @@ func MemLatencySweepContext(ctx context.Context, spec *workloads.Spec, p workloa
 	forEachCtx(ctx, len(lats), func(i int) {
 		l := lats[i]
 		pp := spec.Normalize(p)
-		applyShards(&pp, len(lats))
+		applyCompiled(&pp)
 		pp.MemLatency = l
 		pt := MemLatencyPoint{Latency: l}
 		tia, err := spec.BuildTIA(pp)

@@ -4,8 +4,7 @@ package fabric
 // fabric has run to steady state (sink records, channel staging and the
 // stepper's pooled scratch grown to capacity), a Reset-and-rerun loop —
 // core's verification reuse, campaign sweeps, the service's job loop —
-// performs zero heap allocations in the serial steppers, and only a
-// bounded per-run worker-setup cost in the sharded stepper. These gates
+// performs zero heap allocations under either wake policy. These gates
 // are what keeps BenchmarkFabricCycle at 0 B/op; if one fails, find the
 // regrowth (a slice reset to nil instead of [:0], a per-cycle append)
 // rather than loosening the gate.
@@ -71,7 +70,7 @@ func runToCompletion(t testing.TB, f *Fabric) {
 	}
 }
 
-// TestEventRunAllocationFree gates the serial event-driven stepper:
+// TestEventRunAllocationFree gates the event-driven wake policy:
 // steady-state Reset+Run allocates nothing.
 func TestEventRunAllocationFree(t *testing.T) {
 	f := buildCycleFabric(t)
@@ -85,7 +84,7 @@ func TestEventRunAllocationFree(t *testing.T) {
 	}
 }
 
-// TestDenseRunAllocationFree gates the dense reference stepper the same
+// TestDenseRunAllocationFree gates the dense wake policy the same
 // way — differential runs against it should not be allocation-noisy.
 func TestDenseRunAllocationFree(t *testing.T) {
 	f := buildCycleFabric(t)
@@ -100,30 +99,10 @@ func TestDenseRunAllocationFree(t *testing.T) {
 	}
 }
 
-// TestShardedRunAllocationBounded gates the sharded stepper: the
-// per-cycle path is allocation-free, but each Run spins up its k-1
-// workers (goroutines, start channels, closures), a bounded per-run
-// constant independent of cycle count. The bound is deliberately tight
-// enough that any per-cycle allocation — thousands of cycles per run —
-// blows through it immediately.
-func TestShardedRunAllocationBounded(t *testing.T) {
-	f := buildCycleFabric(t)
-	f.SetShards(3)
-	runToCompletion(t, f)
-	avg := testing.AllocsPerRun(5, func() {
-		f.Reset()
-		runToCompletion(t, f)
-	})
-	const perRunSetup = 32
-	if avg > perRunSetup {
-		t.Errorf("steady-state sharded Reset+Run: %.1f allocs/run, want <= %d (worker setup only)", avg, perRunSetup)
-	}
-}
-
 // TestCompiledEventRunAllocationFree gates the compiled stepping
 // backend's steady state: once every PE's step closure is built (the
 // first Run compiles; Reset keeps the closures — it does not touch
-// program or configuration), a Reset+Run loop through the event stepper
+// program or configuration), a Reset+Run loop under the event policy
 // dispatches via the compiled table with zero heap allocations, same
 // contract as the interpreter.
 func TestCompiledEventRunAllocationFree(t *testing.T) {
@@ -139,7 +118,7 @@ func TestCompiledEventRunAllocationFree(t *testing.T) {
 	}
 }
 
-// TestCompiledDenseRunAllocationFree is the dense-stepper twin.
+// TestCompiledDenseRunAllocationFree is the dense-policy twin.
 func TestCompiledDenseRunAllocationFree(t *testing.T) {
 	f := buildCycleFabric(t)
 	f.SetDenseStepping(true)

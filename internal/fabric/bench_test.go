@@ -20,10 +20,9 @@ func BenchmarkFabricStep_Idle(b *testing.B) {
 		Dsts: []isa.Dst{isa.DReg(0)},
 	}}
 	for _, mode := range []struct {
-		name   string
-		dense  bool
-		shards int
-	}{{"event", false, 0}, {"dense", true, 0}, {"sharded", false, 4}} {
+		name  string
+		dense bool
+	}{{"event", false}, {"dense", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			f := New(DefaultConfig())
 			hb, err := pe.New("hb", isa.DefaultConfig(), heartbeat)
@@ -48,7 +47,6 @@ func BenchmarkFabricStep_Idle(b *testing.B) {
 				f.Wire(m, 0, snk, 0)
 			}
 			f.SetDenseStepping(mode.dense)
-			f.SetShards(mode.shards)
 			b.ResetTimer()
 			done := 0
 			for done < b.N {

@@ -7,22 +7,22 @@
 // commits all channels. Element step order therefore cannot affect
 // results, and simulations are bit-reproducible.
 //
-// The simulator is event-driven: an element that did no work goes to
-// sleep and is only stepped again when one of its attached channels
-// commits a change (spatial fabrics are mostly idle, so most elements
-// sleep most cycles), and only channels with staged or in-flight tokens
-// are ticked. The two-phase channel protocol is what makes the skip
-// sound — see DESIGN.md's "Simulator fast path" section. A dense
-// reference stepper that walks every element and channel each cycle is
-// kept behind SetDenseStepping for the differential tests; both must
-// produce bit-identical results.
+// One cycle loop, Stepper.Step, drives every run. By default it is
+// event-driven: an element that did no work goes to sleep and is only
+// stepped again when one of its attached channels commits a change
+// (spatial fabrics are mostly idle, so most elements sleep most cycles),
+// and only channels with staged or in-flight tokens are ticked. The
+// two-phase channel protocol is what makes the skip sound — see
+// DESIGN.md's "Simulator fast path" section. SetDenseStepping switches
+// the same loop to a dense wake policy that steps every element and
+// ticks every channel each cycle; it is the reference the differential
+// tests hold the event-driven policy to, bit for bit.
 package fabric
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 
@@ -111,7 +111,7 @@ type FaultInjector interface {
 	// Frozen reports that the element must not be stepped this cycle.
 	// Frozen elements accrue SkipCycles so statistics stay comparable.
 	// Frozen may return true only in cycles where Active reports true —
-	// the steppers hoist that check per cycle and skip the per-element
+	// the cycle loop hoists that check per cycle and skips the per-element
 	// calls entirely outside freeze windows.
 	Frozen(e Element) bool
 	// Active reports that some freeze window covers this cycle. While
@@ -134,20 +134,14 @@ type Config struct {
 	// context-cancellation checks. Smaller values cancel sooner at the
 	// cost of a check in the hot loop; zero means the default (1024).
 	CancelCheckInterval int
-	// Shards is the number of workers the compute phase of each cycle is
-	// partitioned across. 0 or 1 selects the serial event-driven stepper;
-	// k > 1 steps elements on k workers (bit-identical results — see
-	// DESIGN.md "Sharded parallel stepping"); negative means one shard
-	// per available CPU (GOMAXPROCS).
-	Shards int
 	// Compiled switches element stepping to closure-compiled step
 	// functions: at the top of each run, every element that implements
 	// CompileStep (triggered PEs — see internal/pe and internal/compile)
 	// contributes a specialized step closure to a dispatch table, which
-	// replaces the generic Element.Step walk in the dense, event-driven
-	// and sharded steppers alike. Results are bit-identical to the
-	// interpreter (the stepModes differential sweeps assert it); like
-	// Shards, this is a stepping knob, not part of the modeled machine.
+	// replaces the generic Element.Step walk under either wake policy.
+	// Results are bit-identical to the interpreter (the stepModes
+	// differential sweeps assert it); this is a stepping knob, not part
+	// of the modeled machine.
 	Compiled bool
 }
 
@@ -178,9 +172,9 @@ type Fabric struct {
 	// reset-and-rerun loop (core's verification reuse, campaign sweeps,
 	// the service) allocates nothing per run after the first.
 	rs runState
-	// stepper is the pooled incremental driver handed out by BeginRun and
-	// used internally by runEvent; like rs, one per fabric because a
-	// fabric has at most one run in flight.
+	// stepper is the pooled cycle loop handed out by BeginRun and used by
+	// RunContext; like rs, one per fabric because a fabric has at most
+	// one run in flight.
 	stepper Stepper
 }
 
@@ -254,11 +248,6 @@ func (f *Fabric) SetCancelCheckInterval(n int) {
 	}
 }
 
-// SetShards overrides Config.Shards on an already-built fabric (e.g.
-// one assembled from a netlist, whose config the builder owns). See
-// Config.Shards for the value's meaning.
-func (f *Fabric) SetShards(k int) { f.cfg.Shards = k }
-
 // SetCompiled overrides Config.Compiled on an already-built fabric. See
 // Config.Compiled for the value's meaning; the dispatch table is
 // (re)built at the top of the next run.
@@ -274,32 +263,17 @@ type stepCompiler interface {
 	CompileStep() func(cycle int64) bool
 }
 
-// shardCount resolves Config.Shards against the machine and the fabric:
-// negative means GOMAXPROCS, and a fabric is never split into more
-// shards than it has elements. Anything below 2 means serial stepping.
-func (f *Fabric) shardCount() int {
-	k := f.cfg.Shards
-	if k < 0 {
-		k = runtime.GOMAXPROCS(0)
-	}
-	if k > len(f.elems) {
-		k = len(f.elems)
-	}
-	if k < 2 {
-		return 1
-	}
-	return k
-}
-
 // SetFaultInjector attaches (or, with nil, detaches) a fault-injection
 // layer. See FaultInjector; internal/faults provides the implementation.
 func (f *Fabric) SetFaultInjector(inj FaultInjector) { f.inj = inj }
 
-// SetDenseStepping switches the simulator to the dense reference loop
-// that steps every element and ticks every channel each cycle. Results
-// are bit-identical with the default event-driven stepper (the
-// differential tests in package workloads assert it); dense stepping
-// exists as that test's baseline and as a debugging aid.
+// SetDenseStepping switches the cycle loop to the dense wake policy: no
+// element sleeps and no channel leaves the tick list, so every element
+// is stepped and every channel ticked each cycle. Results are
+// bit-identical with the default event-driven policy (the differential
+// tests in package workloads assert it); dense stepping exists as that
+// test's baseline and as a debugging aid. It applies from the next
+// BeginRun or RunContext.
 func (f *Fabric) SetDenseStepping(on bool) { f.dense = on }
 
 // Add registers an element. Names must be unique; Add panics on a
@@ -625,53 +599,11 @@ func (f *Fabric) Run(maxCycles int64) (Result, error) {
 // deadline expiry). A context that is never cancelled adds no per-cycle
 // work beyond one nil comparison.
 func (f *Fabric) RunContext(ctx context.Context, maxCycles int64) (Result, error) {
-	if err := f.Validate(); err != nil {
+	s, err := f.BeginRun(ctx, maxCycles)
+	if err != nil {
 		return Result{}, err
 	}
-	f.prepare()
-	f.refreshCompiled()
-	if f.dense {
-		return f.runDense(ctx, maxCycles)
-	}
-	if k := f.shardCount(); k > 1 {
-		return f.runSharded(ctx, maxCycles, k)
-	}
-	return f.runEvent(ctx, maxCycles)
-}
-
-// cancelCheck polls ctx every cfg.CancelCheckInterval calls. It returns
-// a non-nil error exactly when the run should stop.
-type cancelCheck struct {
-	done     <-chan struct{}
-	ctx      context.Context
-	interval int
-	left     int
-}
-
-func (f *Fabric) newCancelCheck(ctx context.Context) cancelCheck {
-	return cancelCheck{
-		done:     ctx.Done(),
-		ctx:      ctx,
-		interval: f.cfg.CancelCheckInterval,
-		left:     f.cfg.CancelCheckInterval,
-	}
-}
-
-func (c *cancelCheck) expired() error {
-	if c.done == nil {
-		return nil
-	}
-	c.left--
-	if c.left > 0 {
-		return nil
-	}
-	c.left = c.interval
-	select {
-	case <-c.done:
-		return fmt.Errorf("%w: %w", ErrCancelled, c.ctx.Err())
-	default:
-		return nil
-	}
+	return s.Finish()
 }
 
 // refreshCompiled rebuilds the compiled-mode dispatch table. Called once
@@ -679,7 +611,7 @@ func (c *cancelCheck) expired() error {
 // (their CompileStep caches internally and hands back a new closure only
 // when program or folded-against state changed), non-compiling elements
 // get their bound Step method once per prepare. With Config.Compiled off
-// the table is nil and the steppers fall back to the Element.Step walk.
+// the table is nil and the cycle loop falls back to the Element.Step walk.
 func (f *Fabric) refreshCompiled() {
 	p := &f.prep
 	if !f.cfg.Compiled {
@@ -699,328 +631,6 @@ func (f *Fabric) refreshCompiled() {
 			p.steps[i] = sc.CompileStep()
 		}
 	}
-}
-
-// runDense is the reference stepper: every element stepped and every
-// channel ticked, every cycle.
-func (f *Fabric) runDense(ctx context.Context, maxCycles int64) (Result, error) {
-	cc := f.newCancelCheck(ctx)
-	steps := f.prep.steps
-	idleStreak := 0
-	for n := int64(0); n < maxCycles; n++ {
-		if err := cc.expired(); err != nil {
-			if f.ckptFn != nil {
-				err = errors.Join(err, f.ckptFn(f.cycle))
-			}
-			return Result{Cycles: f.cycle}, fmt.Errorf("cycle %d: %w", f.cycle, err)
-		}
-		mayFreeze := false
-		if f.inj != nil {
-			f.inj.BeginCycle(f.cycle)
-			mayFreeze = f.inj.Active()
-		}
-		worked := false
-		for i, e := range f.elems {
-			if mayFreeze && f.inj.Frozen(e) {
-				if sk := f.prep.skips[i]; sk != nil {
-					sk.SkipCycles(1)
-				}
-				continue
-			}
-			stepped := false
-			if steps != nil {
-				stepped = steps[i](f.cycle)
-			} else {
-				stepped = e.Step(f.cycle)
-			}
-			if stepped {
-				worked = true
-			}
-		}
-		busyChans := false
-		for _, ch := range f.chans {
-			if !busyChans && !ch.Idle() {
-				busyChans = true
-			}
-			ch.Tick()
-		}
-		f.cycle++
-		for _, fe := range f.prep.faulties {
-			if err := fe.f.Err(); err != nil {
-				return Result{Cycles: f.cycle}, fmt.Errorf("cycle %d: element %s: %w", f.cycle, fe.e.Name(), err)
-			}
-		}
-		if f.sinksDone() {
-			return Result{Cycles: f.cycle, Completed: true}, nil
-		}
-		if f.ckptFn != nil && f.cycle%f.ckptEvery == 0 {
-			if err := f.ckptFn(f.cycle); err != nil {
-				return Result{Cycles: f.cycle}, fmt.Errorf("cycle %d: checkpoint: %w", f.cycle, err)
-			}
-		}
-		if !worked && !busyChans && (f.inj == nil || !f.inj.Active()) {
-			idleStreak++
-			if idleStreak >= f.cfg.QuiescenceWindow {
-				res := Result{Cycles: f.cycle, Quiesced: true}
-				if len(f.sinks) == 0 {
-					res.Completed = true
-					return res, nil
-				}
-				return res, fmt.Errorf("cycle %d: %w: %s", f.cycle, ErrDeadlock, f.diagnoseDeadlock())
-			}
-		} else {
-			idleStreak = 0
-		}
-	}
-	return Result{Cycles: f.cycle}, fmt.Errorf("after %d cycles: %w", f.cycle, ErrTimeout)
-}
-
-// runState is the event-driven stepper's per-run bookkeeping. It lives
-// on the Fabric and is re-initialized (capacity reused) each Run.
-type runState struct {
-	awake       []bool
-	asleepSince []int64
-	active      []bool // channel is in the tick list
-	activeList  []int
-	spare       []int
-	isBusy      []bool // channel is not Idle (for quiescence detection)
-	busyCount   int
-	sinkDone    []bool
-	sinksLeft   int
-
-	slots []shardSlot // sharded stepper's per-worker scratch
-	// mayFreeze is the per-cycle hoisted FaultInjector.Active result the
-	// sharded workers read (written serially before cycle dispatch).
-	mayFreeze bool
-}
-
-// boolScratch returns s resized to n with every entry false, reusing
-// capacity when it suffices.
-func boolScratch(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = false
-	}
-	return s
-}
-
-// int64Scratch is boolScratch for []int64.
-func int64Scratch(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-// intScratch returns s emptied with at least capacity n.
-func intScratch(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, 0, n)
-	}
-	return s[:0]
-}
-
-// initRunState readies the pooled scratch state for a fresh run: every
-// element awake, every channel in the tick list, sink completion
-// tallied. Reuses prior capacity so repeat runs allocate nothing.
-func (f *Fabric) initRunState() *runState {
-	st := &f.rs
-	ne, nc := len(f.elems), len(f.chans)
-	st.awake = boolScratch(st.awake, ne)
-	st.asleepSince = int64Scratch(st.asleepSince, ne)
-	st.active = boolScratch(st.active, nc)
-	st.activeList = intScratch(st.activeList, nc)
-	st.spare = intScratch(st.spare, nc)
-	st.isBusy = boolScratch(st.isBusy, nc)
-	st.busyCount = 0
-	st.sinkDone = boolScratch(st.sinkDone, ne)
-	st.sinksLeft = 0
-	for i := range st.awake {
-		st.awake[i] = true
-	}
-	for ci, ch := range f.chans {
-		st.active[ci] = true
-		st.activeList = append(st.activeList, ci)
-		if !ch.Idle() {
-			st.isBusy[ci] = true
-			st.busyCount++
-		}
-	}
-	for i, s := range f.prep.sinkOf {
-		if s == nil {
-			continue
-		}
-		if s.Completed() {
-			st.sinkDone[i] = true
-		} else {
-			st.sinksLeft++
-		}
-	}
-	return st
-}
-
-// backfillSleepers accounts the skipped cycles of every still-sleeping
-// element before Run returns, so statistics match dense stepping on
-// every exit path.
-func (f *Fabric) backfillSleepers(st *runState) {
-	last := f.cycle - 1
-	for i := range st.awake {
-		if st.awake[i] {
-			continue
-		}
-		if sk := f.prep.skips[i]; sk != nil {
-			sk.SkipCycles(last - st.asleepSince[i])
-		}
-	}
-}
-
-// checkpointSleepers brings every sleeping element's statistics up to
-// date (the same accounting its wake-time backfill would do) before the
-// hook snapshots, then re-bases asleepSince so the cycles are not
-// double-counted when the element eventually wakes. Dense, event-driven
-// and sharded snapshots are bit-identical because of this rebase.
-func (f *Fabric) checkpointSleepers(st *runState) error {
-	last := f.cycle - 1
-	for i := range st.awake {
-		if st.awake[i] {
-			continue
-		}
-		if sk := f.prep.skips[i]; sk != nil {
-			sk.SkipCycles(last - st.asleepSince[i])
-		}
-		st.asleepSince[i] = last
-	}
-	return f.ckptFn(f.cycle)
-}
-
-// commitChannels runs the tick phase over the active list: commit every
-// active channel, wake the endpoints of channels that changed, maintain
-// the busy census, and drop channels that went quiet (known endpoints
-// only — unknown-endpoint channels are ticked forever, conservatively).
-// Per-channel effects are independent, so the order of the active list
-// never influences results.
-func (f *Fabric) commitChannels(st *runState, cur int64) {
-	chans, prep := f.chans, &f.prep
-	next := st.spare[:0]
-	for _, ci := range st.activeList {
-		ch := chans[ci]
-		ends := prep.ends[ci]
-		changed, busy, quiet := ch.Commit()
-		if changed {
-			if ends[0] < 0 || ends[1] < 0 {
-				// Unknown endpoint: wake everything attached anywhere.
-				for ei := range st.awake {
-					f.wake(st, ei, cur)
-				}
-			} else {
-				f.wake(st, ends[0], cur)
-				f.wake(st, ends[1], cur)
-			}
-		}
-		if busy != st.isBusy[ci] {
-			st.isBusy[ci] = busy
-			if busy {
-				st.busyCount++
-			} else {
-				st.busyCount--
-			}
-		}
-		if quiet && ends[0] >= 0 && ends[1] >= 0 {
-			st.active[ci] = false
-		} else {
-			next = append(next, ci)
-		}
-	}
-	st.spare = st.activeList[:0]
-	st.activeList = next
-}
-
-// runEvent is the event-driven stepper. Invariants (see DESIGN.md):
-//
-//   - An element is asleep only if its last Step returned false and no
-//     attached channel has committed a change since. Step is pure for
-//     unchanged inputs, so every skipped cycle would have been a no-work
-//     cycle with the same outcome; SkipCycles backfills the counters.
-//   - A channel is outside the tick list only if it is Quiet (nothing
-//     staged, nothing in flight), in which case Tick would be a no-op.
-//     Elements stage effects only in cycles where Step returns true, so
-//     re-activating the channels of every worked element restores the
-//     invariant before the next tick phase.
-//
-// The cycle body lives in Stepper.Step (see stepper.go) so incremental
-// callers — the batched campaign runner above all — drive the identical
-// code path one cycle at a time.
-func (f *Fabric) runEvent(ctx context.Context, maxCycles int64) (Result, error) {
-	return f.beginEvent(ctx, maxCycles).Finish()
-}
-
-// epilogue is the end-of-cycle bookkeeping shared by the event-driven
-// and sharded steppers: advance time, surface element faults, detect
-// completion, checkpoint, and track quiescence. It reports done=true
-// when the run must return (res, err).
-func (f *Fabric) epilogue(st *runState, worked bool, idleStreak *int) (bool, Result, error) {
-	f.cycle++
-	for _, fe := range f.prep.faulties {
-		if err := fe.f.Err(); err != nil {
-			f.backfillSleepers(st)
-			return true, Result{Cycles: f.cycle}, fmt.Errorf("cycle %d: element %s: %w", f.cycle, fe.e.Name(), err)
-		}
-	}
-	if len(f.sinks) > 0 && st.sinksLeft == 0 {
-		f.backfillSleepers(st)
-		return true, Result{Cycles: f.cycle, Completed: true}, nil
-	}
-	if f.ckptFn != nil && f.cycle%f.ckptEvery == 0 {
-		if err := f.checkpointSleepers(st); err != nil {
-			return true, Result{Cycles: f.cycle}, fmt.Errorf("cycle %d: checkpoint: %w", f.cycle, err)
-		}
-	}
-	if !worked && st.busyCount == 0 && (f.inj == nil || !f.inj.Active()) {
-		*idleStreak++
-		if *idleStreak >= f.cfg.QuiescenceWindow {
-			f.backfillSleepers(st)
-			res := Result{Cycles: f.cycle, Quiesced: true}
-			if len(f.sinks) == 0 {
-				res.Completed = true
-				return true, res, nil
-			}
-			return true, res, fmt.Errorf("cycle %d: %w: %s", f.cycle, ErrDeadlock, f.diagnoseDeadlock())
-		}
-	} else {
-		*idleStreak = 0
-	}
-	return false, Result{}, nil
-}
-
-// wake marks an element runnable again, backfilling the cycles it slept
-// through.
-func (f *Fabric) wake(st *runState, ei int, cur int64) {
-	if st.awake[ei] {
-		return
-	}
-	st.awake[ei] = true
-	if sk := f.prep.skips[ei]; sk != nil {
-		sk.SkipCycles(cur - st.asleepSince[ei])
-	}
-}
-
-func (f *Fabric) sinksDone() bool {
-	if len(f.sinks) == 0 {
-		return false
-	}
-	for _, s := range f.sinks {
-		if !s.Completed() {
-			return false
-		}
-	}
-	return true
 }
 
 // describeStall summarizes which sinks are unfinished, which channels
@@ -1073,7 +683,7 @@ func (f *Fabric) describeStall() string {
 func (f *Fabric) Cycle() int64 { return f.cycle }
 
 // Reset restores every resettable element and empties every channel so
-// the same fabric can run again.
+// the same fabric can run again from cycle zero with no idle history.
 func (f *Fabric) Reset() {
 	f.prepare()
 	for _, r := range f.prep.resets {
@@ -1083,4 +693,5 @@ func (f *Fabric) Reset() {
 		ch.Reset()
 	}
 	f.cycle = 0
+	f.stepper.idleStreak = 0
 }

@@ -68,10 +68,11 @@ func (s *Sink) RestoreState(d *snapshot.Decoder) error {
 }
 
 // Snapshot captures the fabric's full architectural state at the current
-// cycle boundary: every element, every channel, and the fault injector
-// if one is attached. The given assembled-form fingerprint is baked into
-// the header so the snapshot can only be restored onto the identical
-// program (see Restore).
+// cycle boundary: every element, every channel, the fault injector if
+// one is attached, and the quiescence idle streak (so a run restored
+// mid-way through an idle window ends at the same cycle). The given
+// assembled-form fingerprint is baked into the header so the snapshot
+// can only be restored onto the identical program (see Restore).
 //
 // Snapshot is only meaningful at a cycle boundary — between Tick commit
 // and the next cycle's element steps — which is where the run loops'
@@ -107,6 +108,7 @@ func (f *Fabric) Snapshot(fingerprint string) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("fabric snapshot: fault injector %T does not support checkpointing", f.inj)
 	}
+	body.Int(f.stepper.idleStreak)
 	return snapshot.Encode(snapshot.Header{Fingerprint: fingerprint, Cycle: f.cycle}, body.Data()), nil
 }
 
@@ -117,7 +119,8 @@ func (f *Fabric) Snapshot(fingerprint string) ([]byte, error) {
 // fingerprint, which is checked against the snapshot header. After
 // Restore, Run continues the simulation bit-identically to the original
 // uninterrupted run — the differential tests in package workloads hold
-// both steppers to that.
+// both wake policies to that. Version-1 snapshots predate the idle
+// streak and restore with a streak of zero.
 func (f *Fabric) Restore(data []byte, fingerprint string) error {
 	h, d, err := snapshot.Decode(data)
 	if err != nil {
@@ -185,20 +188,31 @@ func (f *Fabric) Restore(data []byte, fingerprint string) error {
 			return fmt.Errorf("fabric restore: %w", err)
 		}
 	}
+	streak := 0
+	if h.Version >= 2 {
+		streak = d.Int()
+		if err := d.Err(); err != nil {
+			return fmt.Errorf("fabric restore: %w", err)
+		}
+		if streak < 0 {
+			return fmt.Errorf("fabric restore: negative idle streak %d", streak)
+		}
+	}
 	if d.Remaining() != 0 {
 		return fmt.Errorf("fabric restore: %d trailing bytes in body", d.Remaining())
 	}
 	f.cycle = h.Cycle
+	f.stepper.idleStreak = streak
 	return nil
 }
 
 // SetCheckpoint registers a checkpoint hook: fn runs at every cycle
 // boundary where the absolute cycle count is a multiple of every (so a
 // restored run checkpoints at the same cycles the original would have),
-// and once more when a run stops on context cancellation. Both steppers
-// bring per-element statistics fully up to date before invoking fn — the
-// event-driven stepper backfills its sleeping elements — so fn can call
-// Snapshot and capture state bit-identical to dense stepping. A non-nil
+// and once more when a run stops on context cancellation. The cycle loop
+// brings per-element statistics fully up to date before invoking fn — it
+// backfills sleeping elements — so fn can call Snapshot and capture state
+// bit-identical to dense stepping. A non-nil
 // error from fn aborts the run. Pass every <= 0 or fn == nil to disable.
 func (f *Fabric) SetCheckpoint(every int64, fn func(cycle int64) error) {
 	if every <= 0 || fn == nil {

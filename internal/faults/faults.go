@@ -437,9 +437,9 @@ func (inj *Injector) BeginCycle(cycle int64) {
 }
 
 // Frozen implements fabric.FaultInjector. A frozen element implies an
-// active freeze window (BeginCycle sets both), so the steppers hoist the
-// Active check per cycle and skip the per-element lookup entirely when
-// no window covers the cycle.
+// active freeze window (BeginCycle sets both), so the cycle loop hoists
+// the Active check per cycle and skips the per-element lookup entirely
+// when no window covers the cycle.
 func (inj *Injector) Frozen(e fabric.Element) bool {
 	if !inj.active {
 		return false

@@ -21,8 +21,9 @@ import (
 // behaviour-affecting fields the workers' result caches hash (see
 // service.resultKey), so two requests that would share a worker-side
 // cache entry always hash to the same ring position. Stepping knobs
-// (shards, compiled) and cache-bypass flags are deliberately absent —
-// they do not change the answer, so they must not change the route.
+// (compiled, the ignored shards field) and cache-bypass flags are
+// deliberately absent — they do not change the answer, so they must
+// not change the route.
 type affinityFields struct {
 	Kind        string `json:"kind"` // "workload" or "netlist"
 	Name        string `json:"name,omitempty"`

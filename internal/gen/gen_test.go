@@ -1,8 +1,8 @@
 package gen
 
 // Generative differential testing: every generated netlist must produce
-// bit-identical results on all four stepping backends (dense, event,
-// sharded, closure-compiled), and interrupting any completing run with
+// bit-identical results on all three stepping backends (dense, event,
+// closure-compiled), and interrupting any completing run with
 // a mid-run snapshot/restore into a freshly parsed instance must be
 // unobservable. FuzzSimulate drives the same harness from the fuzzer
 // (make fuzz-smoke / the nightly CI job); TestGeneratedDifferential
@@ -30,14 +30,12 @@ const fuzzMaxCycles = 20000
 type backend struct {
 	label    string
 	dense    bool
-	shards   int
 	compiled bool
 }
 
 var backends = []backend{
 	{label: "event"},
 	{label: "dense", dense: true},
-	{label: "sharded", shards: 2},
 	{label: "compiled", compiled: true},
 }
 
@@ -73,7 +71,6 @@ func runBackend(t *testing.T, src string, b backend) observation {
 	t.Helper()
 	nl := parse(t, src)
 	nl.Fabric.SetDenseStepping(b.dense)
-	nl.Fabric.SetShards(b.shards)
 	nl.Fabric.SetCompiled(b.compiled)
 	res, err := nl.Fabric.Run(fuzzMaxCycles)
 	return observe(nl, res.Cycles, res.Completed, err)
@@ -105,17 +102,13 @@ func differential(t *testing.T, src string) {
 
 	// Snapshot arm: checkpoint the event backend mid-run, restore the
 	// snapshot into a freshly parsed instance, finish there, compare.
+	// Sinkless fabrics complete by quiescence; the snapshot carries the
+	// idle streak, so their completion cycle survives a restore too.
 	if !ref.Completed || ref.Cycles < 2 {
 		return
 	}
 	mid := ref.Cycles / 2
 	b := parse(t, src)
-	if len(b.Sinks) == 0 {
-		// A sinkless fabric completes by the quiescence window, whose
-		// idle-streak counter restarts after a restore — the absolute
-		// completion cycle is exact only for sink-driven completion.
-		return
-	}
 	fp := b.Fingerprint()
 	var snap []byte
 	b.Fabric.SetCheckpoint(mid, func(cycle int64) error {
@@ -260,7 +253,7 @@ func TestGeneratorCoversConstructs(t *testing.T) {
 
 // FuzzSimulate is the generative differential fuzzer: the fuzzer owns
 // the seed, the generator turns it into a netlist (optionally mutated
-// into hostile territory), and the harness cross-checks all four
+// into hostile territory), and the harness cross-checks all three
 // backends plus snapshot/restore, then the batched stepper against
 // serial runs. Run via make fuzz-smoke or the nightly CI job.
 func FuzzSimulate(f *testing.F) {

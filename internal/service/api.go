@@ -38,22 +38,18 @@ type JobRequest struct {
 	ChannelCapacity int   `json:"channel_capacity,omitempty"`
 	ChannelLatency  int   `json:"channel_latency,omitempty"`
 
-	// Shards requests sharded parallel stepping for this job's fabric
-	// (applies to netlist jobs too): 0 uses the server default, 1 forces
-	// serial, k > 1 requests k compute-phase workers, negative means
-	// "auto". The server clamps the request so that its worker pool and
-	// per-job sharding never oversubscribe the machine. Sharding is
-	// bit-identical to serial stepping, so it does not key the result
-	// cache: a sharded job can be answered by a cached serial run and
-	// vice versa.
+	// Shards is accepted and ignored. It once requested sharded parallel
+	// stepping, which has been removed; the field stays so that requests
+	// from older clients still decode (the server rejects unknown
+	// fields). It never keyed the result cache.
 	Shards int `json:"shards,omitempty"`
 
 	// Compiled requests closure-compiled stepping for this job's fabric
 	// (applies to netlist jobs too): each PE's trigger pool is
 	// specialized into a step closure before the run (see
-	// internal/compile). Like Shards it is bit-identical to interpreted
-	// stepping, so it does not key the result cache: a compiled job can
-	// be answered by a cached interpreted run and vice versa.
+	// internal/compile). It is bit-identical to interpreted stepping, so
+	// it does not key the result cache: a compiled job can be answered
+	// by a cached interpreted run and vice versa.
 	Compiled bool `json:"compiled,omitempty"`
 
 	// MaxCycles bounds the simulation; 0 uses the server default. The

@@ -163,11 +163,10 @@ func (s *Server) runWorkloadJob(ctx context.Context, id string, req *JobRequest)
 		return nil, jobErrorf(ErrBadRequest, "%v", err)
 	}
 	p := spec.Normalize(workloadParams(req))
-	// Sharding and compiled stepping are stepping knobs, not modeled
-	// parameters: results are bit-identical either way, so resultKey
-	// deliberately has no shards or compiled field and cached serial/
-	// interpreted runs answer sharded/compiled requests (and vice versa).
-	p.FabricCfg.Shards = s.effectiveShards(req.Shards)
+	// Compiled stepping is a stepping knob, not a modeled parameter:
+	// results are bit-identical either way, so resultKey deliberately has
+	// no compiled field and cached interpreted runs answer compiled
+	// requests (and vice versa).
 	p.FabricCfg.Compiled = s.effectiveCompiled(req.Compiled)
 
 	budget := spec.MaxCycles(p)
@@ -314,13 +313,12 @@ func (s *Server) runNetlistJob(ctx context.Context, id string, req *JobRequest) 
 	nl := prog.nl
 	nl.Fabric.Reset()
 	nl.Fabric.SetCancelCheckInterval(s.cfg.CancelCheckInterval)
-	// Per-job stepping knobs on the shared cached fabric; serialized by
-	// prog.mu and bit-identical to serial interpreted stepping, so cache
-	// reuse across differently-stepped jobs is sound. Compiled plans are
+	// Per-job stepping knob on the shared cached fabric; serialized by
+	// prog.mu and bit-identical to interpreted stepping, so cache reuse
+	// across differently-stepped jobs is sound. Compiled plans are
 	// themselves cached process-wide by assembled-form fingerprint
 	// (internal/compile), so cosmetically different netlists with equal
 	// assembled programs share one compiled plan.
-	nl.Fabric.SetShards(s.effectiveShards(req.Shards))
 	nl.Fabric.SetCompiled(s.effectiveCompiled(req.Compiled))
 
 	var rec *trace.Recorder

@@ -35,16 +35,10 @@ type Config struct {
 	// CancelCheckInterval is how many simulated cycles pass between
 	// cancellation checks inside the stepping loop.
 	CancelCheckInterval int
-	// DefaultShards is the fabric shard count applied to jobs that do
-	// not request one (JobRequest.Shards): 0 keeps stepping serial, k > 1
-	// requests sharded parallel stepping, negative means "auto". Every
-	// job's effective count is clamped so Workers x shards stays within
-	// GOMAXPROCS (see effectiveShards).
-	DefaultShards int
 	// DefaultCompiled switches jobs that do not ask otherwise to the
-	// closure-compiled stepping backend (see internal/compile). Like
-	// shards it is a stepping knob, not a modeled parameter: results are
-	// bit-identical and the result cache ignores it. A request with
+	// closure-compiled stepping backend (see internal/compile). It is a
+	// stepping knob, not a modeled parameter: results are bit-identical
+	// and the result cache ignores it. A request with
 	// "compiled": true always compiles regardless of this default.
 	DefaultCompiled bool
 	// TraceEventLimit bounds Chrome-trace captures (0 = unlimited).
@@ -179,30 +173,6 @@ func New(cfg Config) (*Server, error) {
 
 // Handler returns the HTTP handler (also usable under httptest).
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// effectiveShards arbitrates a job's shard request against the server's
-// worker pool so the two never oversubscribe the machine: with Workers
-// concurrent simulations, each job gets at most GOMAXPROCS/Workers
-// compute-phase shards (at least one, i.e. serial). A request of 0
-// falls back to Config.DefaultShards; negative means "use the whole
-// per-job budget". Sharding never changes results, only wall-clock.
-func (s *Server) effectiveShards(req int) int {
-	k := req
-	if k == 0 {
-		k = s.cfg.DefaultShards
-	}
-	if k == 0 {
-		return 0
-	}
-	per := runtime.GOMAXPROCS(0) / s.cfg.Workers
-	if per < 1 {
-		per = 1
-	}
-	if k < 0 || k > per {
-		k = per
-	}
-	return k
-}
 
 // effectiveCompiled resolves a job's compiled-stepping choice: a request
 // that asks for it always compiles; otherwise Config.DefaultCompiled

@@ -1,68 +1,22 @@
 package service
 
-// Tests for the per-job shard arbitration: the worker pool and
-// intra-job sharded stepping share one CPU budget, and sharded jobs
-// hit the same result-cache entries as serial ones (sharding is
-// bit-identical, so it deliberately does not key the cache).
+// Wire compatibility for the retired "shards" request field: sharded
+// stepping is gone, but JobRequest keeps the field so requests from
+// older clients still decode under DisallowUnknownFields. A job that
+// names shards is the plain job — same result, same cache entry.
 
 import (
-	"context"
+	"bytes"
+	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"testing"
 )
 
-func TestEffectiveShards(t *testing.T) {
-	gmp := runtime.GOMAXPROCS(0)
-	perBudget := func(workers int) int {
-		per := gmp / workers
-		if per < 1 {
-			per = 1
-		}
-		return per
-	}
-	cases := []struct {
-		name          string
-		workers       int
-		defaultShards int
-		req           int
-		want          int
-	}{
-		{"all-serial", 1, 0, 0, 0},
-		{"request-serial", 1, 0, 1, 1},
-		{"default-serial-wins-nothing", 4, 0, 0, 0},
-		{"request-clamped-to-budget", 1, 0, 1 << 20, perBudget(1)},
-		{"request-auto", 1, 0, -1, perBudget(1)},
-		{"default-auto", 1, -1, 0, perBudget(1)},
-		{"default-clamped", 2, 64, 0, perBudget(2)},
-		{"oversubscribed-workers-stay-serial", 4 * gmp, 8, 0, 1},
-		{"request-overrides-default", 1, -1, 1, 1},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := DefaultConfig()
-			cfg.Workers = tc.workers
-			cfg.DefaultShards = tc.defaultShards
-			s, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Drain()
-			if got := s.effectiveShards(tc.req); got != tc.want {
-				t.Errorf("workers=%d default=%d req=%d: effectiveShards=%d, want %d",
-					tc.workers, tc.defaultShards, tc.req, got, tc.want)
-			}
-			small := tc.want
-			if small > perBudget(tc.workers) {
-				t.Errorf("effective shards %d exceed the per-job budget %d", small, perBudget(tc.workers))
-			}
-		})
-	}
-}
-
-// TestShardedJobSharesResultCache submits the same workload serial and
-// sharded: identical results, and the second submission must be a cache
-// hit — Shards is excluded from the result key on purpose.
+// TestShardedJobSharesResultCache posts the same workload as raw JSON,
+// first plain and then with "shards": 4: the second must be accepted
+// and answered from the result cache with a byte-identical payload.
 func TestShardedJobSharesResultCache(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Workers = 1
@@ -73,37 +27,47 @@ func TestShardedJobSharesResultCache(t *testing.T) {
 	defer s.Drain()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	cl := NewClient(ts.URL)
 
-	ctx := context.Background()
-	serial, err := cl.Submit(ctx, &JobRequest{Workload: "mergesort", Size: 12})
-	if err != nil {
-		t.Fatal(err)
+	post := func(body string) JobResult {
+		t.Helper()
+		resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader([]byte(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: status %d: %s", body, resp.StatusCode, raw)
+		}
+		var res JobResult
+		if err := json.Unmarshal(raw, &res); err != nil {
+			t.Fatalf("decode %s: %v", raw, err)
+		}
+		return res
 	}
-	sharded, err := cl.Submit(ctx, &JobRequest{Workload: "mergesort", Size: 12, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
+	plain := post(`{"workload":"mergesort","size":12}`)
+	sharded := post(`{"workload":"mergesort","size":12,"shards":4}`)
+	if plain.Cached {
+		t.Error("first submission reported a cache hit")
 	}
 	if !sharded.Cached {
-		t.Error("sharded submission missed the result cache despite an identical serial run")
+		t.Error(`"shards" submission missed the result cache despite an identical plain run`)
 	}
-	if serial.Key != sharded.Key {
-		t.Errorf("result keys differ: serial %s, sharded %s", serial.Key, sharded.Key)
-	}
-	if serial.Cycles != sharded.Cycles {
-		t.Errorf("cycle counts differ: serial %d, sharded %d", serial.Cycles, sharded.Cycles)
-	}
-
-	// And the other way around, bypassing the cache: a sharded simulation
-	// actually runs and still reproduces the serial cycle count.
-	fresh, err := cl.Submit(ctx, &JobRequest{Workload: "mergesort", Size: 12, Shards: 4, NoCache: true})
+	// Apart from the provenance flag, the hit is the plain result, byte
+	// for byte.
+	plain.Cached, sharded.Cached = false, false
+	a, err := json.Marshal(plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fresh.Cached {
-		t.Error("NoCache submission reported a cache hit")
+	b, err := json.Marshal(sharded)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if fresh.Cycles != serial.Cycles {
-		t.Errorf("sharded re-simulation cycles %d, serial %d", fresh.Cycles, serial.Cycles)
+	if !bytes.Equal(a, b) {
+		t.Errorf("results differ:\nplain  %s\nshards %s", a, b)
 	}
 }

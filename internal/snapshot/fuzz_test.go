@@ -34,7 +34,7 @@ func FuzzDecode(f *testing.F) {
 			}
 			return
 		}
-		if h.Version != Version {
+		if h.Version < MinVersion || h.Version > Version {
 			t.Fatalf("accepted unknown version %d", h.Version)
 		}
 		// Exhaust the body through a rotation of readers; the decoder

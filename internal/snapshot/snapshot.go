@@ -37,9 +37,17 @@ import (
 // coarse format generation (bump it only for incompatible reframings).
 const Magic = "TIASNAP\x01"
 
-// Version is the current container format version. Decoders reject
-// versions they do not know; state layout changes bump it.
-const Version = 1
+// Version is the current container format version; Encode always
+// writes it. State layout changes bump it. Decoders accept every version
+// from MinVersion up and reject the rest; Header.Version tells the
+// restoring side which layout the body uses.
+//
+// Version 2 appends the fabric's quiescence idle streak to the body.
+const Version = 2
+
+// MinVersion is the oldest container format version Decode still
+// accepts.
+const MinVersion = 1
 
 // ErrCorrupt wraps every container-level decode failure: bad magic,
 // unknown version, truncated input, or digest mismatch.
@@ -270,8 +278,8 @@ func verify(data []byte) (Header, []byte, error) {
 	}
 	d := NewDecoder(framed[len(Magic):])
 	ver := d.U64()
-	if d.err == nil && ver != Version {
-		return h, nil, fmt.Errorf("%w: unsupported version %d (want %d)", ErrCorrupt, ver, Version)
+	if d.err == nil && (ver < MinVersion || ver > Version) {
+		return h, nil, fmt.Errorf("%w: unsupported version %d (want %d..%d)", ErrCorrupt, ver, MinVersion, Version)
 	}
 	h.Version = uint16(ver)
 	h.Fingerprint = d.String()

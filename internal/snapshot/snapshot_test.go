@@ -186,6 +186,27 @@ func TestContainerRejectsUnknownVersion(t *testing.T) {
 	}
 }
 
+func TestContainerAcceptsOlderVersions(t *testing.T) {
+	// Snapshots written by an older format version (service journals
+	// keep them across upgrades) still decode, and the header reports
+	// their version so the restoring side reads the matching layout.
+	for ver := uint64(MinVersion); ver < Version; ver++ {
+		var e Encoder
+		e.buf = append(e.buf, Magic...)
+		e.U64(ver)
+		e.String("fp")
+		e.I64(9)
+		e.Bytes([]byte("body"))
+		h, d, err := Decode(appendDigest(e.Data()))
+		if err != nil {
+			t.Fatalf("version %d: %v", ver, err)
+		}
+		if uint64(h.Version) != ver || h.Fingerprint != "fp" || h.Cycle != 9 || d.Remaining() != 4 {
+			t.Errorf("version %d: header %+v, %d body bytes", ver, h, d.Remaining())
+		}
+	}
+}
+
 // appendDigest frames raw bytes with the container digest, for building
 // deliberately odd-but-digest-valid containers in tests.
 func appendDigest(framed []byte) []byte {

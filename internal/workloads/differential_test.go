@@ -4,11 +4,9 @@ package workloads
 // scheduler plus the event-driven fabric stepper must be bit-identical —
 // cycle counts, sink token streams, PE statistics — with the slice-based
 // reference scheduler plus dense stepping, on every kernel, under every
-// scheduling policy. The sharded parallel stepper (internal/fabric's
-// shard.go) joins the same contract as a third arm: partitioning the
-// compute phase across workers must change nothing observable. This is
-// the executable form of the invariants documented in DESIGN.md's
-// "Simulator fast path" section.
+// scheduling policy. Closure-compiled stepping joins the same contract
+// as a third arm. This is the executable form of the invariants
+// documented in DESIGN.md's "Simulator fast path" section.
 
 import (
 	"math/rand"
@@ -32,29 +30,20 @@ type kernelObservation struct {
 
 // stepModes enumerates the fabric stepping flavors every differential
 // contract in this package agrees across: dense walks every element and
-// channel each cycle, event is the serial fast path, sharded partitions
-// each cycle's compute phase over three workers (see
-// internal/fabric/shard.go for why that is bit-identical; the fabric
-// package tests sweep more shard counts on random topologies), and
+// channel each cycle, event is the fast path's wake policy, and
 // compiled replaces the per-element interpreter walk with specialized
-// step closures (internal/compile) on the event stepper.
+// step closures (internal/compile) under the event policy.
 var stepModes = []struct {
 	label    string
 	dense    bool
-	shards   int
 	compiled bool
 }{
-	{"dense", true, 0, false},
-	{"event", false, 0, false},
-	{"sharded", false, 3, false},
-	{"compiled", false, 0, true},
+	{"dense", true, false},
+	{"event", false, false},
+	{"compiled", false, true},
 }
 
-func observeTIA(t *testing.T, spec *Spec, p Params, reference bool) kernelObservation {
-	return observeTIASharded(t, spec, p, reference, 0, false)
-}
-
-func observeTIASharded(t *testing.T, spec *Spec, p Params, reference bool, shards int, compiled bool) kernelObservation {
+func observeTIA(t *testing.T, spec *Spec, p Params, reference, compiled bool) kernelObservation {
 	t.Helper()
 	inst, err := spec.BuildTIA(p)
 	if err != nil {
@@ -66,11 +55,10 @@ func observeTIASharded(t *testing.T, spec *Spec, p Params, reference bool, shard
 			pr.SetReferenceScheduler(true)
 		}
 	}
-	inst.Fabric.SetShards(shards)
 	inst.Fabric.SetCompiled(compiled)
 	res, err := inst.Fabric.Run(spec.MaxCycles(p))
 	if err != nil {
-		t.Fatalf("%s: run (reference=%v shards=%d compiled=%v): %v", spec.Name, reference, shards, compiled, err)
+		t.Fatalf("%s: run (reference=%v compiled=%v): %v", spec.Name, reference, compiled, err)
 	}
 	obs := kernelObservation{Cycles: res.Cycles, Tokens: inst.Sink.Tokens()}
 	for _, pr := range inst.PEs {
@@ -98,13 +86,12 @@ func TestSchedulerSteppingDifferential(t *testing.T) {
 			t.Run(spec.Name+"/"+tc.label, func(t *testing.T) {
 				p := spec.Normalize(Params{Seed: 11, Size: 16})
 				tc.mut(&p)
-				ref := observeTIA(t, spec, p, true)
+				ref := observeTIA(t, spec, p, true, false)
 				for _, arm := range []struct {
 					label    string
-					shards   int
 					compiled bool
-				}{{"fast", 0, false}, {"sharded", 3, false}, {"compiled", 0, true}} {
-					fast := observeTIASharded(t, spec, p, false, arm.shards, arm.compiled)
+				}{{"fast", false}, {"compiled", true}} {
+					fast := observeTIA(t, spec, p, false, arm.compiled)
 					if ref.Cycles != fast.Cycles {
 						t.Errorf("cycles differ: reference %d, %s %d", ref.Cycles, arm.label, fast.Cycles)
 					}
@@ -276,23 +263,22 @@ func TestDenseSteppingMatchesEventForPC(t *testing.T) {
 	for _, spec := range All() {
 		t.Run(spec.Name, func(t *testing.T) {
 			p := spec.Normalize(Params{Seed: 7, Size: 12})
-			run := func(dense bool, shards int, compiled bool) (int64, []channel.Token) {
+			run := func(dense, compiled bool) (int64, []channel.Token) {
 				inst, err := spec.BuildPC(p)
 				if err != nil {
 					t.Fatalf("build PC: %v", err)
 				}
 				inst.Fabric.SetDenseStepping(dense)
-				inst.Fabric.SetShards(shards)
 				inst.Fabric.SetCompiled(compiled)
 				res, err := inst.Fabric.Run(spec.MaxCycles(p))
 				if err != nil {
-					t.Fatalf("run PC (dense=%v shards=%d compiled=%v): %v", dense, shards, compiled, err)
+					t.Fatalf("run PC (dense=%v compiled=%v): %v", dense, compiled, err)
 				}
 				return res.Cycles, inst.Sink.Tokens()
 			}
-			dc, dt := run(stepModes[0].dense, stepModes[0].shards, stepModes[0].compiled)
+			dc, dt := run(stepModes[0].dense, stepModes[0].compiled)
 			for _, mode := range stepModes[1:] {
-				ec, et := run(mode.dense, mode.shards, mode.compiled)
+				ec, et := run(mode.dense, mode.compiled)
 				if dc != ec {
 					t.Errorf("cycles differ: dense %d, %s %d", dc, mode.label, ec)
 				}

@@ -4,7 +4,7 @@ package workloads
 // channel and element of a kernel with a zero-rate fault plan must be a
 // provable no-op — identical cycle counts, sink token streams, and PE
 // statistics to the unwrapped fast path — under every stepping mode
-// (dense, event-driven, sharded parallel, closure-compiled). This pins the hooked channel
+// (dense, event-driven, closure-compiled). This pins the hooked channel
 // path (tickFaulty with an empty plan) to the unhooked fast path, so
 // campaign results are attributable to the injected faults and never to
 // the instrumentation itself.
@@ -16,14 +16,13 @@ import (
 	"tia/internal/faults"
 )
 
-func observeTIAFaultWrapped(t *testing.T, spec *Spec, p Params, dense bool, shards int, compiled bool, plan *faults.Plan) kernelObservation {
+func observeTIAFaultWrapped(t *testing.T, spec *Spec, p Params, dense, compiled bool, plan *faults.Plan) kernelObservation {
 	t.Helper()
 	inst, err := spec.BuildTIA(p)
 	if err != nil {
 		t.Fatalf("%s: build: %v", spec.Name, err)
 	}
 	inst.Fabric.SetDenseStepping(dense)
-	inst.Fabric.SetShards(shards)
 	inst.Fabric.SetCompiled(compiled)
 	if plan != nil {
 		if _, err := faults.Attach(inst.Fabric, *plan); err != nil {
@@ -32,7 +31,7 @@ func observeTIAFaultWrapped(t *testing.T, spec *Spec, p Params, dense bool, shar
 	}
 	res, err := inst.Fabric.Run(spec.MaxCycles(p))
 	if err != nil {
-		t.Fatalf("%s: run (dense=%v shards=%d compiled=%v wrapped=%v): %v", spec.Name, dense, shards, compiled, plan != nil, err)
+		t.Fatalf("%s: run (dense=%v compiled=%v wrapped=%v): %v", spec.Name, dense, compiled, plan != nil, err)
 	}
 	obs := kernelObservation{Cycles: res.Cycles, Tokens: inst.Sink.Tokens()}
 	for _, pr := range inst.PEs {
@@ -47,9 +46,9 @@ func TestZeroRateFaultPlanDifferential(t *testing.T) {
 			mode := mode
 			t.Run(spec.Name+"/"+mode.label, func(t *testing.T) {
 				p := spec.Normalize(Params{Seed: 11, Size: 12})
-				base := observeTIAFaultWrapped(t, spec, p, mode.dense, mode.shards, mode.compiled, nil)
+				base := observeTIAFaultWrapped(t, spec, p, mode.dense, mode.compiled, nil)
 				plan := &faults.Plan{Seed: 99}
-				wrapped := observeTIAFaultWrapped(t, spec, p, mode.dense, mode.shards, mode.compiled, plan)
+				wrapped := observeTIAFaultWrapped(t, spec, p, mode.dense, mode.compiled, plan)
 				if base.Cycles != wrapped.Cycles {
 					t.Errorf("cycles differ: unwrapped %d, zero-rate wrapped %d", base.Cycles, wrapped.Cycles)
 				}
@@ -64,12 +63,12 @@ func TestZeroRateFaultPlanDifferential(t *testing.T) {
 	}
 }
 
-// TestFaultPlanShardingDifferential pins active (non-zero-rate) fault
+// TestFaultPlanSteppingDifferential pins active (non-zero-rate) fault
 // plans across stepping modes: the injected fault sequence is a pure
-// function of per-site event streams, so dense, event and sharded runs
+// function of per-site event streams, so dense, event and compiled runs
 // of the same plan must produce the same perturbed execution — not just
 // fault-free ones.
-func TestFaultPlanShardingDifferential(t *testing.T) {
+func TestFaultPlanSteppingDifferential(t *testing.T) {
 	plan := &faults.Plan{Seed: 23, JitterRate: 0.2, JitterMax: 3, Stalls: 2, StallMax: 5, Freezes: 1, FreezeMax: 4}
 	for _, name := range []string{"mergesort", "smvm"} {
 		spec, err := ByName(name)
@@ -78,9 +77,9 @@ func TestFaultPlanShardingDifferential(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			p := spec.Normalize(Params{Seed: 11, Size: 12})
-			base := observeTIAFaultWrapped(t, spec, p, stepModes[0].dense, stepModes[0].shards, stepModes[0].compiled, plan)
+			base := observeTIAFaultWrapped(t, spec, p, stepModes[0].dense, stepModes[0].compiled, plan)
 			for _, mode := range stepModes[1:] {
-				got := observeTIAFaultWrapped(t, spec, p, mode.dense, mode.shards, mode.compiled, plan)
+				got := observeTIAFaultWrapped(t, spec, p, mode.dense, mode.compiled, plan)
 				if !reflect.DeepEqual(base, got) {
 					t.Errorf("%s diverged from dense under an active plan:\ndense %+v\n%-5s %+v",
 						mode.label, base, mode.label, got)

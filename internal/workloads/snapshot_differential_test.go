@@ -5,12 +5,9 @@ package workloads
 // an arbitrary mid-run cycle and restoring the snapshot into a freshly
 // built instance — identical cycle counts, sink token streams, per-PE
 // statistics and fault-injection counters — for every kernel, under
-// every stepper (dense, event, sharded parallel, closure-compiled), with and without an
-// active fault plan. This is the headline correctness contract of
-// internal/snapshot + fabric.Snapshot/Restore; the sharded arm is also
-// the race surface `go test -race` exercises (checkpoint callbacks fire
-// from the serial epilogue while worker goroutines are parked at the
-// cycle barrier).
+// every stepping mode (dense, event, closure-compiled), with and
+// without an active fault plan. This is the headline correctness
+// contract of internal/snapshot + fabric.Snapshot/Restore.
 
 import (
 	"reflect"
@@ -35,8 +32,8 @@ type snapObservation struct {
 }
 
 // buildForSnapshot constructs one kernel instance with the requested
-// stepper and (optionally) an attached fault plan.
-func buildForSnapshot(t *testing.T, spec *Spec, p Params, pc, dense bool, shards int, compiled bool, plan *faults.Plan) (*Instance, *faults.Injector) {
+// stepping mode and (optionally) an attached fault plan.
+func buildForSnapshot(t *testing.T, spec *Spec, p Params, pc, dense, compiled bool, plan *faults.Plan) (*Instance, *faults.Injector) {
 	t.Helper()
 	build := spec.BuildTIA
 	if pc {
@@ -47,7 +44,6 @@ func buildForSnapshot(t *testing.T, spec *Spec, p Params, pc, dense bool, shards
 		t.Fatalf("%s: build: %v", spec.Name, err)
 	}
 	inst.Fabric.SetDenseStepping(dense)
-	inst.Fabric.SetShards(shards)
 	inst.Fabric.SetCompiled(compiled)
 	var inj *faults.Injector
 	if plan != nil {
@@ -82,11 +78,11 @@ func snapObserve(inst *Instance, inj *faults.Injector, cycles int64, completed b
 // three observations must be deeply equal (including error text for
 // fault plans that hang or deadlock the kernel: a restored run must fail
 // at the same absolute cycle with the same diagnosis).
-func runSnapshotDifferential(t *testing.T, spec *Spec, p Params, pc, dense bool, shards int, compiled bool, plan *faults.Plan) {
+func runSnapshotDifferential(t *testing.T, spec *Spec, p Params, pc, dense, compiled bool, plan *faults.Plan) {
 	t.Helper()
 	fp := "test:" + spec.Name // stand-in fingerprint; both sides must agree
 
-	a, injA := buildForSnapshot(t, spec, p, pc, dense, shards, compiled, plan)
+	a, injA := buildForSnapshot(t, spec, p, pc, dense, compiled, plan)
 	resA, errA := a.Fabric.Run(spec.MaxCycles(p))
 	obsA := snapObserve(a, injA, resA.Cycles, resA.Completed, errA)
 	if plan == nil && errA != nil {
@@ -98,7 +94,7 @@ func runSnapshotDifferential(t *testing.T, spec *Spec, p Params, pc, dense bool,
 		mid = 1
 	}
 
-	b, injB := buildForSnapshot(t, spec, p, pc, dense, shards, compiled, plan)
+	b, injB := buildForSnapshot(t, spec, p, pc, dense, compiled, plan)
 	var snap []byte
 	b.Fabric.SetCheckpoint(mid, func(cycle int64) error {
 		if snap != nil {
@@ -123,7 +119,7 @@ func runSnapshotDifferential(t *testing.T, spec *Spec, p Params, pc, dense bool,
 		t.Fatalf("no checkpoint fired (run took %d cycles, checkpoint every %d)", resB.Cycles, mid)
 	}
 
-	c, injC := buildForSnapshot(t, spec, p, pc, dense, shards, compiled, plan)
+	c, injC := buildForSnapshot(t, spec, p, pc, dense, compiled, plan)
 	if err := c.Fabric.Restore(snap, fp); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
@@ -137,18 +133,17 @@ func runSnapshotDifferential(t *testing.T, spec *Spec, p Params, pc, dense bool,
 	}
 
 	// A snapshot must refuse to restore onto a different program.
-	wrong, _ := buildForSnapshot(t, spec, p, pc, dense, shards, compiled, plan)
+	wrong, _ := buildForSnapshot(t, spec, p, pc, dense, compiled, plan)
 	if err := wrong.Fabric.Restore(snap, fp+"-other"); err == nil {
 		t.Errorf("restore accepted a mismatched fingerprint")
 	}
 }
 
 // TestSnapshotRestoreDifferential is the headline contract: all kernels,
-// every stepper, fault-free and under an active timing fault plan (the
-// class that perturbs cycle-level behavior while results must still
-// complete byte-identically between the interrupted and uninterrupted
-// simulations). The sharded/timing combination doubles as the
-// fault-injection-plus-mid-run-snapshot race surface under -race.
+// every stepping mode, fault-free and under an active timing fault plan
+// (the class that perturbs cycle-level behavior while results must
+// still complete byte-identically between the interrupted and
+// uninterrupted simulations).
 func TestSnapshotRestoreDifferential(t *testing.T) {
 	timing := &faults.Plan{Seed: 5, JitterRate: 0.2, JitterMax: 3, Stalls: 2, StallMax: 5, Freezes: 1, FreezeMax: 4}
 	for _, spec := range All() {
@@ -157,7 +152,7 @@ func TestSnapshotRestoreDifferential(t *testing.T) {
 				mode, plan := mode, plan
 				t.Run(spec.Name+"/"+mode.label+"/"+planLabel, func(t *testing.T) {
 					p := spec.Normalize(Params{Seed: 11, Size: 12})
-					runSnapshotDifferential(t, spec, p, false, mode.dense, mode.shards, mode.compiled, plan)
+					runSnapshotDifferential(t, spec, p, false, mode.dense, mode.compiled, plan)
 				})
 			}
 		}
@@ -179,7 +174,7 @@ func TestSnapshotRestoreDifferentialDataFaults(t *testing.T) {
 			mode := mode
 			t.Run(name+"/"+mode.label, func(t *testing.T) {
 				p := spec.Normalize(Params{Seed: 11, Size: 12})
-				runSnapshotDifferential(t, spec, p, false, mode.dense, mode.shards, mode.compiled, data)
+				runSnapshotDifferential(t, spec, p, false, mode.dense, mode.compiled, data)
 			})
 		}
 	}
@@ -197,7 +192,7 @@ func TestSnapshotRestorePCBaseline(t *testing.T) {
 			mode := mode
 			t.Run(name+"/"+mode.label, func(t *testing.T) {
 				p := spec.Normalize(Params{Seed: 11, Size: 12})
-				runSnapshotDifferential(t, spec, p, true, mode.dense, mode.shards, mode.compiled, nil)
+				runSnapshotDifferential(t, spec, p, true, mode.dense, mode.compiled, nil)
 			})
 		}
 	}

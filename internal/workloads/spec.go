@@ -77,12 +77,10 @@ func (p Params) withDefaults(defaultSize int) Params {
 		p.PCCfg = pcpe.DefaultConfig()
 	}
 	if p.FabricCfg.ChannelCapacity == 0 {
-		// Preserve caller-set stepping knobs across the default fill:
-		// Shards and Compiled change wall-clock, not the modeled machine.
-		shards := p.FabricCfg.Shards
+		// Preserve the caller-set stepping knob across the default fill:
+		// Compiled changes wall-clock, not the modeled machine.
 		compiled := p.FabricCfg.Compiled
 		p.FabricCfg = fabric.DefaultConfig()
-		p.FabricCfg.Shards = shards
 		p.FabricCfg.Compiled = compiled
 	}
 	return p
