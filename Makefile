@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench-smoke bench bench-json bench-compare alloc-gate fault-smoke batch-smoke snapshot-smoke compile-smoke fleet-smoke chaos-smoke fuzz-smoke check
+.PHONY: all build test race vet bench-smoke bench perfbench-smoke alloc-gate fault-smoke batch-smoke snapshot-smoke compile-smoke fleet-smoke chaos-smoke fuzz-smoke check
 
 all: build
 
@@ -21,32 +21,26 @@ vet:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# Full experiment benchmarks (the paper tables come from cmd/tiabench;
-# these are the perf-tracking targets).
+# The root experiment benchmarks at a real measurement length. The paper
+# tables come from cmd/tiabench; end-to-end performance from perfbench.
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 2s .
 
-# Perf-trajectory report: min-of-N wall-clock per kernel plus the
-# allocation-gated micro-benchmarks, written as BENCH_<date>.json. The
-# committed BENCH_*.json files record how the simulator's speed moves
-# over time; regenerate and commit alongside performance-affecting PRs.
-# An existing same-date baseline is never clobbered silently — a
-# committed trajectory point is history, overwriting it rewrites the
-# record. Pass FORCE=1 to regenerate today's file deliberately.
-bench-json:
-	@if [ -e BENCH_$$(date +%F).json ] && [ "$(FORCE)" != "1" ]; then \
-		echo "bench-json: BENCH_$$(date +%F).json already exists; rerun with FORCE=1 to overwrite"; \
-		exit 1; \
-	fi
-	$(GO) run ./cmd/tiabench -json-out BENCH_$$(date +%F).json
-
-# Compare a fresh bench run (written to a scratch file, not committed)
-# against the newest committed BENCH_*.json: per-kernel wall-clock
-# deltas, non-zero exit if any kernel regressed >10%. CI's bench job
-# runs this so perf regressions fail loudly against the trajectory.
-bench-compare:
-	$(GO) run ./cmd/tiabench -json-out /tmp/bench-fresh.json \
-		-compare "$$(ls BENCH_*.json | sort | tail -1)"
+# perfbench is a Go module of its own, so `go test ./...` never builds
+# it: vet and test the module, then run each workload of BENCHMARK.json
+# for one second and fail unless its final JSON line reports every
+# operation correct and none failed. An API break between the simulator
+# and the benchmark fails here instead of in a benchmark run.
+perfbench-smoke:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test -count=1 ./...
+	@for w in paper campaign serve; do \
+		out=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 1) || exit 1; \
+		line=$$(printf '%s\n' "$$out" | tail -n 1); \
+		echo "perfbench-smoke $$w: $$line"; \
+		case "$$line" in *'"correct":true'*) ;; *) echo "perfbench-smoke: $$w is not correct" >&2; exit 1 ;; esac; \
+		case "$$line" in *'"failed":0,'*|*'"failed":0}'*) ;; *) echo "perfbench-smoke: $$w has failed operations" >&2; exit 1 ;; esac; \
+	done
 
 # Zero-allocation gates on the per-cycle hot paths (the fabric cycle
 # loop — interpreted and compiled, under the dense and event wake
@@ -113,4 +107,4 @@ chaos-smoke:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzSimulate' -fuzztime 60s ./internal/gen
 
-check: vet race bench-smoke alloc-gate fault-smoke batch-smoke snapshot-smoke compile-smoke fleet-smoke chaos-smoke fuzz-smoke
+check: vet race bench-smoke perfbench-smoke alloc-gate fault-smoke batch-smoke snapshot-smoke compile-smoke fleet-smoke chaos-smoke fuzz-smoke

@@ -11,24 +11,6 @@
 //	tiabench -listing <kernel>   # disassemble a kernel's programs
 //	tiabench -json               # machine-readable suite results
 //	tiabench -faults [-fault-runs N] [-fault-seed S] [-state FILE]   # resilience campaigns
-//	tiabench -json-out BENCH_$(date +%F).json   # perf-trajectory report
-//	tiabench -gen SEED [-size N]   # benchmark a generated netlist (internal/gen)
-//
-// -compiled switches every simulation to the closure-compiled stepping
-// backend (internal/compile): per-PE trigger pools are specialized into
-// step closures with constant operands folded and dead triggers
-// dropped. Results are bit-identical to the interpreter; only wall
-// clock changes.
-//
-// -compare OLD.json (with -json-out) prints per-kernel wall-clock
-// deltas against an older BENCH report and exits non-zero if any
-// kernel regressed by more than 10% — the CI bench job uses this to
-// catch perf regressions against the committed trajectory.
-//
-// -json-out runs the bench suite instead of the experiments: min-of-N
-// wall-clock per kernel plus allocation-gated micro-benchmarks of the
-// trigger-resolution and fabric-stepping hot paths, written as a JSON
-// report so the perf trajectory is recorded in-repo (see make bench-json).
 //
 // With -faults -state FILE, each kernel's finished campaign row is
 // persisted after it completes; rerunning the same command after an
@@ -65,24 +47,12 @@ func main() {
 	faultSeed := flag.Int64("fault-seed", 4242, "fault plan seed (with -faults)")
 	faultState := flag.String("state", "", "campaign progress file: finished kernels are recorded and an interrupted sweep resumes (with -faults)")
 	workers := flag.Int("workers", 0, "max concurrent design-point simulations (0 = GOMAXPROCS)")
-	compiled := flag.Bool("compiled", false, "use the closure-compiled stepping backend (bit-identical results)")
-	benchOut := flag.String("json-out", "", "run the bench suite (min-of-N kernel wall-clock + micro-benchmarks) and write a BENCH json report to this file ('-' = stdout)")
-	compare := flag.String("compare", "", "with -json-out: compare the fresh report against this older BENCH json; exit non-zero on a >10% per-kernel regression")
 	timeout := flag.Duration("timeout", 0, "total wall-clock budget; expiry cancels simulations and prints partial results (0 = none)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	genSeed := flag.Int64("gen", 0, "benchmark a generated netlist with this seed (internal/gen; scaled by -size) instead of the experiments")
-	batch := flag.Int("batch", 0, "campaign batch lanes: run -faults campaigns across K structure-of-arrays lanes, or sweep -gen across K generator seeds (0/1 = serial; results bit-identical)")
 	flag.Parse()
-	genSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "gen" {
-			genSet = true
-		}
-	})
 
 	core.MaxWorkers = *workers
-	core.Compiled = *compiled
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -119,31 +89,6 @@ func main() {
 	}
 
 	p := workloads.Params{Size: *size, Seed: *seed}
-	if genSet {
-		if err := runGenerated(ctx, os.Stdout, *genSeed, *size, *compiled, *batch); err != nil {
-			fmt.Fprintln(os.Stderr, "tiabench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *benchOut != "" {
-		rep, err := emitBenchJSON(ctx, p, *compiled, *benchOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tiabench:", err)
-			os.Exit(1)
-		}
-		if *compare != "" {
-			if err := compareBenchReports(os.Stdout, *compare, rep); err != nil {
-				fmt.Fprintln(os.Stderr, "tiabench:", err)
-				os.Exit(1)
-			}
-		}
-		return
-	}
-	if *compare != "" {
-		fmt.Fprintln(os.Stderr, "tiabench: -compare requires -json-out (a fresh report to compare against)")
-		os.Exit(1)
-	}
 	if *jsonOut {
 		if err := emitJSON(ctx, p); err != nil {
 			fmt.Fprintln(os.Stderr, "tiabench:", err)
@@ -159,7 +104,7 @@ func main() {
 		return
 	}
 	if *faults {
-		if err := runFaultCampaigns(ctx, os.Stdout, p, *faultRuns, *faultSeed, *faultState, *batch); err != nil {
+		if err := runFaultCampaigns(ctx, os.Stdout, p, *faultRuns, *faultSeed, *faultState); err != nil {
 			fmt.Fprintln(os.Stderr, "tiabench:", err)
 			os.Exit(1)
 		}

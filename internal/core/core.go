@@ -65,19 +65,6 @@ type Row struct {
 // concurrently, and each simulation is itself serial.
 var MaxWorkers int
 
-// Compiled requests closure-compiled stepping (fabric.Config.Compiled)
-// inside every simulation the harness runs. It is a stepping knob:
-// bit-identical results, different wall-clock.
-var Compiled bool
-
-// applyCompiled stamps the compiled-stepping flag into a normalized
-// parameter set; a caller that already enabled it keeps it.
-func applyCompiled(p *workloads.Params) {
-	if Compiled {
-		p.FabricCfg.Compiled = true
-	}
-}
-
 // forEach runs fn(i) for every i in [0, n) on a bounded worker pool.
 // Workers pull indices from a shared counter, so results land in
 // caller-owned slices at deterministic positions regardless of schedule.
@@ -152,7 +139,6 @@ func RunWorkload(spec *workloads.Spec, p workloads.Params) (*Row, error) {
 // wrapping fabric.ErrCancelled.
 func RunWorkloadContext(ctx context.Context, spec *workloads.Spec, p workloads.Params) (*Row, error) {
 	p = spec.Normalize(p)
-	applyCompiled(&p)
 	v, err := spec.VerifyFullContext(ctx, p)
 	if err != nil {
 		return nil, err
@@ -301,7 +287,6 @@ func DepthSweepContext(ctx context.Context, spec *workloads.Spec, p workloads.Pa
 	forEachCtx(ctx, len(depths), func(i int) {
 		d := depths[i]
 		pp := spec.Normalize(p)
-		applyCompiled(&pp)
 		pp.FabricCfg.ChannelCapacity = d
 		inst, err := spec.BuildTIA(pp)
 		if err != nil {
@@ -338,7 +323,6 @@ func LatencySweepContext(ctx context.Context, spec *workloads.Spec, p workloads.
 	forEachCtx(ctx, len(lats), func(i int) {
 		l := lats[i]
 		pp := spec.Normalize(p)
-		applyCompiled(&pp)
 		pp.FabricCfg.ChannelLatency = l
 		inst, err := spec.BuildTIA(pp)
 		if err != nil {
@@ -386,7 +370,6 @@ func MemLatencySweepContext(ctx context.Context, spec *workloads.Spec, p workloa
 	forEachCtx(ctx, len(lats), func(i int) {
 		l := lats[i]
 		pp := spec.Normalize(p)
-		applyCompiled(&pp)
 		pp.MemLatency = l
 		pt := MemLatencyPoint{Latency: l}
 		tia, err := spec.BuildTIA(pp)

@@ -21,10 +21,10 @@ func TestClassifyAllocationFree(t *testing.T) {
 	bb.Tick()
 	for _, reference := range []bool{false, true} {
 		avg := testing.AllocsPerRun(100, func() {
-			p.ClassifyAll(reference)
+			p.classifyAll(reference)
 		})
 		if avg != 0 {
-			t.Errorf("ClassifyAll(reference=%v) allocates %.1f times per run, want 0", reference, avg)
+			t.Errorf("classifyAll(reference=%v) allocates %.1f times per run, want 0", reference, avg)
 		}
 	}
 }

@@ -592,12 +592,11 @@ func (p *PE) classifyRef(ci *compiled) readiness {
 	return fireable
 }
 
-// ClassifyAll refreshes the channel status caches and classifies every
-// program instruction once, returning how many are fireable. It is the
-// external benchmark hook for the trigger-resolution hot path (see
-// cmd/tiabench -json-out and BenchmarkClassify): reference selects the
-// slice-walking reference classifier instead of the bitmask fast path.
-func (p *PE) ClassifyAll(reference bool) int {
+// classifyAll refreshes the channel status caches and classifies every
+// program instruction once, returning how many are fireable; reference
+// selects the slice-walking reference classifier instead of the bitmask
+// fast path. The trigger-resolution alloc gate drives it.
+func (p *PE) classifyAll(reference bool) int {
 	p.refreshStatus()
 	n := 0
 	for i := range p.prog {

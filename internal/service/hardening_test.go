@@ -214,17 +214,11 @@ func TestFaultCampaignJob(t *testing.T) {
 	}
 
 	// Campaign outcomes feed the Prometheus counters.
-	snap := svc.Metrics().Snapshot()
-	for k, want := range map[string]int64{
-		"faults_injected":     9,
-		"fault_runs_masked":   7,
-		"fault_runs_detected": 3,
-		"fault_runs_silent":   1,
-		"fault_runs_hang":     1,
-	} {
-		if snap[k] != want {
-			t.Errorf("metric %s = %d, want %d", k, snap[k], want)
-		}
+	m := svc.Metrics()
+	got := []int64{m.FaultsInjected.Load(), m.FaultRunsMasked.Load(),
+		m.FaultRunsDetected.Load(), m.FaultRunsSilent.Load(), m.FaultRunsHang.Load()}
+	if want := []int64{9, 7, 3, 1, 1}; !reflect.DeepEqual(got, want) {
+		t.Errorf("fault metrics (injected, masked, detected, silent, hang) = %v, want %v", got, want)
 	}
 	var b strings.Builder
 	svc.Metrics().WritePrometheus(&b)

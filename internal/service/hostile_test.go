@@ -73,9 +73,8 @@ func TestHostileNetlistCorpus(t *testing.T) {
 	if jerr != nil || status != 200 || !res.Completed {
 		t.Fatalf("valid job after hostile corpus: status %d res %+v err %v", status, res, jerr)
 	}
-	snap := svc.Metrics().Snapshot()
-	if snap["jobs_rejected_resource"] < 1 {
-		t.Errorf("jobs_rejected_resource = %d, want >= 1 (over-budget.tia)", snap["jobs_rejected_resource"])
+	if got := svc.Metrics().JobsRejectedResource.Load(); got < 1 {
+		t.Errorf("JobsRejectedResource = %d, want >= 1 (over-budget.tia)", got)
 	}
 }
 
@@ -99,8 +98,8 @@ func TestResourceGovernorE2E(t *testing.T) {
 	if status != 422 {
 		t.Errorf("over-budget job: HTTP %d, want 422", status)
 	}
-	if got := limited.Metrics().Snapshot()["jobs_rejected_resource"]; got != 1 {
-		t.Errorf("jobs_rejected_resource = %d, want 1", got)
+	if got := limited.Metrics().JobsRejectedResource.Load(); got != 1 {
+		t.Errorf("JobsRejectedResource = %d, want 1", got)
 	}
 
 	// Rejection is a budget decision, not a structural one: without
@@ -135,7 +134,7 @@ func TestGovernorCacheHitReadmission(t *testing.T) {
 			t.Fatalf("submission %d: error %+v, want resource_limit", i, jerr)
 		}
 	}
-	if got := svc.Metrics().Snapshot()["jobs_rejected_resource"]; got != 2 {
-		t.Errorf("jobs_rejected_resource = %d, want 2", got)
+	if got := svc.Metrics().JobsRejectedResource.Load(); got != 2 {
+		t.Errorf("JobsRejectedResource = %d, want 2", got)
 	}
 }

@@ -355,8 +355,8 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, _ *http.Request) {
 type Health struct {
 	// Status is "ok" or "draining".
 	Status string `json:"status"`
-	// QueueDepth and Running mirror the tia_jobs_queued /
-	// tia_jobs_inflight gauges.
+	// QueueDepth and Running mirror the tia_job_queue_depth /
+	// tia_jobs_running gauges.
 	QueueDepth int64 `json:"queue_depth"`
 	Running    int64 `json:"running"`
 	// Journal reports whether crash-safe durability is enabled;

@@ -314,12 +314,12 @@ func TestFingerprintCosmeticInvariance(t *testing.T) {
 	if !second.Cached {
 		t.Error("cosmetic respelling missed the result cache")
 	}
-	snap := svc.Metrics().Snapshot()
-	if snap["program_cache_misses"] != 2 {
-		t.Errorf("program_cache_misses = %d, want 2 (distinct sources)", snap["program_cache_misses"])
+	m := svc.Metrics()
+	if got := m.ProgramMisses.Load(); got != 2 {
+		t.Errorf("ProgramMisses = %d, want 2 (distinct sources)", got)
 	}
-	if snap["result_cache_hits"] != 1 {
-		t.Errorf("result_cache_hits = %d, want 1 (same fingerprint)", snap["result_cache_hits"])
+	if got := m.ResultHits.Load(); got != 1 {
+		t.Errorf("ResultHits = %d, want 1 (same fingerprint)", got)
 	}
 }
 
