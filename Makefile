@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench-smoke bench perfbench-smoke alloc-gate fault-smoke batch-smoke snapshot-smoke compile-smoke fleet-smoke chaos-smoke fuzz-smoke check
+.PHONY: all build test race vet bench-smoke bench perfbench-smoke alloc-gate fault-smoke batch-smoke snapshot-smoke fleet-smoke chaos-smoke fuzz-smoke check
 
 all: build
 
@@ -10,6 +10,12 @@ build:
 test:
 	$(GO) test ./...
 
+# The whole suite under the race detector, without -short: every
+# differential (interpreted vs compiled dispatch, dense vs event,
+# batched vs serial, snapshot/restore), the fault-campaign pins, the
+# fleet e2e and the chaos soak all run here. The *-smoke targets below
+# re-run one slice of it as a focused entry point; `make check` does not
+# repeat them.
 race:
 	$(GO) test -race ./...
 
@@ -43,11 +49,12 @@ perfbench-smoke:
 	done
 
 # Zero-allocation gates on the per-cycle hot paths (the fabric cycle
-# loop — interpreted and compiled, under the dense and event wake
-# policies — trigger classification,
-# channel reset/restore reuse): any regression to >0 allocs/op fails
-# these tests, not just a benchmark number. One-time compilation cost
-# is gated separately as a bounded constant.
+# loop — compiled dispatch and the interpreted oracle, under the dense
+# and event wake policies — trigger classification, channel
+# reset/restore reuse): any regression to >0 allocs/op fails these
+# tests, not just a benchmark number. One-time compilation cost is
+# gated separately as a bounded constant. Run with -count=1 outside the
+# race detector, whose instrumentation allocates.
 alloc-gate:
 	$(GO) test -run 'AllocationFree|AllocationBounded|ReusesCapacity' -count=1 ./internal/fabric ./internal/pe ./internal/channel ./internal/batchrun
 
@@ -66,19 +73,11 @@ batch-smoke:
 	$(GO) test -race -run 'TestBatchedCampaign|TestBatchedTiming' -count=1 ./internal/core
 
 # Checkpoint/restore differential smoke under the race detector: two
-# kernels in every stepping mode, run-to-completion vs snapshot-then-restore
+# kernels in every stepping mode (dense and event interpreted, and
+# compiled), run-to-completion vs snapshot-then-restore
 # must be byte-identical (see internal/workloads/snapshot_differential_test.go).
 snapshot-smoke:
 	$(GO) test -race -run 'TestSnapshotRestoreDifferential$$/(dmm|mergesort)/' -count=1 ./internal/workloads
-
-# Compiled-stepping differential smoke under the race detector: every
-# kernel's compiled arm against the interpreted oracle, the compiled
-# snapshot/restore and zero-rate fault-plan differentials, the quick
-# random-topology equivalence sweep, and the service-level cache
-# contracts (compiled/interpreted result sharing, plan sharing across
-# cosmetic sources).
-compile-smoke:
-	$(GO) test -race -run 'TestSchedulerSteppingDifferential/.*/compiled|TestSnapshotRestoreDifferential$$/(dmm|mergesort)/compiled|TestZeroRateFaultPlanDifferential/.*/compiled|TestSchedulerEquivalenceQuick|TestCompiled' -count=1 ./internal/workloads ./internal/service
 
 # Loopback multi-process fleet e2e: three real tiad worker processes
 # plus a coordinator — cache-affinity routing across resubmission,
@@ -101,10 +100,13 @@ chaos-smoke:
 
 # Generative differential fuzz smoke: 60 seconds of FuzzSimulate —
 # seeded random netlists (plus hostile mutations) assembled, validated
-# and run on all three stepping backends to bit-identical results, with a
-# mid-run snapshot/restore arm (see internal/gen). The committed corpus
-# also replays as an ordinary test in `make test`.
+# and run on the interpreter under both wake policies and on compiled
+# dispatch to bit-identical results, with a mid-run snapshot/restore
+# arm (see internal/gen). The committed corpus also replays as an
+# ordinary test in `make test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzSimulate' -fuzztime 60s ./internal/gen
 
-check: vet race bench-smoke perfbench-smoke alloc-gate fault-smoke batch-smoke snapshot-smoke compile-smoke fleet-smoke chaos-smoke fuzz-smoke
+# Each test runs once: race covers the fault, batch, snapshot, fleet and
+# chaos smokes, so they are not prerequisites here.
+check: vet race bench-smoke perfbench-smoke alloc-gate fuzz-smoke

@@ -14,8 +14,8 @@
 // stepping backend (internal/compile) and its specialization summary is
 // printed — how many triggers stay live, how many are statically dead,
 // which predicate literals and operands were proven constant. This
-// shows what `-compiled` (tiasim, tiabench, tiad) will actually
-// specialize for a given netlist.
+// shows what every simulation of the netlist (tiasim, tiad) actually
+// runs.
 //
 // Usage:
 //

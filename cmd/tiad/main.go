@@ -24,17 +24,17 @@
 // Usage:
 //
 //	tiad [-addr :8080] [-workers N] [-queue N] [-result-cache N]
-//	     [-program-cache N] [-max-cycles N] [-check-every N] [-compiled]
+//	     [-program-cache N] [-max-cycles N] [-check-every N]
 //	     [-drain-timeout D] [-journal FILE] [-snapshot-dir DIR]
 //	     [-checkpoint-every N]
 //	     [-max-elements N] [-max-channel-tokens N]
 //	     [-max-scratchpad-words N] [-max-cost-words N]
 //	     [-server-cost-budget N]
 //
-// -compiled makes the closure-compiled stepping backend the default for
-// every job (bit-identical results; jobs can also opt in per-request
-// with the "compiled" field). Compiled plans are cached process-wide,
-// content-addressed by assembled-form fingerprint.
+// Triggered PEs run compiled (internal/compile), bit-identical to the
+// interpreter; compiled plans are cached process-wide by assembled-form
+// fingerprint. The request field "compiled", which once opted into
+// compiled stepping, is accepted and ignored.
 //
 // With -journal, every accepted job is recorded in a crash-safe
 // write-ahead journal before it runs, long workload runs persist
@@ -100,7 +100,6 @@ func main() {
 	programCache := flag.Int("program-cache", 128, "assembled-program cache entries")
 	maxCycles := flag.Int64("max-cycles", 100_000_000, "hard per-job cycle ceiling")
 	checkEvery := flag.Int("check-every", 1024, "cycles between cancellation checks")
-	compiled := flag.Bool("compiled", false, "step jobs with the closure-compiled backend by default (bit-identical results)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
 	journal := flag.String("journal", "", "job journal path (enables crash-safe durability)")
 	snapshotDir := flag.String("snapshot-dir", "", "checkpoint snapshot directory (default <journal>.snapshots)")
@@ -145,7 +144,6 @@ func main() {
 	cfg.ProgramCacheEntries = *programCache
 	cfg.MaxCyclesCap = *maxCycles
 	cfg.CancelCheckInterval = *checkEvery
-	cfg.DefaultCompiled = *compiled
 	cfg.JournalPath = *journal
 	cfg.SnapshotDir = *snapshotDir
 	cfg.CheckpointEvery = *checkpointEvery

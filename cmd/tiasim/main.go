@@ -14,14 +14,14 @@
 //
 // Usage:
 //
-//	tiasim [-max N] [-stats] [-trace N] [-chrome out.json] [-compiled]
+//	tiasim [-max N] [-stats] [-trace N] [-chrome out.json]
 //	       [-checkpoint FILE [-checkpoint-every N]] [-restore FILE]
 //	       fabric.tia
 //
-// -compiled switches stepping to the closure-compiled backend
-// (internal/compile): each PE's trigger pool is specialized into a step
-// closure with constant operands folded and dead triggers dropped.
-// Results are bit-identical to the interpreter; only wall clock changes.
+// Triggered PEs run compiled (internal/compile): each trigger pool is
+// specialized into a step closure with constant operands folded and
+// dead triggers dropped, bit-identical to the interpreter. -stats
+// reports each pcpe's taken-branch penalty share in its penalty column.
 package main
 
 import (
@@ -46,9 +46,6 @@ type options struct {
 	stats      bool
 	traceN     int64
 	chromePath string
-	// compiled steps via closure-compiled per-PE step functions
-	// (bit-identical results; only wall clock changes).
-	compiled bool
 	// checkpoint is the snapshot file written every ckptEvery cycles
 	// (and on cycle-budget exhaustion); empty disables checkpointing.
 	checkpoint string
@@ -63,7 +60,6 @@ func main() {
 	flag.Int64Var(&opt.maxCycles, "max", 1_000_000, "cycle budget")
 	flag.BoolVar(&opt.stats, "stats", false, "print per-element utilization")
 	flag.Int64Var(&opt.traceN, "trace", 0, "render a fire timeline of the first N cycles")
-	flag.BoolVar(&opt.compiled, "compiled", false, "use the closure-compiled stepping backend (results are bit-identical)")
 	flag.StringVar(&opt.chromePath, "chrome", "", "write a Chrome trace-event JSON file of all fires")
 	flag.StringVar(&opt.checkpoint, "checkpoint", "", "write a state snapshot to this file periodically")
 	flag.Int64Var(&opt.ckptEvery, "checkpoint-every", 10_000, "cycles between -checkpoint snapshots")
@@ -121,7 +117,6 @@ func run(path string, opt options) error {
 		return err
 	}
 	fingerprint := nl.Fingerprint()
-	nl.Fabric.SetCompiled(opt.compiled)
 
 	budget := opt.maxCycles
 	if opt.restore != "" {
@@ -221,8 +216,8 @@ func run(path string, opt options) error {
 	sort.Strings(pcNames)
 	for _, name := range pcNames {
 		u := metrics.PCUtilization(nl.PCPEs[name])
-		fmt.Fprintf(opt.out, "  pcpe %-10s fired=%-6d occupancy=%4.0f%% input-stall=%4.0f%% output-stall=%4.0f%%\n",
-			u.Name, u.Fired, 100*u.Occupancy, 100*u.InputStall, 100*u.OutputStall)
+		fmt.Fprintf(opt.out, "  pcpe %-10s fired=%-6d occupancy=%4.0f%% input-stall=%4.0f%% output-stall=%4.0f%% penalty=%4.0f%%\n",
+			u.Name, u.Fired, 100*u.Occupancy, 100*u.InputStall, 100*u.OutputStall, 100*u.Penalty)
 	}
 	for name, m := range nl.Mems {
 		fmt.Fprintf(opt.out, "  scratchpad %-6s reads=%d writes=%d\n", name, m.Reads(), m.Writes())

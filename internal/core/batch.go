@@ -34,7 +34,7 @@ type campaignLane struct {
 // classification goes through the same classifyRun. Fresh golden tokens
 // and the anchored plan are the caller's, exactly as in the serial
 // runners.
-func runCampaignBatch(ctx context.Context, spec *workloads.Spec, p workloads.Params, plan faults.Plan, runs, lanes int, dense bool, budget int64, golden []channel.Token) ([]FaultRun, error) {
+func runCampaignBatch(ctx context.Context, spec *workloads.Spec, p workloads.Params, plan faults.Plan, runs, lanes int, oracle bool, budget int64, golden []channel.Token) ([]FaultRun, error) {
 	if lanes > runs {
 		lanes = runs
 	}
@@ -53,7 +53,7 @@ func runCampaignBatch(ctx context.Context, spec *workloads.Spec, p workloads.Par
 			if err != nil {
 				return nil, nil, fmt.Errorf("%s: build lane %d: %w", spec.Name, lane, err)
 			}
-			inst.Fabric.SetDenseStepping(dense)
+			setOracle(inst.Fabric, oracle)
 			return inst.Fabric, &campaignLane{inst: inst}, nil
 		})
 	if err != nil {
@@ -125,18 +125,18 @@ func RunDataCampaignBatch(ctx context.Context, spec *workloads.Spec, p workloads
 // The serial runner aborts at the first (lowest-seed) violating run;
 // the batch runs retire out of order, so the batch collects all
 // outcomes and reports the lowest-run violation — the same error the
-// serial runner would have returned. dense selects the dense wake
-// policy for the golden run and every lane; lanes <= 1 delegates to the
-// serial runner.
-func RunTimingCampaignBatch(ctx context.Context, spec *workloads.Spec, p workloads.Params, plan faults.Plan, runs, lanes int, dense bool) (*CampaignReport, error) {
+// serial runner would have returned. oracle selects the reference
+// stepping (see setOracle) for the golden run and every lane; lanes <= 1
+// delegates to the serial runner.
+func RunTimingCampaignBatch(ctx context.Context, spec *workloads.Spec, p workloads.Params, plan faults.Plan, runs, lanes int, oracle bool) (*CampaignReport, error) {
 	if lanes <= 1 {
-		return RunTimingCampaign(ctx, spec, p, plan, runs, dense)
+		return RunTimingCampaign(ctx, spec, p, plan, runs, oracle)
 	}
 	if !plan.Timing() {
 		return nil, fmt.Errorf("%s: timing campaign given a data-fault plan", spec.Name)
 	}
 	p = spec.Normalize(p)
-	golden, cycles, err := goldenRun(ctx, spec, p, dense)
+	golden, cycles, err := goldenRun(ctx, spec, p, oracle)
 	if err != nil {
 		return nil, err
 	}
@@ -145,7 +145,7 @@ func RunTimingCampaignBatch(ctx context.Context, spec *workloads.Spec, p workloa
 	}
 	rep := &CampaignReport{Workload: spec.Name, Plan: plan, GoldenCycles: cycles}
 	budget := campaignBudget(cycles, spec.MaxCycles(p))
-	recs, err := runCampaignBatch(ctx, spec, p, plan, runs, lanes, dense, budget, golden)
+	recs, err := runCampaignBatch(ctx, spec, p, plan, runs, lanes, oracle, budget, golden)
 	if err != nil {
 		return nil, err
 	}

@@ -13,9 +13,11 @@ import (
 // for every kernel, a batched data campaign and a batched timing
 // campaign must produce reports bit-identical to the serial runners —
 // the same per-run records (outcome, cycles, injected counts, detail
-// strings), the same taxonomy, the same golden anchor. Run under -race
-// in `make batch-smoke` this also shakes out any accidental sharing
-// between lanes.
+// strings), the same taxonomy, the same golden anchor. The oracle
+// timing arm runs the interpreter under dense stepping against the
+// compiled serial runs, so batching and dispatch answer to one
+// reference. Run under -race in `make batch-smoke` this also shakes out
+// any accidental sharing between lanes.
 func TestBatchedCampaignDifferential(t *testing.T) {
 	ctx := context.Background()
 	for _, spec := range workloads.All() {
@@ -49,12 +51,12 @@ func TestBatchedCampaignDifferential(t *testing.T) {
 			if !reflect.DeepEqual(serialT, batchedT) {
 				t.Errorf("timing campaign reports diverge:\nserial:  %+v\nbatched: %+v", serialT, batchedT)
 			}
-			denseT, err := RunTimingCampaignBatch(ctx, spec, p, timing, 6, 3, true)
+			oracleT, err := RunTimingCampaignBatch(ctx, spec, p, timing, 6, 3, true)
 			if err != nil {
-				t.Fatalf("batched dense timing campaign: %v", err)
+				t.Fatalf("batched oracle timing campaign: %v", err)
 			}
-			if !reflect.DeepEqual(serialT, denseT) {
-				t.Errorf("dense batched timing campaign diverges:\nserial: %+v\ndense:  %+v", serialT, denseT)
+			if !reflect.DeepEqual(serialT, oracleT) {
+				t.Errorf("oracle batched timing campaign diverges:\nserial: %+v\noracle: %+v", serialT, oracleT)
 			}
 		})
 	}

@@ -82,14 +82,23 @@ type CampaignReport struct {
 	GoldenCycles int64
 }
 
+// setOracle switches a campaign fabric between production stepping
+// (event wake policy, compiled dispatch) and the reference the
+// differential tests hold it to (dense wake policy, interpreted
+// dispatch). Results are identical either way.
+func setOracle(f *fabric.Fabric, on bool) {
+	f.SetDenseStepping(on)
+	f.SetInterpreted(on)
+}
+
 // goldenRun builds and runs the kernel fault-free, returning the
 // instance's sink tokens and cycle count.
-func goldenRun(ctx context.Context, spec *workloads.Spec, p workloads.Params, dense bool) ([]channel.Token, int64, error) {
+func goldenRun(ctx context.Context, spec *workloads.Spec, p workloads.Params, oracle bool) ([]channel.Token, int64, error) {
 	inst, err := spec.BuildTIA(p)
 	if err != nil {
 		return nil, 0, fmt.Errorf("%s: build golden: %w", spec.Name, err)
 	}
-	inst.Fabric.SetDenseStepping(dense)
+	setOracle(inst.Fabric, oracle)
 	res, err := inst.Fabric.RunContext(ctx, spec.MaxCycles(p))
 	if err != nil {
 		return nil, 0, fmt.Errorf("%s: golden run: %w", spec.Name, err)
@@ -120,13 +129,13 @@ func campaignBudget(golden, max int64) int64 {
 
 // faultyRun builds a fresh instance, attaches the plan, runs it, and
 // classifies the outcome against the golden token stream.
-func faultyRun(ctx context.Context, spec *workloads.Spec, p workloads.Params, plan faults.Plan, dense bool, budget int64, golden []channel.Token) (FaultRun, error) {
+func faultyRun(ctx context.Context, spec *workloads.Spec, p workloads.Params, plan faults.Plan, oracle bool, budget int64, golden []channel.Token) (FaultRun, error) {
 	run := FaultRun{Seed: plan.Seed}
 	inst, err := spec.BuildTIA(p)
 	if err != nil {
 		return run, fmt.Errorf("%s: build: %w", spec.Name, err)
 	}
-	inst.Fabric.SetDenseStepping(dense)
+	setOracle(inst.Fabric, oracle)
 	inj, err := faults.Attach(inst.Fabric, plan)
 	if err != nil {
 		return run, err
@@ -182,17 +191,18 @@ func classifyTokens(got, want []channel.Token) (FaultOutcome, string) {
 
 // RunTimingCampaign asserts the latency-insensitivity property: `runs`
 // seeded runs under the (timing-only) plan must each produce output
-// byte-identical to the fault-free golden run, in the chosen stepping
-// mode. Plan.To, when unset, is anchored to the golden cycle count so
+// byte-identical to the fault-free golden run, under production
+// stepping or, with oracle set, the reference stepping (see setOracle).
+// Plan.To, when unset, is anchored to the golden cycle count so
 // stall/freeze windows land inside the run. The returned report's
 // taxonomy counts every run as masked; any divergence or hang is an
 // error — a broken latency-insensitivity contract, reported loudly.
-func RunTimingCampaign(ctx context.Context, spec *workloads.Spec, p workloads.Params, plan faults.Plan, runs int, dense bool) (*CampaignReport, error) {
+func RunTimingCampaign(ctx context.Context, spec *workloads.Spec, p workloads.Params, plan faults.Plan, runs int, oracle bool) (*CampaignReport, error) {
 	if !plan.Timing() {
 		return nil, fmt.Errorf("%s: timing campaign given a data-fault plan", spec.Name)
 	}
 	p = spec.Normalize(p)
-	golden, cycles, err := goldenRun(ctx, spec, p, dense)
+	golden, cycles, err := goldenRun(ctx, spec, p, oracle)
 	if err != nil {
 		return nil, err
 	}
@@ -204,7 +214,7 @@ func RunTimingCampaign(ctx context.Context, spec *workloads.Spec, p workloads.Pa
 	base := plan.Seed
 	for r := 0; r < runs; r++ {
 		plan.Seed = base + int64(r)
-		run, err := faultyRun(ctx, spec, p, plan, dense, budget, golden)
+		run, err := faultyRun(ctx, spec, p, plan, oracle, budget, golden)
 		if err != nil {
 			return nil, err
 		}

@@ -9,10 +9,11 @@ import (
 	"tia/internal/workloads"
 )
 
-// Timing campaigns over every kernel, in both stepping modes: the
-// latency-insensitivity property means jitter, stalls and freezes may
-// change cycle counts but never results. RunTimingCampaign fails loudly
-// on any divergence, so this test just drives it.
+// Timing campaigns over every kernel, under production stepping and the
+// dense, interpreted reference: the latency-insensitivity property
+// means jitter, stalls and freezes may change cycle counts but never
+// results. RunTimingCampaign fails loudly on any divergence, so this
+// test just drives it.
 func TestTimingCampaignsAllKernels(t *testing.T) {
 	ctx := context.Background()
 	for _, spec := range workloads.All() {

@@ -4,7 +4,8 @@ package fabric
 // fabric has run to steady state (sink records, channel staging and the
 // stepper's pooled scratch grown to capacity), a Reset-and-rerun loop —
 // core's verification reuse, campaign sweeps, the service's job loop —
-// performs zero heap allocations under either wake policy. These gates
+// performs zero heap allocations under either wake policy and either
+// dispatch (compiled, the default, and interpreted). These gates
 // are what keeps BenchmarkFabricCycle at 0 B/op; if one fails, find the
 // regrowth (a slice reset to nil instead of [:0], a per-cycle append)
 // rather than loosening the gate.
@@ -70,10 +71,11 @@ func runToCompletion(t testing.TB, f *Fabric) {
 	}
 }
 
-// TestEventRunAllocationFree gates the event-driven wake policy:
-// steady-state Reset+Run allocates nothing.
+// TestEventRunAllocationFree gates the interpreter under the
+// event-driven wake policy: steady-state Reset+Run allocates nothing.
 func TestEventRunAllocationFree(t *testing.T) {
 	f := buildCycleFabric(t)
+	f.SetInterpreted(true)
 	runToCompletion(t, f) // warm: grow every buffer to steady state
 	avg := testing.AllocsPerRun(5, func() {
 		f.Reset()
@@ -84,11 +86,13 @@ func TestEventRunAllocationFree(t *testing.T) {
 	}
 }
 
-// TestDenseRunAllocationFree gates the dense wake policy the same
-// way — differential runs against it should not be allocation-noisy.
+// TestDenseRunAllocationFree gates the interpreter under the dense wake
+// policy the same way — differential runs against the oracle should not
+// be allocation-noisy.
 func TestDenseRunAllocationFree(t *testing.T) {
 	f := buildCycleFabric(t)
 	f.SetDenseStepping(true)
+	f.SetInterpreted(true)
 	runToCompletion(t, f)
 	avg := testing.AllocsPerRun(5, func() {
 		f.Reset()
@@ -99,15 +103,14 @@ func TestDenseRunAllocationFree(t *testing.T) {
 	}
 }
 
-// TestCompiledEventRunAllocationFree gates the compiled stepping
-// backend's steady state: once every PE's step closure is built (the
-// first Run compiles; Reset keeps the closures — it does not touch
-// program or configuration), a Reset+Run loop under the event policy
-// dispatches via the compiled table with zero heap allocations, same
-// contract as the interpreter.
+// TestCompiledEventRunAllocationFree gates compiled dispatch's steady
+// state: once every PE's step closure is built (the first Run compiles;
+// Reset keeps the closures — it does not touch program or
+// configuration), a Reset+Run loop under the event policy dispatches
+// via the compiled table with zero heap allocations, same contract as
+// the interpreter.
 func TestCompiledEventRunAllocationFree(t *testing.T) {
 	f := buildCycleFabric(t)
-	f.SetCompiled(true)
 	runToCompletion(t, f) // warm: compile the pools, grow every buffer
 	avg := testing.AllocsPerRun(5, func() {
 		f.Reset()
@@ -122,7 +125,6 @@ func TestCompiledEventRunAllocationFree(t *testing.T) {
 func TestCompiledDenseRunAllocationFree(t *testing.T) {
 	f := buildCycleFabric(t)
 	f.SetDenseStepping(true)
-	f.SetCompiled(true)
 	runToCompletion(t, f)
 	avg := testing.AllocsPerRun(5, func() {
 		f.Reset()
@@ -141,7 +143,6 @@ func TestCompiledDenseRunAllocationFree(t *testing.T) {
 // not proportional to anything a run does.
 func TestCompileStepAllocationBounded(t *testing.T) {
 	f, merges := buildCycleFabricPEs(t)
-	f.SetCompiled(true)
 	runToCompletion(t, f) // populates the plan cache for the merge pool
 	avg := testing.AllocsPerRun(5, func() {
 		for _, m := range merges {

@@ -17,6 +17,13 @@
 // the same loop to a dense wake policy that steps every element and
 // ticks every channel each cycle; it is the reference the differential
 // tests hold the event-driven policy to, bit for bit.
+//
+// Elements are stepped through a per-run dispatch table. Triggered PEs
+// contribute a step closure specialized to their static program (see
+// internal/pe and internal/compile); every other element contributes
+// its bound Step method. SetInterpreted puts the generic Step of every
+// element in the table instead: the interpreter is the oracle the
+// differential tests hold compiled dispatch to.
 package fabric
 
 import (
@@ -134,15 +141,6 @@ type Config struct {
 	// context-cancellation checks. Smaller values cancel sooner at the
 	// cost of a check in the hot loop; zero means the default (1024).
 	CancelCheckInterval int
-	// Compiled switches element stepping to closure-compiled step
-	// functions: at the top of each run, every element that implements
-	// CompileStep (triggered PEs — see internal/pe and internal/compile)
-	// contributes a specialized step closure to a dispatch table, which
-	// replaces the generic Element.Step walk under either wake policy.
-	// Results are bit-identical to the interpreter (the stepModes
-	// differential sweeps assert it); this is a stepping knob, not part
-	// of the modeled machine.
-	Compiled bool
 }
 
 // DefaultConfig returns the defaults used throughout the workload suite:
@@ -162,7 +160,10 @@ type Fabric struct {
 	binds []bind
 	cycle int64
 	dense bool
-	inj   FaultInjector
+	// interpreted dispatches every element through its generic Step
+	// (SetInterpreted); the zero value dispatches compiled.
+	interpreted bool
+	inj         FaultInjector
 
 	ckptEvery int64
 	ckptFn    func(cycle int64) error
@@ -201,12 +202,12 @@ type prepared struct {
 	elemCh   [][]int      // channel indices attached to each element
 	ends     [][2]int     // per channel: sender/receiver element index, -1 unknown
 
-	// Compiled-mode dispatch table, refreshed per run by refreshCompiled:
-	// steps is nil unless Config.Compiled, in which case steps[i] is
-	// element i's specialized step closure (or its bound Step method for
-	// elements that do not compile). compilers caches the interface
-	// assertions.
+	// The dispatch table, refreshed per run by refreshSteps: steps[i] is
+	// element i's compiled step closure, or its bound Step method (bound
+	// caches those) for elements that do not compile and under
+	// SetInterpreted. compilers caches the interface assertions.
 	compilers []stepCompiler
+	bound     []func(cycle int64) bool
 	steps     []func(cycle int64) bool
 }
 
@@ -248,17 +249,12 @@ func (f *Fabric) SetCancelCheckInterval(n int) {
 	}
 }
 
-// SetCompiled overrides Config.Compiled on an already-built fabric. See
-// Config.Compiled for the value's meaning; the dispatch table is
-// (re)built at the top of the next run.
-func (f *Fabric) SetCompiled(on bool) { f.cfg.Compiled = on }
-
-// stepCompiler is the optional element interface behind Config.Compiled:
-// CompileStep returns a step function with Step's exact observable
-// semantics, specialized to the element's current program and state.
-// Implementations cache internally and must return a fresh closure only
-// when something invalidated the old one; the fabric re-queries once per
-// run, never mid-run.
+// stepCompiler is the optional element interface behind compiled
+// dispatch: CompileStep returns a step function with Step's exact
+// observable semantics, specialized to the element's current program
+// and state. Implementations cache internally and must return a fresh
+// closure only when something invalidated the old one; the fabric
+// re-queries once per run, never mid-run.
 type stepCompiler interface {
 	CompileStep() func(cycle int64) bool
 }
@@ -275,6 +271,13 @@ func (f *Fabric) SetFaultInjector(inj FaultInjector) { f.inj = inj }
 // test's baseline and as a debugging aid. It applies from the next
 // BeginRun or RunContext.
 func (f *Fabric) SetDenseStepping(on bool) { f.dense = on }
+
+// SetInterpreted switches element dispatch from compiled step closures
+// to every element's generic Step. Results are bit-identical (the
+// differential tests in packages fabric, workloads and gen assert it);
+// the interpreter exists as those tests' oracle. It applies from the
+// next BeginRun or RunContext.
+func (f *Fabric) SetInterpreted(on bool) { f.interpreted = on }
 
 // Add registers an element. Names must be unique; Add panics on a
 // duplicate (use TryAdd on untrusted construction paths).
@@ -508,8 +511,10 @@ func (f *Fabric) prepare() {
 	p.sinkOf = make([]*Sink, n)
 	p.elemCh = make([][]int, n)
 	p.compilers = make([]stepCompiler, n)
-	p.steps = nil
+	p.bound = make([]func(cycle int64) bool, n)
+	p.steps = make([]func(cycle int64) bool, n)
 	for i, e := range f.elems {
+		p.bound[i] = e.Step
 		if sc, ok := e.(stepCompiler); ok {
 			p.compilers[i] = sc
 		}
@@ -606,29 +611,18 @@ func (f *Fabric) RunContext(ctx context.Context, maxCycles int64) (Result, error
 	return s.Finish()
 }
 
-// refreshCompiled rebuilds the compiled-mode dispatch table. Called once
-// per run, after prepare: compiling elements are re-queried every time
-// (their CompileStep caches internally and hands back a new closure only
-// when program or folded-against state changed), non-compiling elements
-// get their bound Step method once per prepare. With Config.Compiled off
-// the table is nil and the cycle loop falls back to the Element.Step walk.
-func (f *Fabric) refreshCompiled() {
+// refreshSteps fills the dispatch table. Called once per run, after
+// prepare: compiling elements are re-queried every time (their
+// CompileStep caches internally and hands back a new closure only when
+// program or folded-against state changed), so a stale closure is never
+// entered.
+func (f *Fabric) refreshSteps() {
 	p := &f.prep
-	if !f.cfg.Compiled {
-		p.steps = nil
-		return
-	}
-	if len(p.steps) != len(f.elems) {
-		p.steps = make([]func(cycle int64) bool, len(f.elems))
-		for i, e := range f.elems {
-			if p.compilers[i] == nil {
-				p.steps[i] = e.Step
-			}
-		}
-	}
 	for i, sc := range p.compilers {
-		if sc != nil {
+		if sc != nil && !f.interpreted {
 			p.steps[i] = sc.CompileStep()
+		} else {
+			p.steps[i] = p.bound[i]
 		}
 	}
 }

@@ -13,7 +13,11 @@
 //     a channel leaves the tick list once it is Quiet;
 //   - dense (SetDenseStepping): no element ever sleeps and no channel
 //     ever leaves the tick list. This is the reference the differential
-//     tests hold the event-driven policy and the compiled dispatch to.
+//     tests hold the event-driven policy to.
+//
+// Either policy steps each element through one dispatch table (see
+// refreshSteps): compiled step closures by default, every element's
+// generic Step under SetInterpreted.
 //
 // Invariants of the event-driven policy (see DESIGN.md):
 //
@@ -59,14 +63,14 @@ type Stepper struct {
 
 // BeginRun validates the fabric and readies its pooled Stepper for an
 // incremental run of at most maxCycles cycles, under the wake policy
-// SetDenseStepping selected. Starting a new run (BeginRun or
-// RunContext) abandons any unfinished previous one.
+// SetDenseStepping and the dispatch SetInterpreted selected. Starting a
+// new run (BeginRun or RunContext) abandons any unfinished previous one.
 func (f *Fabric) BeginRun(ctx context.Context, maxCycles int64) (*Stepper, error) {
 	if err := f.Validate(); err != nil {
 		return nil, err
 	}
 	f.prepare()
-	f.refreshCompiled()
+	f.refreshSteps()
 	s := &f.stepper
 	*s = Stepper{
 		f:          f,
@@ -141,13 +145,7 @@ func (s *Stepper) Step() bool {
 			}
 			continue
 		}
-		stepped := false
-		if prep.steps != nil {
-			stepped = prep.steps[i](cur)
-		} else {
-			stepped = elems[i].Step(cur)
-		}
-		if stepped {
+		if prep.steps[i](cur) {
 			worked = true
 			for _, ci := range prep.elemCh[i] {
 				// A worked element's untouched channels are still

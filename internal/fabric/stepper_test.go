@@ -120,7 +120,7 @@ func observeRandom(t testing.TB, seed int64, m stepMode) runObservation {
 	t.Helper()
 	f, sinks, pes := randomMergeFabric(t, rand.New(rand.NewSource(seed)))
 	f.SetDenseStepping(m.dense)
-	f.SetCompiled(m.compiled)
+	f.SetInterpreted(!m.compiled)
 	res, err := f.Run(1_000_000)
 	return observe(res, err, sinks, pes)
 }
@@ -163,7 +163,7 @@ func TestSteppingModesReset(t *testing.T) {
 	for _, m := range stepModes {
 		f, sinks, pes := randomMergeFabric(t, rand.New(rand.NewSource(3)))
 		f.SetDenseStepping(m.dense)
-		f.SetCompiled(m.compiled)
+		f.SetInterpreted(!m.compiled)
 		res, err := f.Run(1_000_000)
 		if err != nil {
 			t.Fatal(err)
@@ -208,8 +208,9 @@ func heartbeatProg() []isa.Instruction {
 }
 
 // TestExitPaths drives every way a run can end through RunContext and
-// through BeginRun+Step, under both wake policies, and requires the
-// same Result, error text and statistics from all four. Each fixture
+// through BeginRun+Step, under both wake policies and both dispatches,
+// and requires the same Result, error text and statistics from all
+// eight; the reference is the interpreter under the event policy. Each fixture
 // keeps a forwarding PE asleep for most of the run, so the event-driven
 // policy's SkipCycles backfill is on the line at every exit.
 func TestExitPaths(t *testing.T) {
@@ -235,7 +236,7 @@ func TestExitPaths(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(dense, incremental bool) runObservation {
+			run := func(dense, interpreted, incremental bool) runObservation {
 				f := New(DefaultConfig())
 				src := NewWordSource("src", []isa.Word{10, 20, 30}, tc.eod)
 				fwd := mustPE(t, "fwd", forwarderProg())
@@ -272,6 +273,7 @@ func TestExitPaths(t *testing.T) {
 					return nil
 				})
 				f.SetDenseStepping(dense)
+				f.SetInterpreted(interpreted)
 				var res Result
 				var err error
 				if incremental {
@@ -292,14 +294,16 @@ func TestExitPaths(t *testing.T) {
 				obs.Err += fmt.Sprintf(" (%d checkpoints)", ckpts)
 				return obs
 			}
-			ref := run(false, false)
+			ref := run(false, true, false)
 			if tc.want == "" && !ref.Result.Completed || !strings.Contains(ref.Err, tc.want) {
 				t.Fatalf("want error containing %q, got %+v", tc.want, ref)
 			}
 			for _, dense := range []bool{false, true} {
-				for _, incremental := range []bool{false, true} {
-					if got := run(dense, incremental); !reflect.DeepEqual(ref, got) {
-						t.Errorf("dense=%v incremental=%v diverged:\nref %+v\ngot %+v", dense, incremental, ref, got)
+				for _, interpreted := range []bool{false, true} {
+					for _, incremental := range []bool{false, true} {
+						if got := run(dense, interpreted, incremental); !reflect.DeepEqual(ref, got) {
+							t.Errorf("dense=%v interpreted=%v incremental=%v diverged:\nref %+v\ngot %+v", dense, interpreted, incremental, ref, got)
+						}
 					}
 				}
 			}

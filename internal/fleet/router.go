@@ -20,10 +20,10 @@ import (
 // affinityFields is the canonical routing identity of a job: the same
 // behaviour-affecting fields the workers' result caches hash (see
 // service.resultKey), so two requests that would share a worker-side
-// cache entry always hash to the same ring position. Stepping knobs
-// (compiled, the ignored shards field) and cache-bypass flags are
-// deliberately absent — they do not change the answer, so they must
-// not change the route.
+// cache entry always hash to the same ring position. The retired
+// stepping fields (compiled and shards, both accepted and ignored) and
+// cache-bypass flags are deliberately absent — they do not change the
+// answer, so they must not change the route.
 type affinityFields struct {
 	Kind        string `json:"kind"` // "workload" or "netlist"
 	Name        string `json:"name,omitempty"`

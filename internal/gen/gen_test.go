@@ -1,9 +1,10 @@
 package gen
 
 // Generative differential testing: every generated netlist must produce
-// bit-identical results on all three stepping backends (dense, event,
-// closure-compiled), and interrupting any completing run with
-// a mid-run snapshot/restore into a freshly parsed instance must be
+// bit-identical results on all three stepping backends (the interpreter
+// under the dense and event wake policies, and closure-compiled
+// dispatch), and interrupting any completing run with a mid-run
+// snapshot/restore into a freshly parsed instance must be
 // unobservable. FuzzSimulate drives the same harness from the fuzzer
 // (make fuzz-smoke / the nightly CI job); TestGeneratedDifferential
 // pins a deterministic seed sweep into the ordinary test suite.
@@ -71,7 +72,7 @@ func runBackend(t *testing.T, src string, b backend) observation {
 	t.Helper()
 	nl := parse(t, src)
 	nl.Fabric.SetDenseStepping(b.dense)
-	nl.Fabric.SetCompiled(b.compiled)
+	nl.Fabric.SetInterpreted(!b.compiled)
 	res, err := nl.Fabric.Run(fuzzMaxCycles)
 	return observe(nl, res.Cycles, res.Completed, err)
 }

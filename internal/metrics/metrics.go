@@ -36,7 +36,8 @@ func Reduction(base, improved float64) float64 {
 	return 1 - improved/base
 }
 
-// Utilization summarizes how a PE spent its cycles.
+// Utilization summarizes how a PE spent its cycles: occupancy and the
+// stall shares sum to 1.
 type Utilization struct {
 	Name        string
 	Fired       int64
@@ -45,6 +46,7 @@ type Utilization struct {
 	InputStall  float64
 	OutputStall float64
 	Idle        float64
+	Penalty     float64 `json:",omitempty"` // PC PEs: taken-branch penalty share
 }
 
 // TIAUtilization computes the breakdown for a triggered PE.
@@ -70,6 +72,7 @@ func PCUtilization(p *pcpe.PE) Utilization {
 		u.Occupancy = float64(s.Fired) / c
 		u.InputStall = float64(s.InputStall) / c
 		u.OutputStall = float64(s.OutputStall) / c
+		u.Penalty = float64(s.PenaltyStall) / c
 	}
 	return u
 }

@@ -2,9 +2,10 @@ package pe
 
 // Closure-compiled stepping: CompileStep specializes this PE's trigger
 // pool into a step function with the interpreter's exact observable
-// semantics (fires, stalls, statistics, traces — bit-identical, the
-// differential tests in package workloads sweep a `compiled` mode
-// against the interpreter oracle on every contract).
+// semantics (fires, stalls, statistics, traces — bit-identical). It is
+// how every fabric steps a triggered PE; Step, the interpreter, is the
+// oracle the differential tests (packages fabric, workloads, gen, core)
+// hold it to under fabric.SetInterpreted.
 //
 // The specialization is staged (threaded code, the Verilator idea at
 // closure granularity):
@@ -37,8 +38,8 @@ package pe
 // scheduler knobs, port wiring, snapshot restore) bumps a generation
 // counter; CompileStep reuses the cached closure only while the
 // generation matches. The fabric re-queries CompileStep at the top of
-// every run (see fabric.RunContext), so a stale closure is never
-// entered.
+// every run (fabric.BeginRun refreshes its dispatch table), so a stale
+// closure is never entered.
 
 import (
 	"fmt"

@@ -44,12 +44,10 @@ type JobRequest struct {
 	// fields). It never keyed the result cache.
 	Shards int `json:"shards,omitempty"`
 
-	// Compiled requests closure-compiled stepping for this job's fabric
-	// (applies to netlist jobs too): each PE's trigger pool is
-	// specialized into a step closure before the run (see
-	// internal/compile). It is bit-identical to interpreted stepping, so
-	// it does not key the result cache: a compiled job can be answered
-	// by a cached interpreted run and vice versa.
+	// Compiled is accepted and ignored, like Shards. It once opted a job
+	// into compiled stepping, which is now how every fabric runs; the
+	// field stays so that requests from older clients still decode. It
+	// never keyed the result cache.
 	Compiled bool `json:"compiled,omitempty"`
 
 	// MaxCycles bounds the simulation; 0 uses the server default. The
@@ -154,6 +152,7 @@ type ElementStats struct {
 	InputStall  float64 `json:"input_stall"`
 	OutputStall float64 `json:"output_stall"`
 	Idle        float64 `json:"idle"`
+	Penalty     float64 `json:"penalty,omitempty"` // pcpe: taken-branch penalty share
 	Reads       int64   `json:"reads,omitempty"`
 	Writes      int64   `json:"writes,omitempty"`
 }

@@ -163,11 +163,6 @@ func (s *Server) runWorkloadJob(ctx context.Context, id string, req *JobRequest)
 		return nil, jobErrorf(ErrBadRequest, "%v", err)
 	}
 	p := spec.Normalize(workloadParams(req))
-	// Compiled stepping is a stepping knob, not a modeled parameter:
-	// results are bit-identical either way, so resultKey deliberately has
-	// no compiled field and cached interpreted runs answer compiled
-	// requests (and vice versa).
-	p.FabricCfg.Compiled = s.effectiveCompiled(req.Compiled)
 
 	budget := spec.MaxCycles(p)
 	if req.MaxCycles > 0 {
@@ -313,13 +308,6 @@ func (s *Server) runNetlistJob(ctx context.Context, id string, req *JobRequest) 
 	nl := prog.nl
 	nl.Fabric.Reset()
 	nl.Fabric.SetCancelCheckInterval(s.cfg.CancelCheckInterval)
-	// Per-job stepping knob on the shared cached fabric; serialized by
-	// prog.mu and bit-identical to interpreted stepping, so cache reuse
-	// across differently-stepped jobs is sound. Compiled plans are
-	// themselves cached process-wide by assembled-form fingerprint
-	// (internal/compile), so cosmetically different netlists with equal
-	// assembled programs share one compiled plan.
-	nl.Fabric.SetCompiled(s.effectiveCompiled(req.Compiled))
 
 	var rec *trace.Recorder
 	if req.Trace {
@@ -372,7 +360,7 @@ func (s *Server) runNetlistJob(ctx context.Context, id string, req *JobRequest) 
 		u := metrics.PCUtilization(nl.PCPEs[name])
 		res.Elements = append(res.Elements, ElementStats{
 			Name: u.Name, Kind: "pcpe", Fired: u.Fired, Occupancy: u.Occupancy,
-			InputStall: u.InputStall, OutputStall: u.OutputStall,
+			InputStall: u.InputStall, OutputStall: u.OutputStall, Penalty: u.Penalty,
 		})
 	}
 	for _, name := range sortedKeys(nl.Mems) {

@@ -143,7 +143,15 @@ func TestSchedulerFullQueueRejectsBusy(t *testing.T) {
 	defer releaseJobs() // unblock workers before close() waits on them
 
 	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ { // one running, one queued: queue is now full
+	deadline := time.Now().Add(2 * time.Second)
+	// Full means: the worker occupied by the first job, the second job
+	// sitting in the single queue slot. The second is submitted only once
+	// the worker has taken the first; submitted together, both can reach
+	// the one-slot queue before the worker dequeues, and one is shed.
+	for _, full := range []func() bool{
+		func() bool { return executing.Load() >= 1 },
+		func() bool { return m.QueueDepth.Load() >= 1 },
+	} {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -151,15 +159,12 @@ func TestSchedulerFullQueueRejectsBusy(t *testing.T) {
 				t.Errorf("background submit: %v", err)
 			}
 		}()
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	// Full means: the worker occupied by the first job, the second job
-	// sitting in the single queue slot.
-	for executing.Load() < 1 || m.QueueDepth.Load() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("queue never filled")
+		for !full() {
+			if time.Now().After(deadline) {
+				t.Fatal("queue never filled")
+			}
+			time.Sleep(time.Millisecond)
 		}
-		time.Sleep(time.Millisecond)
 	}
 
 	_, err := s.submit(context.Background(), "job-t", &JobRequest{})

@@ -35,12 +35,6 @@ type Config struct {
 	// CancelCheckInterval is how many simulated cycles pass between
 	// cancellation checks inside the stepping loop.
 	CancelCheckInterval int
-	// DefaultCompiled switches jobs that do not ask otherwise to the
-	// closure-compiled stepping backend (see internal/compile). It is a
-	// stepping knob, not a modeled parameter: results are bit-identical
-	// and the result cache ignores it. A request with
-	// "compiled": true always compiles regardless of this default.
-	DefaultCompiled bool
 	// TraceEventLimit bounds Chrome-trace captures (0 = unlimited).
 	TraceEventLimit int
 	// MaxRequestBytes bounds the request body.
@@ -173,13 +167,6 @@ func New(cfg Config) (*Server, error) {
 
 // Handler returns the HTTP handler (also usable under httptest).
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// effectiveCompiled resolves a job's compiled-stepping choice: a request
-// that asks for it always compiles; otherwise Config.DefaultCompiled
-// decides. Compiled stepping never changes results, only wall-clock.
-func (s *Server) effectiveCompiled(req bool) bool {
-	return req || s.cfg.DefaultCompiled
-}
 
 // Metrics exposes the server's counters (for tests and embedding).
 func (s *Server) Metrics() *Metrics { return s.metrics }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -146,10 +147,52 @@ func postJob(t *testing.T, client *http.Client, url string, req *service.JobRequ
 	return resp.StatusCode, nil, envelope.Error
 }
 
+// mixedNetlist chains a PC-style PE, whose loop pays a taken-branch
+// penalty per token, into a triggered PE: one fabric with both kinds.
+const mixedNetlist = `
+source s : 5 6 7 8 eod
+sink k
+
+pcpe fwd
+in a
+out o
+loop: bne a.tag, #0, fin
+      mov o, a.pop
+      jmp loop
+fin:  halt o#eod
+end
+
+pe pass
+in i
+out o
+fwd: when i.tag==0 : mov o, i ; deq i
+fin: when i.tag==eod : halt o#eod ; deq i
+end
+
+wire s.0 -> fwd.a
+wire fwd.o -> pass.i
+wire pass.o -> k.0
+`
+
+// counterValue reads one unlabeled counter from a Prometheus exposition.
+func counterValue(t *testing.T, exposition []byte, name string) int64 {
+	t.Helper()
+	m := regexp.MustCompile(`(?m)^` + name + ` (\d+)$`).FindSubmatch(exposition)
+	if m == nil {
+		t.Fatalf("/metrics missing %s", name)
+	}
+	n, err := strconv.ParseInt(string(m[1]), 10, 64)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return n
+}
+
 // TestServerEndToEnd is the acceptance scenario: the dmm workload
 // submitted twice over HTTP (fresh run matching E1, then a cache hit),
-// a 1ms-deadline job that is cancelled without leaking goroutines, and
-// a /metrics exposition that reflects all three jobs.
+// a 1ms-deadline job that is cancelled without leaking goroutines, a
+// /metrics exposition that reflects all three jobs, and a cold netlist
+// job that consults the compiled-plan cache.
 func TestServerEndToEnd(t *testing.T) {
 	svc := newServer(t, testConfig())
 	ts := httptest.NewServer(svc.Handler())
@@ -234,15 +277,61 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 	// The cancelled job may or may not have reached a worker before its
 	// 1ms deadline fired, so started is 2 or 3 — but never more.
-	m := regexp.MustCompile(`(?m)^tia_jobs_started_total (\d+)$`).FindStringSubmatch(string(metricsText))
-	if m == nil {
-		t.Fatal("/metrics missing tia_jobs_started_total")
-	}
-	if n, _ := strconv.Atoi(m[1]); n < 2 || n > 3 {
-		t.Errorf("tia_jobs_started_total = %s, want 2 or 3", m[1])
+	if n := counterValue(t, metricsText, "tia_jobs_started_total"); n < 2 || n > 3 {
+		t.Errorf("tia_jobs_started_total = %d, want 2 or 3", n)
 	}
 	if cycles := svc.Metrics().CyclesSimulated.Load(); cycles < 1221 {
 		t.Errorf("tia_cycles_simulated_total = %d, want >= 1221", cycles)
+	}
+
+	// A cold netlist job steps its PEs compiled, so it consults the
+	// process-wide plan cache (a hit or a miss, depending on which plans
+	// earlier jobs in this process compiled).
+	lookups := func() int64 {
+		resp, err := client.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatalf("GET /metrics: %v", err)
+		}
+		defer resp.Body.Close()
+		text, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("read /metrics: %v", err)
+		}
+		return counterValue(t, text, "tia_compile_cache_hits_total") + counterValue(t, text, "tia_compile_cache_misses_total")
+	}
+	before := lookups()
+	if _, _, jerr := postJob(t, client, ts.URL, &service.JobRequest{Netlist: mergeNetlist}); jerr != nil {
+		t.Fatalf("cold netlist job failed: %v", jerr)
+	}
+	if after := lookups(); after <= before {
+		t.Errorf("compiled-plan lookups %d -> %d across a cold netlist job, want a rise", before, after)
+	}
+}
+
+// TestElementSharesSumToOne checks the per-element utilization
+// breakdown is complete: for every triggered and PC-style PE, occupancy
+// plus every stall share (the PC PE's taken-branch penalty included)
+// accounts for all of its cycles.
+func TestElementSharesSumToOne(t *testing.T) {
+	svc := newServer(t, testConfig())
+	defer svc.Drain()
+	res, err := svc.Submit(context.Background(), &service.JobRequest{Netlist: mixedNetlist})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[string]int{}
+	for _, e := range res.Elements {
+		if e.Kind != "pe" && e.Kind != "pcpe" {
+			continue
+		}
+		kinds[e.Kind]++
+		sum := e.Occupancy + e.InputStall + e.OutputStall + e.Idle + e.Penalty
+		if math.Abs(sum-1) > 1e-9 {
+			t.Errorf("%s %s: shares sum to %v, want 1: %+v", e.Kind, e.Name, sum, e)
+		}
+	}
+	if kinds["pe"] == 0 || kinds["pcpe"] == 0 {
+		t.Fatalf("netlist elements %+v: want at least one pe and one pcpe", res.Elements)
 	}
 }
 

@@ -1,9 +1,10 @@
 package service
 
-// Wire compatibility for the retired "shards" request field: sharded
-// stepping is gone, but JobRequest keeps the field so requests from
+// Wire compatibility for the retired stepping fields "shards" and
+// "compiled": sharded stepping is gone and compiled stepping is how
+// every fabric runs, but JobRequest keeps both fields so requests from
 // older clients still decode under DisallowUnknownFields. A job that
-// names shards is the plain job — same result, same cache entry.
+// names either is the plain job — same result, same cache entry.
 
 import (
 	"bytes"
@@ -15,8 +16,9 @@ import (
 )
 
 // TestShardedJobSharesResultCache posts the same workload as raw JSON,
-// first plain and then with "shards": 4: the second must be accepted
-// and answered from the result cache with a byte-identical payload.
+// first plain and then with each retired field: every such submission
+// must be accepted and answered from the result cache with a
+// byte-identical payload.
 func TestShardedJobSharesResultCache(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Workers = 1
@@ -28,7 +30,7 @@ func TestShardedJobSharesResultCache(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	post := func(body string) JobResult {
+	post := func(t *testing.T, body string) JobResult {
 		t.Helper()
 		resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader([]byte(body)))
 		if err != nil {
@@ -48,26 +50,34 @@ func TestShardedJobSharesResultCache(t *testing.T) {
 		}
 		return res
 	}
-	plain := post(`{"workload":"mergesort","size":12}`)
-	sharded := post(`{"workload":"mergesort","size":12,"shards":4}`)
+	plain := post(t, `{"workload":"mergesort","size":12}`)
 	if plain.Cached {
 		t.Error("first submission reported a cache hit")
 	}
-	if !sharded.Cached {
-		t.Error(`"shards" submission missed the result cache despite an identical plain run`)
-	}
-	// Apart from the provenance flag, the hit is the plain result, byte
+	// Apart from the provenance flag, a hit is the plain result, byte
 	// for byte.
-	plain.Cached, sharded.Cached = false, false
-	a, err := json.Marshal(plain)
+	plain.Cached = false
+	want, err := json.Marshal(plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.Marshal(sharded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Errorf("results differ:\nplain  %s\nshards %s", a, b)
+	for _, tc := range []struct{ name, body string }{
+		{"shards", `{"workload":"mergesort","size":12,"shards":4}`},
+		{"compiled", `{"workload":"mergesort","size":12,"compiled":true}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := post(t, tc.body)
+			if !got.Cached {
+				t.Errorf("%q submission missed the result cache despite an identical plain run", tc.name)
+			}
+			got.Cached = false
+			b, err := json.Marshal(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(want, b) {
+				t.Errorf("results differ:\nplain %s\n%-5s %s", want, tc.name, b)
+			}
+		})
 	}
 }

@@ -55,7 +55,7 @@ func observeTIA(t *testing.T, spec *Spec, p Params, reference, compiled bool) ke
 			pr.SetReferenceScheduler(true)
 		}
 	}
-	inst.Fabric.SetCompiled(compiled)
+	inst.Fabric.SetInterpreted(!compiled)
 	res, err := inst.Fabric.Run(spec.MaxCycles(p))
 	if err != nil {
 		t.Fatalf("%s: run (reference=%v compiled=%v): %v", spec.Name, reference, compiled, err)
@@ -269,7 +269,7 @@ func TestDenseSteppingMatchesEventForPC(t *testing.T) {
 					t.Fatalf("build PC: %v", err)
 				}
 				inst.Fabric.SetDenseStepping(dense)
-				inst.Fabric.SetCompiled(compiled)
+				inst.Fabric.SetInterpreted(!compiled)
 				res, err := inst.Fabric.Run(spec.MaxCycles(p))
 				if err != nil {
 					t.Fatalf("run PC (dense=%v compiled=%v): %v", dense, compiled, err)

@@ -23,7 +23,7 @@ func observeTIAFaultWrapped(t *testing.T, spec *Spec, p Params, dense, compiled 
 		t.Fatalf("%s: build: %v", spec.Name, err)
 	}
 	inst.Fabric.SetDenseStepping(dense)
-	inst.Fabric.SetCompiled(compiled)
+	inst.Fabric.SetInterpreted(!compiled)
 	if plan != nil {
 		if _, err := faults.Attach(inst.Fabric, *plan); err != nil {
 			t.Fatalf("%s: attach: %v", spec.Name, err)

@@ -44,7 +44,7 @@ func buildForSnapshot(t *testing.T, spec *Spec, p Params, pc, dense, compiled bo
 		t.Fatalf("%s: build: %v", spec.Name, err)
 	}
 	inst.Fabric.SetDenseStepping(dense)
-	inst.Fabric.SetCompiled(compiled)
+	inst.Fabric.SetInterpreted(!compiled)
 	var inj *faults.Injector
 	if plan != nil {
 		if inj, err = faults.Attach(inst.Fabric, *plan); err != nil {

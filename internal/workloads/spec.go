@@ -77,11 +77,7 @@ func (p Params) withDefaults(defaultSize int) Params {
 		p.PCCfg = pcpe.DefaultConfig()
 	}
 	if p.FabricCfg.ChannelCapacity == 0 {
-		// Preserve the caller-set stepping knob across the default fill:
-		// Compiled changes wall-clock, not the modeled machine.
-		compiled := p.FabricCfg.Compiled
 		p.FabricCfg = fabric.DefaultConfig()
-		p.FabricCfg.Compiled = compiled
 	}
 	return p
 }
