@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench-smoke bench perfbench-smoke alloc-gate fault-smoke batch-smoke snapshot-smoke fleet-smoke chaos-smoke fuzz-smoke check
+.PHONY: all build test race vet bench-smoke perfbench-smoke alloc-gate fault-smoke batch-smoke snapshot-smoke fleet-smoke chaos-smoke fuzz-smoke check
 
 all: build
 
@@ -27,11 +27,6 @@ vet:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# The root experiment benchmarks at a real measurement length. The paper
-# tables come from cmd/tiabench; end-to-end performance from perfbench.
-bench:
-	$(GO) test -run '^$$' -bench . -benchtime 2s .
-
 # perfbench is a Go module of its own, so `go test ./...` never builds
 # it: vet and test the module, then run each workload of BENCHMARK.json
 # for one second and fail unless its final JSON line reports every
@@ -50,11 +45,11 @@ perfbench-smoke:
 
 # Zero-allocation gates on the per-cycle hot paths (the fabric cycle
 # loop — compiled dispatch and the interpreted oracle, under the dense
-# and event wake policies — trigger classification, channel
-# reset/restore reuse): any regression to >0 allocs/op fails these
-# tests, not just a benchmark number. One-time compilation cost is
-# gated separately as a bounded constant. Run with -count=1 outside the
-# race detector, whose instrumentation allocates.
+# and event wake policies — the interpreter's trigger classifier
+# classifyRef, channel reset/restore reuse): any regression to >0
+# allocs/op fails these tests, not just a benchmark number. One-time
+# compilation cost is gated separately as a bounded constant. Run with
+# -count=1 outside the race detector, whose instrumentation allocates.
 alloc-gate:
 	$(GO) test -run 'AllocationFree|AllocationBounded|ReusesCapacity' -count=1 ./internal/fabric ./internal/pe ./internal/channel ./internal/batchrun
 

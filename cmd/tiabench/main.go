@@ -27,6 +27,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -90,14 +91,14 @@ func main() {
 
 	p := workloads.Params{Size: *size, Seed: *seed}
 	if *jsonOut {
-		if err := emitJSON(ctx, p); err != nil {
+		if err := emitJSON(ctx, os.Stdout, p); err != nil {
 			fmt.Fprintln(os.Stderr, "tiabench:", err)
 			os.Exit(1)
 		}
 		return
 	}
 	if *listing != "" {
-		if err := printListing(p, *listing); err != nil {
+		if err := printListing(os.Stdout, p, *listing); err != nil {
 			fmt.Fprintln(os.Stderr, "tiabench:", err)
 			os.Exit(1)
 		}
@@ -110,7 +111,7 @@ func main() {
 		}
 		return
 	}
-	if err := run(ctx, p, *exp); err != nil {
+	if err := run(ctx, os.Stdout, p, *exp); err != nil {
 		fmt.Fprintln(os.Stderr, "tiabench:", err)
 		os.Exit(1)
 	}
@@ -161,9 +162,9 @@ func liveMemPoints(pts []core.MemLatencyPoint) []core.MemLatencyPoint {
 	return out
 }
 
-// emitJSON runs the full suite and writes machine-readable results. A
-// timeout yields whatever finished, with the payload marked partial.
-func emitJSON(ctx context.Context, p workloads.Params) error {
+// emitJSON runs the full suite and writes machine-readable results to w.
+// A timeout yields whatever finished, with the payload marked partial.
+func emitJSON(ctx context.Context, w io.Writer, p workloads.Params) error {
 	rows, err := core.RunSuiteContext(ctx, p)
 	partial, err := partialOK(err)
 	if err != nil {
@@ -184,11 +185,12 @@ func emitJSON(ctx context.Context, p workloads.Params) error {
 	} else {
 		res.Partial = true
 	}
-	return core.WriteJSON(os.Stdout, res)
+	return core.WriteJSON(w, res)
 }
 
-// printListing disassembles one kernel's triggered and PC-style programs.
-func printListing(p workloads.Params, name string) error {
+// printListing writes the disassembly of one kernel's triggered and
+// PC-style programs to w.
+func printListing(w io.Writer, p workloads.Params, name string) error {
 	spec, err := workloads.ByName(name)
 	if err != nil {
 		return err
@@ -198,28 +200,29 @@ func printListing(p workloads.Params, name string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("== %s: triggered mapping (%d PEs) ==\n", name, len(tia.PEs))
+	fmt.Fprintf(w, "== %s: triggered mapping (%d PEs) ==\n", name, len(tia.PEs))
 	for _, pr := range tia.PEs {
-		fmt.Printf("\npe %s (%d triggered instructions):\n", pr.Name(), pr.StaticInstructions())
+		fmt.Fprintf(w, "\npe %s (%d triggered instructions):\n", pr.Name(), pr.StaticInstructions())
 		for _, inst := range pr.Program() {
-			fmt.Printf("  %s\n", inst)
+			fmt.Fprintf(w, "  %s\n", inst)
 		}
 	}
 	pc, err := spec.BuildPC(pp)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\n== %s: PC-style baseline (%d PEs) ==\n", name, len(pc.PCPEs))
+	fmt.Fprintf(w, "\n== %s: PC-style baseline (%d PEs) ==\n", name, len(pc.PCPEs))
 	for _, pr := range pc.PCPEs {
-		fmt.Printf("\npcpe %s (%d instructions):\n", pr.Name(), pr.StaticInstructions())
+		fmt.Fprintf(w, "\npcpe %s (%d instructions):\n", pr.Name(), pr.StaticInstructions())
 		for _, inst := range pr.Program() {
-			fmt.Printf("  %s\n", inst)
+			fmt.Fprintf(w, "  %s\n", inst)
 		}
 	}
 	return nil
 }
 
-func run(ctx context.Context, p workloads.Params, exp string) error {
+// run writes the tables of experiment exp ("all" for every one) to w.
+func run(ctx context.Context, w io.Writer, p workloads.Params, exp string) error {
 	needSuite := map[string]bool{"all": true, "e1": true, "e2": true, "e3": true, "e5": true}
 	suitePartial := false
 	var rows []*core.Row
@@ -231,14 +234,14 @@ func run(ctx context.Context, p workloads.Params, exp string) error {
 		}
 		rows = liveRows(all)
 		if suitePartial {
-			fmt.Printf("NOTE: -timeout expired; %d/%d workloads finished, tables below are partial\n",
+			fmt.Fprintf(w, "NOTE: -timeout expired; %d/%d workloads finished, tables below are partial\n",
 				len(rows), len(all))
 		}
 	}
 	section := func(id, title string) {
-		fmt.Printf("\n== %s: %s ==\n", id, title)
+		fmt.Fprintf(w, "\n== %s: %s ==\n", id, title)
 		if suitePartial {
-			fmt.Println("(partial: -timeout expired before the full suite finished)")
+			fmt.Fprintln(w, "(partial: -timeout expired before the full suite finished)")
 		}
 	}
 	// skipped reports (and announces) experiments the timeout preempted
@@ -248,12 +251,12 @@ func run(ctx context.Context, p workloads.Params, exp string) error {
 		if ctx.Err() == nil {
 			return false
 		}
-		fmt.Printf("(%s skipped: -timeout expired)\n", what)
+		fmt.Fprintf(w, "(%s skipped: -timeout expired)\n", what)
 		return true
 	}
 	if exp == "all" || exp == "e1" {
 		section("E1", "speedup of triggered control over the PC-style spatial baseline (paper: 2.0X geomean)")
-		core.WriteE1(os.Stdout, rows)
+		core.WriteE1(w, rows)
 	}
 	if exp == "all" || exp == "e2" {
 		section("E2", "critical-path instruction counts (paper: 62% static / 64% dynamic reduction)")
@@ -262,24 +265,24 @@ func run(ctx context.Context, p workloads.Params, exp string) error {
 			if err != nil {
 				return err
 			}
-			core.WriteE2(os.Stdout, rows, bracket)
+			core.WriteE2(w, rows, bracket)
 		}
 	}
 	if exp == "all" || exp == "e3" {
 		section("E3", "area-normalized performance vs general-purpose core (paper: 8X)")
-		core.WriteE3(os.Stdout, rows)
-		fmt.Println("\ncalibration sensitivity (constants perturbed, cycle counts unchanged):")
+		core.WriteE3(w, rows)
+		fmt.Fprintln(w, "\ncalibration sensitivity (constants perturbed, cycle counts unchanged):")
 		for _, pt := range core.AreaSensitivity(rows) {
-			fmt.Printf("  %-14s geomean %.1f\n", pt.Label, pt.Geomean)
+			fmt.Fprintf(w, "  %-14s geomean %.1f\n", pt.Label, pt.Geomean)
 		}
 	}
 	if exp == "all" || exp == "e4" {
 		section("E4", "evaluated fabric configuration")
-		core.WriteE4(os.Stdout)
+		core.WriteE4(w)
 	}
 	if exp == "all" || exp == "e5" {
 		section("E5", "workload characterization")
-		core.WriteE5(os.Stdout, rows)
+		core.WriteE5(w, rows)
 	}
 	if exp == "all" || exp == "e6" {
 		section("E6", "per-kernel trigger/predicate requirements (sensitivity to PE resources)")
@@ -288,7 +291,7 @@ func run(ctx context.Context, p workloads.Params, exp string) error {
 			if err != nil {
 				return err
 			}
-			core.WriteE6(os.Stdout, reqs)
+			core.WriteE6(w, reqs)
 		}
 	}
 	if exp == "all" || exp == "e7" {
@@ -303,9 +306,9 @@ func run(ctx context.Context, p workloads.Params, exp string) error {
 			if err != nil {
 				return err
 			}
-			core.WriteSweep(os.Stdout, name+" depth", livePoints(pts))
+			core.WriteSweep(w, name+" depth", livePoints(pts))
 			if partial {
-				fmt.Printf("(%s depth sweep partial: -timeout expired)\n", name)
+				fmt.Fprintf(w, "(%s depth sweep partial: -timeout expired)\n", name)
 			}
 		}
 		for _, name := range []string{"kmp", "graph500", "smvm"} {
@@ -320,20 +323,20 @@ func run(ctx context.Context, p workloads.Params, exp string) error {
 			}
 			live := liveMemPoints(pts)
 			if len(live) == 0 {
-				fmt.Printf("(%s mem-latency sweep skipped: -timeout expired)\n", name)
+				fmt.Fprintf(w, "(%s mem-latency sweep skipped: -timeout expired)\n", name)
 				continue
 			}
-			fmt.Printf("%s mem latency:", name)
+			fmt.Fprintf(w, "%s mem latency:", name)
 			base := live[0]
 			for _, pt := range live {
-				fmt.Printf("  lat=%d tia:%d(%.2fx) pc:%d(%.2fx)", pt.Latency,
+				fmt.Fprintf(w, "  lat=%d tia:%d(%.2fx) pc:%d(%.2fx)", pt.Latency,
 					pt.TIACycles, float64(pt.TIACycles)/float64(base.TIACycles),
 					pt.PCCycles, float64(pt.PCCycles)/float64(base.PCCycles))
 			}
 			if partial {
-				fmt.Print("  (partial)")
+				fmt.Fprint(w, "  (partial)")
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 	}
 	if exp == "all" || exp == "e8" {
@@ -348,9 +351,9 @@ func run(ctx context.Context, p workloads.Params, exp string) error {
 			if err != nil {
 				return err
 			}
-			core.WriteSweep(os.Stdout, name+" latency", livePoints(pts))
+			core.WriteSweep(w, name+" latency", livePoints(pts))
 			if partial {
-				fmt.Printf("(%s latency sweep partial: -timeout expired)\n", name)
+				fmt.Fprintf(w, "(%s latency sweep partial: -timeout expired)\n", name)
 			}
 			if skipped(name + " scheduler comparison") {
 				continue
@@ -359,14 +362,14 @@ func run(ctx context.Context, p workloads.Params, exp string) error {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("%s scheduler: priority:%d round-robin:%d\n", name, prio, rr)
+			fmt.Fprintf(w, "%s scheduler: priority:%d round-robin:%d\n", name, prio, rr)
 		}
 		if !skipped("interconnect comparison") {
 			direct, mesh, err := core.MeshComparison(256)
 			if err != nil {
 				return err
 			}
-			fmt.Printf("merge interconnect: direct:%d mesh-noc:%d (identical output)\n", direct, mesh)
+			fmt.Fprintf(w, "merge interconnect: direct:%d mesh-noc:%d (identical output)\n", direct, mesh)
 		}
 		for _, name := range []string{"smvm", "graph500", "sha256"} {
 			if skipped(name + " issue-width comparison") {
@@ -380,7 +383,7 @@ func run(ctx context.Context, p workloads.Params, exp string) error {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("%s issue width: 1-wide:%d 2-wide:%d (%.2fx)\n", name, w1, w2, float64(w1)/float64(w2))
+			fmt.Fprintf(w, "%s issue width: 1-wide:%d 2-wide:%d (%.2fx)\n", name, w1, w2, float64(w1)/float64(w2))
 		}
 	}
 	return nil

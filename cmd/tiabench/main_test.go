@@ -16,7 +16,7 @@ import (
 func TestRunSingleExperiments(t *testing.T) {
 	p := workloads.Params{Seed: 1, Size: 16}
 	for _, exp := range []string{"e4", "e6"} {
-		if err := run(context.Background(), p, exp); err != nil {
+		if err := run(context.Background(), io.Discard, p, exp); err != nil {
 			t.Errorf("experiment %s: %v", exp, err)
 		}
 	}
@@ -26,7 +26,7 @@ func TestRunE1Small(t *testing.T) {
 	if testing.Short() {
 		t.Skip("suite run")
 	}
-	if err := run(context.Background(), workloads.Params{Seed: 1, Size: 16}, "e1"); err != nil {
+	if err := run(context.Background(), io.Discard, workloads.Params{Seed: 1, Size: 16}, "e1"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -36,21 +36,21 @@ func TestRunE1Small(t *testing.T) {
 func TestRunTimeoutPartial(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Microsecond)
 	defer cancel()
-	if err := run(ctx, workloads.Params{Seed: 1, Size: 16}, "e1"); err != nil {
+	if err := run(ctx, io.Discard, workloads.Params{Seed: 1, Size: 16}, "e1"); err != nil {
 		t.Fatalf("timed-out run: %v", err)
 	}
-	if err := emitJSON(ctx, workloads.Params{Seed: 1, Size: 16}); err != nil {
+	if err := emitJSON(ctx, io.Discard, workloads.Params{Seed: 1, Size: 16}); err != nil {
 		t.Fatalf("timed-out emitJSON: %v", err)
 	}
 }
 
 func TestPrintListing(t *testing.T) {
 	for _, name := range []string{"mergesort", "smvm"} {
-		if err := printListing(workloads.Params{Seed: 1, Size: 8}, name); err != nil {
+		if err := printListing(io.Discard, workloads.Params{Seed: 1, Size: 8}, name); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
-	if err := printListing(workloads.Params{}, "nope"); err == nil {
+	if err := printListing(io.Discard, workloads.Params{}, "nope"); err == nil {
 		t.Error("unknown kernel accepted")
 	}
 }

@@ -108,16 +108,31 @@ func TestDenseRunAllocationFree(t *testing.T) {
 // Reset keeps the closures — it does not touch program or
 // configuration), a Reset+Run loop under the event policy dispatches
 // via the compiled table with zero heap allocations, same contract as
-// the interpreter.
+// the interpreter — under each scheduler configuration CompileStep
+// specializes.
 func TestCompiledEventRunAllocationFree(t *testing.T) {
-	f := buildCycleFabric(t)
-	runToCompletion(t, f) // warm: compile the pools, grow every buffer
-	avg := testing.AllocsPerRun(5, func() {
-		f.Reset()
-		runToCompletion(t, f)
-	})
-	if avg != 0 {
-		t.Errorf("steady-state compiled event Reset+Run: %.1f allocs/run, want 0", avg)
+	for _, sc := range []struct {
+		label string
+		set   func(*pe.PE)
+	}{
+		{"priority", func(*pe.PE) {}},
+		{"roundrobin", func(m *pe.PE) { m.SetPolicy(pe.SchedRoundRobin) }},
+		{"width2", func(m *pe.PE) { m.SetIssueWidth(2) }},
+	} {
+		t.Run(sc.label, func(t *testing.T) {
+			f, merges := buildCycleFabricPEs(t)
+			for _, m := range merges {
+				sc.set(m)
+			}
+			runToCompletion(t, f) // warm: compile the pools, grow every buffer
+			avg := testing.AllocsPerRun(5, func() {
+				f.Reset()
+				runToCompletion(t, f)
+			})
+			if avg != 0 {
+				t.Errorf("steady-state compiled event Reset+Run: %.1f allocs/run, want 0", avg)
+			}
+		})
 	}
 }
 

@@ -12,20 +12,19 @@ import (
 	"tia/internal/channel"
 )
 
-// TestClassifyAllocationFree gates both classifier implementations.
+// TestClassifyAllocationFree gates the interpreter's trigger classifier,
+// classifyRef.
 func TestClassifyAllocationFree(t *testing.T) {
 	p, a, bb, _ := benchMergeSetup(t)
 	a.Send(channel.Data(1))
 	bb.Send(channel.Data(2))
 	a.Tick()
 	bb.Tick()
-	for _, reference := range []bool{false, true} {
-		avg := testing.AllocsPerRun(100, func() {
-			p.classifyAll(reference)
-		})
-		if avg != 0 {
-			t.Errorf("classifyAll(reference=%v) allocates %.1f times per run, want 0", reference, avg)
-		}
+	avg := testing.AllocsPerRun(100, func() {
+		p.classifyAll()
+	})
+	if avg != 0 {
+		t.Errorf("classifyAll allocates %.1f times per run, want 0", avg)
 	}
 }
 

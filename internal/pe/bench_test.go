@@ -48,42 +48,6 @@ func BenchmarkSchedulerStep(b *testing.B) {
 	}
 }
 
-// BenchmarkClassify measures raw trigger resolution — one full scan of
-// the merge program's triggers against fixed channel state — for the
-// compiled bitmask scheduler versus the slice-walking reference.
-func BenchmarkClassify(b *testing.B) {
-	for _, mode := range []struct {
-		name      string
-		reference bool
-	}{{"bitmask", false}, {"reference", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			p, a, bb, o := benchMergeSetup(b)
-			p.SetReferenceScheduler(mode.reference)
-			a.Send(channel.Data(1))
-			bb.Send(channel.Data(2))
-			a.Tick()
-			bb.Tick()
-			_ = o
-			p.refreshStatus()
-			b.ResetTimer()
-			sum := 0
-			for i := 0; i < b.N; i++ {
-				for k := range p.prog {
-					ci := &p.prog[k]
-					if mode.reference {
-						sum += int(p.classifyRef(ci))
-					} else {
-						sum += int(p.classifyFast(ci))
-					}
-				}
-			}
-			if sum < 0 {
-				b.Fatal("impossible")
-			}
-		})
-	}
-}
-
 // BenchmarkSchedulerStepWide measures the width-2 scheduler on the same
 // kernel.
 func BenchmarkSchedulerStepWide(b *testing.B) {

@@ -15,23 +15,23 @@ package pe
 //     leave the residual guard, constant operands fold, constant-operand
 //     instructions fold to a constant result.
 //   - Each surviving instruction's fire sequence (operand reads, ALU op,
-//     destination writes, dequeues, predicate updates, halt) is fused
-//     into one closure over resolved *channel.Channel pointers — no
-//     per-fire source-kind switches, arity lookups or port-table
-//     indexing.
+//     destination writes, dequeues, predicate updates, halt) becomes two
+//     closures, evaluation and effects, over resolved *channel.Channel
+//     pointers — no per-fire source-kind switches, arity lookups or
+//     port-table indexing.
 //   - The per-cycle channel-status scan is specialized to the channels
 //     the live instructions can observe, via channel.Ready instead of
 //     token-copying Peeks.
 //   - A pool with a single live trigger collapses to a direct
 //     guard-and-fire closure: no masks, no dispatch loop at all.
 //
-// The compiled form covers the default scheduler (priority policy,
-// single issue, bitmask classification). Everything else — round-robin
-// rotation, the superscalar scheduler, the slice-walking reference
-// scheduler — falls back to the interpreter, which stays the oracle.
-// That keeps the exotic paths on the code the differential tests pin
-// hardest, and costs nothing: those modes are ablation studies, not the
-// measured configuration.
+// The compiled form covers both scheduling policies at single issue and
+// the superscalar scheduler under the priority policy, on a fully wired
+// PE; a PE combining round-robin with wide issue, or with unwired ports,
+// steps through the interpreter. The compiled rows are derived here from
+// the ISA form; of what New precomputes they share only the input and
+// output channel lists with the interpreter, so the differential tests
+// compare two independent readings of each instruction.
 //
 // Staleness: closures capture register/predicate constants and channel
 // pointers, so anything that could invalidate them (SetReg, SetPred,
@@ -68,7 +68,7 @@ func (p *PE) CompileStep() func(cycle int64) bool {
 // buildCompiledStep constructs the specialized step function, or falls
 // back to the interpreter for configurations it does not specialize.
 func (p *PE) buildCompiledStep() func(cycle int64) bool {
-	if p.reference || p.issueWidth > 1 || p.policy == SchedRoundRobin {
+	if p.issueWidth > 1 && p.policy == SchedRoundRobin {
 		return p.Step
 	}
 	plan := compile.Analyzed(p.cfg, p.Program(), p.regs, p.predBits)
@@ -81,8 +81,8 @@ func (p *PE) buildCompiledStep() func(cycle int64) bool {
 		}
 	}
 
-	switch len(plan.Live) {
-	case 0:
+	switch {
+	case len(plan.Live) == 0:
 		// Nothing can ever trigger: every cycle classifies idle.
 		return func(int64) bool {
 			if p.halted {
@@ -93,11 +93,33 @@ func (p *PE) buildCompiledStep() func(cycle int64) bool {
 			p.lastStall = stallIdle
 			return false
 		}
-	case 1:
+	case len(plan.Live) == 1:
+		// One live trigger fires at most once a cycle, so neither
+		// rotation nor issue width can change which instruction fires.
 		return p.compileSingle(plan.Live[0])
+	case p.issueWidth > 1:
+		return p.compileWide(p.compilePool(plan.Live))
 	default:
-		return p.compileMulti(plan.Live)
+		return p.compileMulti(plan.Live, p.compilePool(plan.Live))
 	}
+}
+
+// chanMask packs a channel list into a bitmask.
+func chanMask(chs []int) uint64 {
+	var m uint64
+	for _, ch := range chs {
+		m |= 1 << uint(ch)
+	}
+	return m
+}
+
+// resolve maps a channel list onto a port table.
+func resolve(chs []int, ports []*channel.Channel) []*channel.Channel {
+	out := make([]*channel.Channel, len(chs))
+	for i, ch := range chs {
+		out[i] = ports[ch]
+	}
+	return out
 }
 
 // cTag is a compiled head-tag condition over a resolved channel. Tag
@@ -110,39 +132,30 @@ type cTag struct {
 	eq  bool
 }
 
-func (p *PE) compileTags(ci *compiled) []cTag {
-	if len(ci.tagConds) == 0 {
-		return nil
-	}
-	tags := make([]cTag, len(ci.tagConds))
-	for i, tc := range ci.tagConds {
-		tags[i] = cTag{ch: p.in[tc.ch], tag: tc.tag, eq: tc.eq}
-	}
-	return tags
-}
+// cAct is one live instruction's cold state, touched only when its row
+// survives the readiness checks: its head-tag conditions, its fire
+// sequence split into operand evaluation and effects (so wide issue can
+// evaluate every issued instruction before any of them writes), and the
+// footprint wide issue checks for structural conflicts.
+type cAct struct {
+	tags  []cTag
+	eval  func() isa.Word
+	apply func(cycle int64, result isa.Word)
 
-// maskChannels resolves a channel bitmask against a port table.
-func maskChannels(mask uint64, ports []*channel.Channel) []*channel.Channel {
-	var out []*channel.Channel
-	for i, ch := range ports {
-		if mask&(1<<uint(i)) != 0 {
-			out = append(out, ch)
-		}
-	}
-	return out
+	deq, regs, preds uint64 // inputs dequeued, registers and predicates written
 }
 
 // compileSingle builds the direct guard-and-fire closure for a pool with
-// one live trigger. Check order mirrors classifyFast (predicates →
+// one live trigger. Check order mirrors classifyRef (predicates →
 // inputs → tags → outputs), and each early-out performs exactly the
 // stall accounting the interpreter's no-fire epilogue would.
 func (p *PE) compileSingle(ri compile.Inst) func(cycle int64) bool {
 	ci := &p.prog[ri.Index]
 	predMask, predVal := ri.PredMask, ri.PredVal
-	ins := maskChannels(ci.inMask, p.in)
-	outs := maskChannels(ci.outMask, p.out)
-	tags := p.compileTags(ci)
-	fire := p.compileFire(ri)
+	ins := resolve(ci.inputs, p.in)
+	outs := resolve(ci.outputs, p.out)
+	act := p.compileAct(ri)
+	tags, eval, apply := act.tags, act.eval, act.apply
 	return func(cycle int64) bool {
 		if p.halted {
 			return false
@@ -175,7 +188,7 @@ func (p *PE) compileSingle(ri compile.Inst) func(cycle int64) bool {
 				return false
 			}
 		}
-		fire(cycle)
+		apply(cycle, eval())
 		return true
 	}
 }
@@ -183,17 +196,10 @@ func (p *PE) compileSingle(ri compile.Inst) func(cycle int64) bool {
 // cRow is one live instruction's residual classification state — the
 // hot part of the dispatch loop, kept to 32 bytes (two rows per cache
 // line) so the priority scan streams. The cold per-instruction data
-// (tag conditions, fire closure) lives in the parallel cAct slice and
-// is only touched when a row survives the mask checks.
+// lives in the parallel cAct slice.
 type cRow struct {
 	predMask, predVal uint64
 	inMask, outMask   uint64
-}
-
-// cAct is the cold counterpart of cRow.
-type cAct struct {
-	tags []cTag
-	fire func(cycle int64)
 }
 
 // scanBit is one channel of the specialized status scan.
@@ -202,39 +208,93 @@ type scanBit struct {
 	bit uint64
 }
 
-// compileMulti builds the dispatch loop over the live instructions:
-// the interpreter's priority scan with the dead rows removed, operating
-// on locally computed status words from a scan restricted to channels
-// the live instructions observe.
-func (p *PE) compileMulti(live []compile.Inst) func(cycle int64) bool {
-	rows := make([]cRow, len(live))
-	acts := make([]cAct, len(live))
+// cPool is a compiled trigger pool: the live rows in program order, their
+// cold counterparts, and the status scan restricted to the channels the
+// live instructions observe.
+type cPool struct {
+	rows            []cRow
+	acts            []cAct
+	scanIn, scanOut []scanBit
+}
+
+func (p *PE) compilePool(live []compile.Inst) cPool {
+	pool := cPool{rows: make([]cRow, len(live)), acts: make([]cAct, len(live))}
 	var inU, outU uint64
 	for k, ri := range live {
 		ci := &p.prog[ri.Index]
-		rows[k] = cRow{
+		pool.rows[k] = cRow{
 			predMask: ri.PredMask, predVal: ri.PredVal,
-			inMask: ci.inMask, outMask: ci.outMask,
+			inMask: chanMask(ci.inputs), outMask: chanMask(ci.outputs),
 		}
-		acts[k] = cAct{
-			tags: p.compileTags(ci),
-			fire: p.compileFire(ri),
-		}
-		inU |= ci.inMask | ci.deqMask
-		for _, tc := range ci.tagConds {
-			inU |= 1 << uint(tc.ch)
-		}
-		outU |= ci.outMask
+		pool.acts[k] = p.compileAct(ri)
+		// Every channel a trigger, operand or dequeue names is in
+		// ImplicitInputs, so the input rows cover the whole scan.
+		inU |= pool.rows[k].inMask
+		outU |= pool.rows[k].outMask
 	}
-	var scanIn, scanOut []scanBit
 	for i, ch := range p.in {
-		if inU&(1<<uint(i)) != 0 && ch != nil {
-			scanIn = append(scanIn, scanBit{ch: ch, bit: 1 << uint(i)})
+		if inU&(1<<uint(i)) != 0 {
+			pool.scanIn = append(pool.scanIn, scanBit{ch: ch, bit: 1 << uint(i)})
 		}
 	}
 	for i, ch := range p.out {
-		if outU&(1<<uint(i)) != 0 && ch != nil {
-			scanOut = append(scanOut, scanBit{ch: ch, bit: 1 << uint(i)})
+		if outU&(1<<uint(i)) != 0 {
+			pool.scanOut = append(pool.scanOut, scanBit{ch: ch, bit: 1 << uint(i)})
+		}
+	}
+	return pool
+}
+
+// readyBits returns the ready bits of the scanned input channels.
+func readyBits(scan []scanBit) uint64 {
+	var r uint64
+	for i := range scan {
+		if scan[i].ch.Ready() {
+			r |= scan[i].bit
+		}
+	}
+	return r
+}
+
+// creditBits returns the credit bits of the scanned output channels.
+func creditBits(scan []scanBit) uint64 {
+	var r uint64
+	for i := range scan {
+		if scan[i].ch.CanAccept() {
+			r |= scan[i].bit
+		}
+	}
+	return r
+}
+
+// tagsHold reports whether every head-tag condition of a row holds.
+func tagsHold(tags []cTag) bool {
+	for _, tc := range tags {
+		if (tc.ch.HeadTag() == tc.tag) != tc.eq {
+			return false
+		}
+	}
+	return true
+}
+
+// compileMulti builds the single-issue dispatch loop over the live
+// instructions: the interpreter's scan with the dead rows removed,
+// operating on locally computed status words. Under round-robin the rows
+// are laid out twice and the scan covers one window of them, starting at
+// the first live row at or after the rotation offset; dead rows never
+// fire or stall, so skipping them cannot change the outcome.
+func (p *PE) compileMulti(live []compile.Inst, pool cPool) func(cycle int64) bool {
+	rows, acts, scanIn, scanOut := pool.rows, pool.acts, pool.scanIn, pool.scanOut
+	n := len(rows)
+	var startRow []int // rrOffset -> first row scanned; nil under priority
+	if p.policy == SchedRoundRobin {
+		rows = append(rows, rows...)
+		acts = append(acts, acts...)
+		startRow = make([]int, len(p.prog))
+		for off := range startRow {
+			for k := n - 1; k >= 0 && live[k].Index >= off; k-- {
+				startRow[off] = k
+			}
 		}
 	}
 	return func(cycle int64) bool {
@@ -242,61 +302,112 @@ func (p *PE) compileMulti(live []compile.Inst) func(cycle int64) bool {
 			return false
 		}
 		p.stats.Cycles++
-		var inR, outR uint64
-		for i := range scanIn {
-			if scanIn[i].ch.Ready() {
-				inR |= scanIn[i].bit
-			}
-		}
+		inR := readyBits(scanIn)
 		// The output scan is lazy: on input-stalled cycles (the common
 		// stall in dataflow kernels) no instruction reaches its output
 		// check and the CanAccept sweep never happens.
+		var outR uint64
 		outScanned := false
 		sawInputWait, sawOutputWait := false, false
 		preds := p.predBits
-	scan:
-		for k := range rows {
-			ci := &rows[k]
-			if preds&ci.predMask != ci.predVal {
+		start := 0
+		if startRow != nil {
+			start = startRow[p.rrOffset]
+		}
+		for k, end := start, start+n; k < end; k++ {
+			r := &rows[k]
+			if preds&r.predMask != r.predVal {
 				continue
 			}
-			if ci.inMask&^inR != 0 {
+			if r.inMask&^inR != 0 {
 				sawInputWait = true
 				continue
 			}
-			for _, tc := range acts[k].tags {
-				if (tc.ch.HeadTag() == tc.tag) != tc.eq {
-					continue scan
-				}
+			if !tagsHold(acts[k].tags) {
+				continue
 			}
-			if ci.outMask != 0 {
+			if r.outMask != 0 {
 				if !outScanned {
 					outScanned = true
-					for i := range scanOut {
-						if scanOut[i].ch.CanAccept() {
-							outR |= scanOut[i].bit
-						}
-					}
+					outR = creditBits(scanOut)
 				}
-				if ci.outMask&^outR != 0 {
+				if r.outMask&^outR != 0 {
 					sawOutputWait = true
 					continue
 				}
 			}
-			acts[k].fire(cycle)
+			acts[k].apply(cycle, acts[k].eval())
 			return true
 		}
-		switch {
-		case sawOutputWait:
-			p.stats.OutputStall++
-			p.lastStall = stallOutput
-		case sawInputWait:
-			p.stats.InputStall++
-			p.lastStall = stallInput
-		default:
-			p.stats.IdleCycles++
-			p.lastStall = stallIdle
+		p.stall(sawInputWait, sawOutputWait)
+		return false
+	}
+}
+
+// compileWide builds the superscalar dispatch loop (priority policy):
+// stepWide's scan over the live rows, issuing up to the issue width of
+// fireable rows whose footprints do not conflict. Every issued row is
+// evaluated before any applies its effects, which is stepWide's parallel
+// semantics: operands read start-of-cycle registers, triggers see
+// start-of-cycle predicates (the local copy), and the channel effects
+// are staged either way.
+func (p *PE) compileWide(pool cPool) func(cycle int64) bool {
+	rows, acts, scanIn, scanOut := pool.rows, pool.acts, pool.scanIn, pool.scanOut
+	width := p.issueWidth
+	issued := make([]int, width)
+	results := make([]isa.Word, width)
+	return func(cycle int64) bool {
+		if p.halted {
+			return false
 		}
+		p.stats.Cycles++
+		inR := readyBits(scanIn)
+		var outR uint64
+		outScanned := false
+		sawInputWait, sawOutputWait := false, false
+		preds := p.predBits
+		var usedOut, usedDeq, wRegs, wPreds uint64
+		n := 0
+		for k := 0; k < len(rows) && n < width; k++ {
+			r, a := &rows[k], &acts[k]
+			if preds&r.predMask != r.predVal {
+				continue
+			}
+			if r.inMask&^inR != 0 {
+				sawInputWait = true
+				continue
+			}
+			if !tagsHold(a.tags) {
+				continue
+			}
+			if r.outMask != 0 {
+				if !outScanned {
+					outScanned = true
+					outR = creditBits(scanOut)
+				}
+				if r.outMask&^outR != 0 {
+					sawOutputWait = true
+					continue
+				}
+			}
+			if r.outMask&usedOut != 0 || a.deq&usedDeq != 0 ||
+				a.regs&wRegs != 0 || a.preds&wPreds != 0 {
+				continue
+			}
+			usedOut |= r.outMask
+			usedDeq |= a.deq
+			wRegs |= a.regs
+			wPreds |= a.preds
+			issued[n], results[n] = k, a.eval()
+			n++
+		}
+		for i := 0; i < n; i++ {
+			acts[issued[i]].apply(cycle, results[i])
+		}
+		if n > 0 {
+			return true
+		}
+		p.stall(sawInputWait, sawOutputWait)
 		return false
 	}
 }
@@ -307,44 +418,71 @@ type cOut struct {
 	tag isa.Tag
 }
 
-// compileFire fuses one instruction's whole fire sequence — operand
-// reads, ALU evaluation, destination writes, dequeues, predicate
-// updates, halt, statistics, trace — into a single closure over
-// resolved channel pointers and folded constants.
-func (p *PE) compileFire(ri compile.Inst) func(cycle int64) {
+// compileAct compiles one live instruction's cold state from its ISA
+// form. The fire sequence — operand reads, ALU evaluation, destination
+// writes, dequeues, predicate updates, halt, rotation, statistics,
+// trace — becomes two closures over resolved channel pointers and folded
+// constants. Destinations are flattened by kind, so no fire re-dispatches
+// on Dst.Kind; that is order-safe because the three destination spaces
+// are disjoint and validation forbids writing one destination twice.
+func (p *PE) compileAct(ri compile.Inst) cAct {
 	ci := &p.prog[ri.Index]
-	op := ci.inst.Op
-	var eval func() isa.Word
+	inst := &ci.inst
+	op := inst.Op
+	var act cAct
+	for _, c := range inst.Trigger.Inputs {
+		if c.Cond != isa.TagAny {
+			act.tags = append(act.tags, cTag{ch: p.in[c.Chan], tag: c.Tag, eq: c.Cond == isa.TagEq})
+		}
+	}
 	switch {
 	case ri.Folded:
 		v := ri.FoldedVal
-		eval = func() isa.Word { return v }
+		act.eval = func() isa.Word { return v }
 	case op.Arity() == 1:
-		ra := p.compileReader(ci.inst.Srcs[0], ri, 0)
+		ra := p.compileReader(inst.Srcs[0], ri, 0)
 		if op == isa.OpMov {
-			eval = ra
+			act.eval = ra
 		} else {
-			eval = func() isa.Word { return op.Eval(ra(), 0) }
+			act.eval = func() isa.Word { return op.Eval(ra(), 0) }
 		}
 	default:
-		ra := p.compileReader(ci.inst.Srcs[0], ri, 0)
-		rb := p.compileReader(ci.inst.Srcs[1], ri, 1)
-		eval = func() isa.Word { return op.Eval(ra(), rb()) }
+		ra := p.compileReader(inst.Srcs[0], ri, 0)
+		rb := p.compileReader(inst.Srcs[1], ri, 1)
+		act.eval = func() isa.Word { return op.Eval(ra(), rb()) }
 	}
-	regDsts := append([]int(nil), ci.regDsts...)
-	outs := make([]cOut, len(ci.outDsts))
-	for i, d := range ci.outDsts {
-		outs[i] = cOut{ch: p.out[d.ch], tag: d.tag}
+	var regDsts []int
+	var outs []cOut
+	var prDst, prSet, prClr uint64
+	for _, d := range inst.Dsts {
+		switch d.Kind {
+		case isa.DstReg:
+			regDsts = append(regDsts, d.Index)
+			act.regs |= 1 << uint(d.Index)
+		case isa.DstOut:
+			outs = append(outs, cOut{ch: p.out[d.Index], tag: d.Tag})
+		case isa.DstPred:
+			prDst |= 1 << uint(d.Index)
+		}
 	}
-	deqs := make([]*channel.Channel, len(ci.inst.Deq))
-	for i, ch := range ci.inst.Deq {
-		deqs[i] = p.in[ch]
+	deqs := resolve(inst.Deq, p.in)
+	act.deq = chanMask(inst.Deq)
+	for _, u := range inst.PredUpdates {
+		if u.Op == isa.PredSet {
+			prSet |= 1 << uint(u.Index)
+		} else {
+			prClr |= 1 << uint(u.Index)
+		}
 	}
-	prDstMask, prUpdSet, prUpdClr := ci.prDstMask, ci.prUpdSet, ci.prUpdClr
+	act.preds = prDst | prSet | prClr
 	halt := op == isa.OpHalt
+	rr := p.policy == SchedRoundRobin
 	idx := ri.Index
-	return func(cycle int64) {
-		result := eval()
+	next := idx + 1
+	if next == len(p.prog) {
+		next = 0
+	}
+	act.apply = func(cycle int64, result isa.Word) {
 		for _, r := range regDsts {
 			p.regs[r] = result
 		}
@@ -352,16 +490,19 @@ func (p *PE) compileFire(ri compile.Inst) func(cycle int64) {
 			outs[i].ch.Send(channel.Token{Data: result, Tag: outs[i].tag})
 		}
 		if result != 0 {
-			p.predBits |= prDstMask
+			p.predBits |= prDst
 		} else {
-			p.predBits &^= prDstMask
+			p.predBits &^= prDst
 		}
 		for _, ch := range deqs {
 			ch.Deq()
 		}
-		p.predBits = p.predBits&^prUpdClr | prUpdSet
+		p.predBits = p.predBits&^prClr | prSet
 		if halt {
 			p.halted = true
+		}
+		if rr {
+			p.rrOffset = next
 		}
 		p.stats.Fired++
 		p.stats.PerInst[idx]++
@@ -369,6 +510,7 @@ func (p *PE) compileFire(ri compile.Inst) func(cycle int64) {
 			p.Trace(cycle, idx, result)
 		}
 	}
+	return act
 }
 
 // compileReader builds one operand's read closure: folded constants are

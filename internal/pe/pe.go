@@ -11,14 +11,19 @@
 // predicate, dequeues input channels, and applies explicit predicate
 // set/clear side effects — all in one cycle.
 //
-// The paper's point is that this trigger resolution is a handful of gates
-// in hardware, so the simulator models it the same way: at compile time
-// (New) every trigger is packed into uint64 masks over the predicate file
-// and the channel status bitmaps, and classification is a few word
-// compares against per-cycle cached channel status (see classifyFast). A
-// slice-walking reference scheduler is kept alongside and must produce
-// bit-identical results; the differential tests in package workloads hold
-// the two paths to that.
+// Step is a plain interpreter of that rule: classifyRef walks each
+// trigger's literal predicate and input-condition slices and queries the
+// channels directly, and fire walks the instruction's destinations,
+// dequeues and predicate updates in order; the superscalar stepWide reads
+// the same ISA form. The interpreter is the oracle. Fabrics step a PE
+// through CompileStep (compiled.go), which derives its own packed form
+// from the ISA form and resolves every trigger with word compares, the
+// way the paper's hardware resolves it in a handful of gates; the
+// differential tests in packages workloads, fabric and gen hold the two
+// to bit-identical results under every scheduler configuration it
+// compiles. Beyond each instruction's input and output channel lists,
+// the two share no encoding, so those tests check the packed form
+// instead of sharing it.
 package pe
 
 import (
@@ -58,46 +63,14 @@ type Stats struct {
 	PerInst     []int64
 }
 
-// tagCheck is one compiled head-tag condition: the head tag of input
-// channel ch must equal (eq) or differ from (!eq) tag.
-type tagCheck struct {
-	ch  int
-	tag isa.Tag
-	eq  bool
-}
-
-// compiled caches per-instruction derived readiness sets: the slice form
-// used by the reference scheduler and the packed form used by the bitmask
-// scheduler (the hardware model: trigger resolution as word compares).
+// compiled is one program instruction with the channel lists the
+// interpreter checks. The packed form the compiled step closures use is
+// derived from the ISA form in compiled.go, not here, so the interpreter
+// and the closures share no encoding beyond these two lists.
 type compiled struct {
 	inst    isa.Instruction
-	inputs  []int // channels that must be non-empty (reference path)
-	outputs []int // channels that must have space (reference path)
-
-	predMask uint64 // predicate literals: predBits&predMask must equal predVal
-	predVal  uint64
-	inMask   uint64 // input channels that must be non-empty
-	outMask  uint64 // output channels that must have space
-	deqMask  uint64 // input channels dequeued on fire
-	regWMask uint64 // data registers written by the result
-	prWMask  uint64 // predicates written (result or set/clr)
-	tagConds []tagCheck
-
-	// Destinations and predicate updates flattened by kind, so fire()
-	// avoids re-dispatching on Dst.Kind every cycle. Splitting by kind is
-	// order-safe: the three destination spaces are disjoint, and
-	// validation forbids writing one destination twice per instruction.
-	regDsts   []int    // register indices receiving the result
-	outDsts   []outDst // output channels receiving the result
-	prDstMask uint64   // predicates receiving result != 0
-	prUpdSet  uint64   // predicates unconditionally set on fire
-	prUpdClr  uint64   // predicates unconditionally cleared on fire
-}
-
-// outDst is one compiled output-channel destination.
-type outDst struct {
-	ch  int
-	tag isa.Tag
+	inputs  []int // channels that must be non-empty
+	outputs []int // channels that must have space
 }
 
 // stallKind records why the last unfired cycle did not fire, so skipped
@@ -126,19 +99,7 @@ type PE struct {
 	policy     SchedPolicy
 	rrOffset   int
 	issueWidth int // max instructions fired per cycle (default 1)
-
-	// Per-cycle channel status caches rebuilt by refreshStatus at the top
-	// of each stepped cycle. Committed channel state cannot change within
-	// a cycle (package channel's two-phase protocol), so one pass over the
-	// ports replaces a Peek/CanAccept per trigger condition.
-	inReady  uint64
-	outReady uint64
-	headTags []isa.Tag
-	scanIn   []int // input channels some trigger references
-	scanOut  []int // output channels some instruction writes
-
-	reference bool // slice-walking reference scheduler (differential tests)
-	lastStall stallKind
+	lastStall  stallKind
 
 	stats Stats
 
@@ -159,7 +120,7 @@ type PE struct {
 }
 
 // New compiles a program into a PE. The program is validated against cfg,
-// and every trigger is compiled into its packed bitmask form.
+// and every instruction's input and output channel lists are derived.
 func New(name string, cfg isa.Config, prog []isa.Instruction) (*PE, error) {
 	if err := cfg.ValidateProgram(prog); err != nil {
 		return nil, fmt.Errorf("pe %s: %w", name, err)
@@ -170,82 +131,15 @@ func New(name string, cfg isa.Config, prog []isa.Instruction) (*PE, error) {
 		regs:     make([]isa.Word, cfg.NumRegs),
 		in:       make([]*channel.Channel, cfg.NumIn),
 		out:      make([]*channel.Channel, cfg.NumOut),
-		headTags: make([]isa.Tag, cfg.NumIn),
 		initRegs: make([]isa.Word, cfg.NumRegs),
 	}
 	p.stats.PerInst = make([]int64, len(prog))
-	for i := range prog {
-		inst := prog[i]
-		ci := compiled{
+	for _, inst := range prog {
+		p.prog = append(p.prog, compiled{
 			inst:    inst,
 			inputs:  inst.ImplicitInputs(),
 			outputs: inst.OutputChannels(),
-		}
-		for _, lit := range inst.Trigger.Preds {
-			ci.predMask |= 1 << uint(lit.Index)
-			if lit.Value {
-				ci.predVal |= 1 << uint(lit.Index)
-			}
-		}
-		for _, ch := range ci.inputs {
-			ci.inMask |= 1 << uint(ch)
-		}
-		for _, ch := range ci.outputs {
-			ci.outMask |= 1 << uint(ch)
-		}
-		for _, ch := range inst.Deq {
-			ci.deqMask |= 1 << uint(ch)
-		}
-		for _, d := range inst.Dsts {
-			switch d.Kind {
-			case isa.DstReg:
-				ci.regWMask |= 1 << uint(d.Index)
-				ci.regDsts = append(ci.regDsts, d.Index)
-			case isa.DstOut:
-				ci.outDsts = append(ci.outDsts, outDst{ch: d.Index, tag: d.Tag})
-			case isa.DstPred:
-				ci.prWMask |= 1 << uint(d.Index)
-				ci.prDstMask |= 1 << uint(d.Index)
-			}
-		}
-		for _, u := range inst.PredUpdates {
-			ci.prWMask |= 1 << uint(u.Index)
-			if u.Op == isa.PredSet {
-				ci.prUpdSet |= 1 << uint(u.Index)
-			} else {
-				ci.prUpdClr |= 1 << uint(u.Index)
-			}
-		}
-		for _, cond := range inst.Trigger.Inputs {
-			if cond.Cond == isa.TagAny {
-				continue
-			}
-			ci.tagConds = append(ci.tagConds, tagCheck{
-				ch: cond.Chan, tag: cond.Tag, eq: cond.Cond == isa.TagEq,
-			})
-		}
-		p.prog = append(p.prog, ci)
-	}
-	// refreshStatus only needs the channels some instruction can observe;
-	// everything else stays out of the per-cycle scan.
-	var inU, outU uint64
-	for i := range p.prog {
-		ci := &p.prog[i]
-		inU |= ci.inMask | ci.deqMask
-		for _, tc := range ci.tagConds {
-			inU |= 1 << uint(tc.ch)
-		}
-		outU |= ci.outMask
-	}
-	for i := 0; i < cfg.NumIn; i++ {
-		if inU&(1<<uint(i)) != 0 {
-			p.scanIn = append(p.scanIn, i)
-		}
-	}
-	for i := 0; i < cfg.NumOut; i++ {
-		if outU&(1<<uint(i)) != 0 {
-			p.scanOut = append(p.scanOut, i)
-		}
+		})
 	}
 	return p, nil
 }
@@ -274,15 +168,6 @@ func (p *PE) SetPolicy(pol SchedPolicy) {
 	if pol != SchedRoundRobin {
 		p.rrOffset = 0
 	}
-	p.invalidateCompiled()
-}
-
-// SetReferenceScheduler switches the PE between the compiled bitmask
-// scheduler (default) and the slice-walking reference scheduler that
-// evaluates triggers the way the original simulator did. The two are
-// required to be bit-identical; the differential tests run both.
-func (p *PE) SetReferenceScheduler(on bool) {
-	p.reference = on
 	p.invalidateCompiled()
 }
 
@@ -457,9 +342,9 @@ func (p *PE) DumpState() string {
 		}
 	}
 	b.WriteString("]")
-	// Which instruction is closest to firing? Classified with the live
-	// reference path: DumpState runs outside the cycle loop, where the
-	// status caches may be stale or the PE only partially connected.
+	// Which instruction is closest to firing? DumpState may run on a
+	// partially connected PE, so wiring is checked before classifyRef
+	// queries an instruction's channels.
 	for i := range p.prog {
 		if !p.connected(&p.prog[i]) {
 			fmt.Fprintf(&b, " %s:unconnected", labelOrIdx(&p.prog[i].inst, i))
@@ -516,50 +401,19 @@ func (p *PE) Reset() {
 	p.stats = Stats{PerInst: per}
 }
 
-// ready classifies an instruction's readiness this cycle.
+// readiness classifies an instruction's readiness this cycle.
 type readiness uint8
 
 const (
-	notTriggered readiness = iota // predicate guard false
-	waitingInput                  // predicates hold, some input empty or tag mismatch
+	notTriggered readiness = iota // predicate guard false or head-tag mismatch
+	waitingInput                  // predicates hold, some input empty
 	waitingOut                    // inputs ready, some output lacks space
 	fireable
 )
 
-// classify dispatches to the active scheduler implementation.
-func (p *PE) classify(ci *compiled) readiness {
-	if p.reference {
-		return p.classifyRef(ci)
-	}
-	return p.classifyFast(ci)
-}
-
-// classifyFast resolves the trigger the way the hardware does: word
-// compares against the packed predicate file and the per-cycle channel
-// status bitmaps, plus a (usually empty) compiled tag-condition table.
-// refreshStatus must have run this cycle.
-func (p *PE) classifyFast(ci *compiled) readiness {
-	if p.predBits&ci.predMask != ci.predVal {
-		return notTriggered
-	}
-	if ci.inMask&^p.inReady != 0 {
-		return waitingInput
-	}
-	for i := range ci.tagConds {
-		tc := &ci.tagConds[i]
-		if (p.headTags[tc.ch] == tc.tag) != tc.eq {
-			return notTriggered
-		}
-	}
-	if ci.outMask&^p.outReady != 0 {
-		return waitingOut
-	}
-	return fireable
-}
-
-// classifyRef is the reference scheduler: it walks the trigger's literal
-// slices and queries the channels directly, exactly as the original
-// simulator did. Kept for differential testing and cold paths.
+// classifyRef is the interpreter's trigger classifier: it walks the
+// trigger's literal slices and queries the channels directly. Check order
+// is predicates, then inputs, then head tags, then output credit.
 func (p *PE) classifyRef(ci *compiled) readiness {
 	for _, lit := range ci.inst.Trigger.Preds {
 		if p.predBits&(1<<uint(lit.Index)) != 0 != lit.Value {
@@ -592,48 +446,16 @@ func (p *PE) classifyRef(ci *compiled) readiness {
 	return fireable
 }
 
-// classifyAll refreshes the channel status caches and classifies every
-// program instruction once, returning how many are fireable; reference
-// selects the slice-walking reference classifier instead of the bitmask
-// fast path. The trigger-resolution alloc gate drives it.
-func (p *PE) classifyAll(reference bool) int {
-	p.refreshStatus()
+// classifyAll classifies every program instruction once, returning how
+// many are fireable. The trigger-resolution alloc gate drives it.
+func (p *PE) classifyAll() int {
 	n := 0
 	for i := range p.prog {
-		var r readiness
-		if reference {
-			r = p.classifyRef(&p.prog[i])
-		} else {
-			r = p.classifyFast(&p.prog[i])
-		}
-		if r == fireable {
+		if p.classifyRef(&p.prog[i]) == fireable {
 			n++
 		}
 	}
 	return n
-}
-
-// refreshStatus rebuilds the per-cycle channel status caches: one bit per
-// input channel that is non-empty (with its head tag), one bit per output
-// channel with send credit.
-func (p *PE) refreshStatus() {
-	var in, out uint64
-	for _, i := range p.scanIn {
-		ch := p.in[i]
-		if ch == nil {
-			continue
-		}
-		if tok, ok := ch.Peek(); ok {
-			in |= 1 << uint(i)
-			p.headTags[i] = tok.Tag
-		}
-	}
-	for _, i := range p.scanOut {
-		if ch := p.out[i]; ch != nil && ch.CanAccept() {
-			out |= 1 << uint(i)
-		}
-	}
-	p.inReady, p.outReady = in, out
 }
 
 // Step executes one cycle: the scheduler picks a ready instruction and
@@ -647,25 +469,14 @@ func (p *PE) Step(cycle int64) bool {
 		return p.stepWide(cycle)
 	}
 	p.stats.Cycles++
-	if !p.reference {
-		p.refreshStatus()
-	}
 	n := len(p.prog)
 	sawInputWait, sawOutputWait := false, false
 	// rrOffset is zero except under round-robin, so the scan starts at
 	// program order for priority scheduling; the wrap is an add-and-reset
 	// instead of a modulo per iteration.
 	idx := p.rrOffset
-	ref := p.reference
 	for k := 0; k < n; k++ {
-		// Dispatch picked once outside the switch so the fast path inlines.
-		var r readiness
-		if ref {
-			r = p.classifyRef(&p.prog[idx])
-		} else {
-			r = p.classifyFast(&p.prog[idx])
-		}
-		switch r {
+		switch p.classifyRef(&p.prog[idx]) {
 		case fireable:
 			p.fire(cycle, idx)
 			if p.policy == SchedRoundRobin {
@@ -685,6 +496,14 @@ func (p *PE) Step(cycle int64) bool {
 			idx = 0
 		}
 	}
+	p.stall(sawInputWait, sawOutputWait)
+	return false
+}
+
+// stall performs the no-fire epilogue: the cycle is accounted to the
+// most severe wait seen (output, then input, then idle), which is also
+// what SkipCycles repeats for cycles the event-driven stepper skips.
+func (p *PE) stall(sawInputWait, sawOutputWait bool) {
 	switch {
 	case sawOutputWait:
 		p.stats.OutputStall++
@@ -696,35 +515,29 @@ func (p *PE) Step(cycle int64) bool {
 		p.stats.IdleCycles++
 		p.lastStall = stallIdle
 	}
-	return false
 }
 
+// fire executes one instruction from its ISA form: destinations in
+// order, then dequeues, then predicate updates.
 func (p *PE) fire(cycle int64, idx int) {
-	ci := &p.prog[idx]
-	inst := &ci.inst
-	var a, b isa.Word
-	if inst.Op.Arity() >= 1 {
-		a = p.readSrc(inst.Srcs[0])
-	}
-	if inst.Op.Arity() >= 2 {
-		b = p.readSrc(inst.Srcs[1])
-	}
-	result := inst.Op.Eval(a, b)
-	for _, r := range ci.regDsts {
-		p.regs[r] = result
-	}
-	for _, d := range ci.outDsts {
-		p.out[d.ch].Send(channel.Token{Data: result, Tag: d.tag})
-	}
-	if result != 0 {
-		p.predBits |= ci.prDstMask
-	} else {
-		p.predBits &^= ci.prDstMask
+	inst := &p.prog[idx].inst
+	result := p.eval(inst)
+	for _, d := range inst.Dsts {
+		switch d.Kind {
+		case isa.DstReg:
+			p.regs[d.Index] = result
+		case isa.DstOut:
+			p.out[d.Index].Send(channel.Token{Data: result, Tag: d.Tag})
+		case isa.DstPred:
+			p.writePred(d.Index, result != 0)
+		}
 	}
 	for _, ch := range inst.Deq {
 		p.in[ch].Deq()
 	}
-	p.predBits = p.predBits&^ci.prUpdClr | ci.prUpdSet
+	for _, u := range inst.PredUpdates {
+		p.writePred(u.Index, u.Op == isa.PredSet)
+	}
 	if inst.Op == isa.OpHalt {
 		p.halted = true
 	}
@@ -732,6 +545,27 @@ func (p *PE) fire(cycle int64, idx int) {
 	p.stats.PerInst[idx]++
 	if p.Trace != nil {
 		p.Trace(cycle, idx, result)
+	}
+}
+
+// eval reads an instruction's operands and applies its ALU operation.
+func (p *PE) eval(inst *isa.Instruction) isa.Word {
+	var a, b isa.Word
+	if inst.Op.Arity() >= 1 {
+		a = p.readSrc(inst.Srcs[0])
+	}
+	if inst.Op.Arity() >= 2 {
+		b = p.readSrc(inst.Srcs[1])
+	}
+	return inst.Op.Eval(a, b)
+}
+
+// writePred sets predicate i to v during execution.
+func (p *PE) writePred(i int, v bool) {
+	if v {
+		p.predBits |= 1 << uint(i)
+	} else {
+		p.predBits &^= 1 << uint(i)
 	}
 }
 

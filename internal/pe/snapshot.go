@@ -10,9 +10,9 @@ import (
 // SnapshotState serializes the PE's architectural and accounting state:
 // register file, predicate bitmap, halt flag, round-robin offset, the
 // last stall classification (needed so SkipCycles backfills identically
-// after restore), and cumulative statistics. The per-cycle status caches
-// (inReady/outReady/headTags) are rebuilt at the top of every stepped
-// cycle, so they are not state.
+// after restore), and cumulative statistics. Compiled step closures are
+// derived from this state and rebuilt after restore, so they are not
+// state.
 func (p *PE) SnapshotState(e *snapshot.Encoder) {
 	e.Int(len(p.regs))
 	for _, r := range p.regs {

@@ -7,15 +7,13 @@ import (
 
 // stepWide is the superscalar trigger scheduler: fire up to issueWidth
 // ready, non-conflicting instructions in one cycle with parallel
-// semantics (see SetIssueWidth). Structural conflicts are resolved with
-// the compiled per-instruction bitmasks — one AND against the used-output
-// / used-dequeue / written-register / written-predicate accumulators
-// replaces the per-destination map lookups of the original scheduler.
+// semantics (see SetIssueWidth). Like Step it reads only the ISA form:
+// triggers are classified by classifyRef, and each fireable candidate's
+// structural footprint (outputs enqueued, inputs dequeued, registers and
+// predicates written) is collected from its destinations and checked
+// against the accumulated footprint of the instructions already issued.
 func (p *PE) stepWide(cycle int64) bool {
 	p.stats.Cycles++
-	if !p.reference {
-		p.refreshStatus()
-	}
 	n := len(p.prog)
 
 	var usedOut, usedDeq, writtenRegs, writtenPreds uint64
@@ -41,13 +39,7 @@ func (p *PE) stepWide(cycle int64) bool {
 		ci := &p.prog[idx]
 		// Triggers evaluate against start-of-cycle predicate state:
 		// predicate writes are deferred, so predBits is unchanged here.
-		var r readiness
-		if p.reference {
-			r = p.classifyRef(ci)
-		} else {
-			r = p.classifyFast(ci)
-		}
-		switch r {
+		switch p.classifyRef(ci) {
 		case waitingInput:
 			sawInputWait = true
 			continue
@@ -57,43 +49,60 @@ func (p *PE) stepWide(cycle int64) bool {
 		case notTriggered:
 			continue
 		}
-		// Structural conflicts with already-issued instructions.
-		if ci.outMask&usedOut != 0 || ci.deqMask&usedDeq != 0 ||
-			ci.regWMask&writtenRegs != 0 || ci.prWMask&writtenPreds != 0 {
+		inst := &ci.inst
+		var out, deq, regs, preds uint64
+		for _, d := range inst.Dsts {
+			switch d.Kind {
+			case isa.DstReg:
+				regs |= 1 << uint(d.Index)
+			case isa.DstOut:
+				out |= 1 << uint(d.Index)
+			case isa.DstPred:
+				preds |= 1 << uint(d.Index)
+			}
+		}
+		for _, ch := range inst.Deq {
+			deq |= 1 << uint(ch)
+		}
+		for _, u := range inst.PredUpdates {
+			preds |= 1 << uint(u.Index)
+		}
+		if out&usedOut != 0 || deq&usedDeq != 0 ||
+			regs&writtenRegs != 0 || preds&writtenPreds != 0 {
 			continue
 		}
+		usedOut |= out
+		usedDeq |= deq
+		writtenRegs |= regs
+		writtenPreds |= preds
 
 		// Fire with deferred architectural writes. Channel effects
 		// stage immediately (the channel layer is already two-phase).
-		inst := &ci.inst
-		var a, b isa.Word
-		if inst.Op.Arity() >= 1 {
-			a = p.readSrc(inst.Srcs[0])
-		}
-		if inst.Op.Arity() >= 2 {
-			b = p.readSrc(inst.Srcs[1])
-		}
-		result := inst.Op.Eval(a, b)
-		for _, r := range ci.regDsts {
-			regWrites = append(regWrites, regWrite{r, result})
-		}
-		for _, d := range ci.outDsts {
-			p.out[d.ch].Send(channel.Token{Data: result, Tag: d.tag})
-		}
-		if result != 0 {
-			predSet |= ci.prDstMask
-		} else {
-			predClr |= ci.prDstMask
+		result := p.eval(inst)
+		for _, d := range inst.Dsts {
+			switch d.Kind {
+			case isa.DstReg:
+				regWrites = append(regWrites, regWrite{d.Index, result})
+			case isa.DstOut:
+				p.out[d.Index].Send(channel.Token{Data: result, Tag: d.Tag})
+			case isa.DstPred:
+				if result != 0 {
+					predSet |= 1 << uint(d.Index)
+				} else {
+					predClr |= 1 << uint(d.Index)
+				}
+			}
 		}
 		for _, ch := range inst.Deq {
 			p.in[ch].Deq()
 		}
-		predSet |= ci.prUpdSet
-		predClr |= ci.prUpdClr
-		usedOut |= ci.outMask
-		usedDeq |= ci.deqMask
-		writtenRegs |= ci.regWMask
-		writtenPreds |= ci.prWMask
+		for _, u := range inst.PredUpdates {
+			if u.Op == isa.PredSet {
+				predSet |= 1 << uint(u.Index)
+			} else {
+				predClr |= 1 << uint(u.Index)
+			}
+		}
 		if inst.Op == isa.OpHalt {
 			halting = true
 		}
@@ -120,16 +129,6 @@ func (p *PE) stepWide(cycle int64) bool {
 	if fired > 0 {
 		return true
 	}
-	switch {
-	case sawOutputWait:
-		p.stats.OutputStall++
-		p.lastStall = stallOutput
-	case sawInputWait:
-		p.stats.InputStall++
-		p.lastStall = stallInput
-	default:
-		p.stats.IdleCycles++
-		p.lastStall = stallIdle
-	}
+	p.stall(sawInputWait, sawOutputWait)
 	return false
 }

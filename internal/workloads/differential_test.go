@@ -1,11 +1,11 @@
 package workloads
 
-// Differential tests for the simulator fast path: the bitmask trigger
-// scheduler plus the event-driven fabric stepper must be bit-identical —
-// cycle counts, sink token streams, PE statistics — with the slice-based
-// reference scheduler plus dense stepping, on every kernel, under every
-// scheduling policy. Closure-compiled stepping joins the same contract
-// as a third arm. This is the executable form of the invariants
+// Differential tests for the simulator fast paths: event-driven stepping
+// and closure-compiled dispatch must be bit-identical — cycle counts,
+// sink token streams, PE statistics — with the reference, the plain
+// interpreter (pe.PE.Step, which reads only the ISA form of each
+// instruction) under dense stepping, on every kernel, under every
+// scheduling policy. This is the executable form of the invariants
 // documented in DESIGN.md's "Simulator fast path" section.
 
 import (
@@ -19,9 +19,8 @@ import (
 	"tia/internal/pe"
 )
 
-// runKernel builds and runs one form of a kernel, optionally forcing the
-// reference scheduler and dense fabric stepping, and returns everything
-// an observer could compare.
+// kernelObservation is everything an observer of one kernel run could
+// compare.
 type kernelObservation struct {
 	Cycles  int64
 	Tokens  []channel.Token
@@ -32,7 +31,8 @@ type kernelObservation struct {
 // contract in this package agrees across: dense walks every element and
 // channel each cycle, event is the fast path's wake policy, and
 // compiled replaces the per-element interpreter walk with specialized
-// step closures (internal/compile) under the event policy.
+// step closures (internal/compile) under the event policy. The first
+// mode, the interpreter under dense stepping, is the reference.
 var stepModes = []struct {
 	label    string
 	dense    bool
@@ -43,22 +43,19 @@ var stepModes = []struct {
 	{"compiled", false, true},
 }
 
-func observeTIA(t *testing.T, spec *Spec, p Params, reference, compiled bool) kernelObservation {
+// observeTIA builds and runs the triggered form of a kernel under one
+// stepping mode.
+func observeTIA(t *testing.T, spec *Spec, p Params, dense, compiled bool) kernelObservation {
 	t.Helper()
 	inst, err := spec.BuildTIA(p)
 	if err != nil {
 		t.Fatalf("%s: build: %v", spec.Name, err)
 	}
-	if reference {
-		inst.Fabric.SetDenseStepping(true)
-		for _, pr := range inst.PEs {
-			pr.SetReferenceScheduler(true)
-		}
-	}
+	inst.Fabric.SetDenseStepping(dense)
 	inst.Fabric.SetInterpreted(!compiled)
 	res, err := inst.Fabric.Run(spec.MaxCycles(p))
 	if err != nil {
-		t.Fatalf("%s: run (reference=%v compiled=%v): %v", spec.Name, reference, compiled, err)
+		t.Fatalf("%s: run (dense=%v compiled=%v): %v", spec.Name, dense, compiled, err)
 	}
 	obs := kernelObservation{Cycles: res.Cycles, Tokens: inst.Sink.Tokens()}
 	for _, pr := range inst.PEs {
@@ -67,11 +64,10 @@ func observeTIA(t *testing.T, spec *Spec, p Params, reference, compiled bool) ke
 	return obs
 }
 
-// TestSchedulerSteppingDifferential runs every kernel under (a) the
-// reference slice scheduler with dense stepping and (b) the compiled
-// bitmask scheduler with event-driven stepping, and requires identical
-// observations — across both trigger-resolution policies and the
-// superscalar scheduler.
+// TestSchedulerSteppingDifferential runs every kernel under the
+// reference (the interpreter with dense stepping) and under event and
+// compiled stepping, and requires identical observations — across both
+// scheduling policies and the superscalar scheduler.
 func TestSchedulerSteppingDifferential(t *testing.T) {
 	cases := []struct {
 		label string
@@ -86,20 +82,17 @@ func TestSchedulerSteppingDifferential(t *testing.T) {
 			t.Run(spec.Name+"/"+tc.label, func(t *testing.T) {
 				p := spec.Normalize(Params{Seed: 11, Size: 16})
 				tc.mut(&p)
-				ref := observeTIA(t, spec, p, true, false)
-				for _, arm := range []struct {
-					label    string
-					compiled bool
-				}{{"fast", false}, {"compiled", true}} {
-					fast := observeTIA(t, spec, p, false, arm.compiled)
-					if ref.Cycles != fast.Cycles {
-						t.Errorf("cycles differ: reference %d, %s %d", ref.Cycles, arm.label, fast.Cycles)
+				ref := observeTIA(t, spec, p, stepModes[0].dense, stepModes[0].compiled)
+				for _, mode := range stepModes[1:] {
+					got := observeTIA(t, spec, p, mode.dense, mode.compiled)
+					if ref.Cycles != got.Cycles {
+						t.Errorf("cycles differ: reference %d, %s %d", ref.Cycles, mode.label, got.Cycles)
 					}
-					if !reflect.DeepEqual(ref.Tokens, fast.Tokens) {
-						t.Errorf("sink token streams differ:\nreference %v\n%-9s %v", ref.Tokens, arm.label, fast.Tokens)
+					if !reflect.DeepEqual(ref.Tokens, got.Tokens) {
+						t.Errorf("sink token streams differ:\nreference %v\n%-9s %v", ref.Tokens, mode.label, got.Tokens)
 					}
-					if !reflect.DeepEqual(ref.PEStats, fast.PEStats) {
-						t.Errorf("PE statistics differ:\nreference %+v\n%-9s %+v", ref.PEStats, arm.label, fast.PEStats)
+					if !reflect.DeepEqual(ref.PEStats, got.PEStats) {
+						t.Errorf("PE statistics differ:\nreference %+v\n%-9s %+v", ref.PEStats, mode.label, got.PEStats)
 					}
 				}
 			})
@@ -170,18 +163,30 @@ func randomProgram(r *rand.Rand, cfg isa.Config) []isa.Instruction {
 	}
 }
 
-// mirroredRun drives one PE with the given program and scheduler flavor
-// through a fixed token schedule and returns its observable state. The
-// harness dequeues the PE's output each cycle and feeds fresh tokens
+// schedulers are the scheduler configurations the single-PE property
+// checks: the default priority encoder, round-robin rotation and the
+// width-2 superscalar scheduler, each of which CompileStep specializes.
+var schedulers = []struct {
+	label string
+	set   func(*pe.PE)
+}{
+	{"priority", func(*pe.PE) {}},
+	{"roundrobin", func(p *pe.PE) { p.SetPolicy(pe.SchedRoundRobin) }},
+	{"width2", func(p *pe.PE) { p.SetIssueWidth(2) }},
+}
+
+// mirroredRun drives one PE with the given program and scheduler
+// configuration, interpreted or compiled, through a fixed token schedule
+// and returns its observable state. The harness dequeues the PE's output each cycle and feeds fresh tokens
 // whenever the input channels have credit, so programs that would
 // otherwise starve still exercise firing, stalling and waking.
-func mirroredRun(t *testing.T, prog []isa.Instruction, cfg isa.Config, seed int64, reference, compiled bool) (regs []isa.Word, preds uint64, stats pe.Stats, drained []channel.Token) {
+func mirroredRun(t *testing.T, prog []isa.Instruction, cfg isa.Config, seed int64, sched func(*pe.PE), compiled bool) (regs []isa.Word, preds uint64, stats pe.Stats, drained []channel.Token) {
 	t.Helper()
 	p, err := pe.New("dut", cfg, prog)
 	if err != nil {
 		t.Fatalf("pe.New: %v", err)
 	}
-	p.SetReferenceScheduler(reference)
+	sched(p)
 	in0 := channel.New("in0", 4, 0)
 	in1 := channel.New("in1", 4, 1)
 	out0 := channel.New("out0", 4, 0)
@@ -223,36 +228,35 @@ func mirroredRun(t *testing.T, prog []isa.Instruction, cfg isa.Config, seed int6
 }
 
 // TestSchedulerEquivalenceQuick is a testing/quick property: for random
-// valid programs and random token schedules, the bitmask scheduler and
-// the closure-compiled step function both agree with the reference
-// scheduler on every architectural register, predicate, statistic and
-// output token.
+// valid programs and random token schedules, the closure-compiled step
+// function (CompileStep) agrees with the interpreter (Step) on every
+// architectural register, predicate, statistic and output token, under
+// every scheduler configuration.
 func TestSchedulerEquivalenceQuick(t *testing.T) {
 	cfg := isa.DefaultConfig()
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		prog := randomProgram(r, cfg)
-		rRegs, rPreds, rStats, rOut := mirroredRun(t, prog, cfg, seed, true, false)
-		for _, arm := range []struct {
-			label    string
-			compiled bool
-		}{{"fast", false}, {"compiled", true}} {
-			fRegs, fPreds, fStats, fOut := mirroredRun(t, prog, cfg, seed, false, arm.compiled)
-			if !reflect.DeepEqual(rRegs, fRegs) || rPreds != fPreds ||
-				!reflect.DeepEqual(rStats, fStats) || !reflect.DeepEqual(rOut, fOut) {
-				t.Logf("divergence for seed %d (%s arm) on program:", seed, arm.label)
-				for i, in := range prog {
-					t.Logf("  [%d] %s", i, in.String())
+	for _, sc := range schedulers {
+		t.Run(sc.label, func(t *testing.T) {
+			prop := func(seed int64) bool {
+				r := rand.New(rand.NewSource(seed))
+				prog := randomProgram(r, cfg)
+				rRegs, rPreds, rStats, rOut := mirroredRun(t, prog, cfg, seed, sc.set, false)
+				cRegs, cPreds, cStats, cOut := mirroredRun(t, prog, cfg, seed, sc.set, true)
+				if !reflect.DeepEqual(rRegs, cRegs) || rPreds != cPreds ||
+					!reflect.DeepEqual(rStats, cStats) || !reflect.DeepEqual(rOut, cOut) {
+					t.Logf("divergence for seed %d on program:", seed)
+					for i, in := range prog {
+						t.Logf("  [%d] %s", i, in.String())
+					}
+					t.Logf("interpreted: regs=%v preds=%b stats=%+v out=%v", rRegs, rPreds, rStats, rOut)
+					t.Logf("compiled:    regs=%v preds=%b stats=%+v out=%v", cRegs, cPreds, cStats, cOut)
+					return false
 				}
-				t.Logf("reference: regs=%v preds=%b stats=%+v out=%v", rRegs, rPreds, rStats, rOut)
-				t.Logf("%-9s: regs=%v preds=%b stats=%+v out=%v", arm.label, fRegs, fPreds, fStats, fOut)
-				return false
+				return true
 			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
+			if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
