@@ -46,12 +46,13 @@ perfbench-smoke:
 # Zero-allocation gates on the per-cycle hot paths (the fabric cycle
 # loop — compiled dispatch and the interpreted oracle, under the dense
 # and event wake policies — the interpreter's trigger classifier
-# classifyRef, channel reset/restore reuse): any regression to >0
+# classifyRef, channel reset/restore reuse, a batch lane's Reset +
+# Rearm + run under stall and freeze windows): any regression to >0
 # allocs/op fails these tests, not just a benchmark number. One-time
 # compilation cost is gated separately as a bounded constant. Run with
 # -count=1 outside the race detector, whose instrumentation allocates.
 alloc-gate:
-	$(GO) test -run 'AllocationFree|AllocationBounded|ReusesCapacity' -count=1 ./internal/fabric ./internal/pe ./internal/channel ./internal/batchrun
+	$(GO) test -run 'AllocationFree|AllocationBounded|ReusesCapacity' -count=1 ./internal/fabric ./internal/pe ./internal/channel ./internal/batchrun ./internal/faults
 
 # Seeded fault-campaign smoke: one kernel, fixed seed, exact expected
 # masked/detected/sdc/hang taxonomy (see internal/core/resilience_test.go).

@@ -31,6 +31,8 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 
 	"tia/internal/core"
 	"tia/internal/fabric"
@@ -221,8 +223,15 @@ func printListing(w io.Writer, p workloads.Params, name string) error {
 	return nil
 }
 
-// run writes the tables of experiment exp ("all" for every one) to w.
+// experiments lists the ids -experiment accepts.
+var experiments = []string{"all", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8"}
+
+// run writes the tables of experiment exp ("all" for every one) to w. An
+// unknown id is an error, so a typo never yields an empty report.
 func run(ctx context.Context, w io.Writer, p workloads.Params, exp string) error {
+	if !slices.Contains(experiments, exp) {
+		return fmt.Errorf("unknown experiment %q (valid: %s)", exp, strings.Join(experiments, ", "))
+	}
 	needSuite := map[string]bool{"all": true, "e1": true, "e2": true, "e3": true, "e5": true}
 	suitePartial := false
 	var rows []*core.Row

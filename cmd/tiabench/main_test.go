@@ -22,6 +22,21 @@ func TestRunSingleExperiments(t *testing.T) {
 	}
 }
 
+// TestRunRejectsUnknownExperiment: an id outside all/e1..e8 is an error
+// naming the valid ids, and nothing is printed.
+func TestRunRejectsUnknownExperiment(t *testing.T) {
+	for _, exp := range []string{"e9", "E1", ""} {
+		var out bytes.Buffer
+		err := run(context.Background(), &out, workloads.Params{Seed: 1, Size: 16}, exp)
+		if err == nil || !strings.Contains(err.Error(), "all, e1, e2, e3, e4, e5, e6, e7, e8") {
+			t.Errorf("experiment %q: error %v, want one listing the valid ids", exp, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("experiment %q: printed %q", exp, out.String())
+		}
+	}
+}
+
 func TestRunE1Small(t *testing.T) {
 	if testing.Short() {
 		t.Skip("suite run")

@@ -110,15 +110,17 @@ func goldenRun(ctx context.Context, spec *workloads.Spec, p workloads.Params, or
 // either completes within a small multiple of the golden cycle count
 // (faults cease at Plan.To, which campaigns anchor to the golden run,
 // after which in-flight tokens drain at wire speed) or it never
-// completes at all — a dropped token starves a merge forever, or a
-// duplicated one livelocks a loop. The workload's own MaxCycles budget
-// is sized for fault-free completion from cold and is enormously
-// generous here: campaign profiles showed two livelocked runs spinning
-// out the full multi-million-cycle budget and dominating an entire
-// 64-seed campaign's wall-clock. Eight times golden plus a fixed drain
-// slack keeps hang detection sound while bounding its cost; the
-// workload budget stays as a cap so deliberately tiny budgets still
-// behave.
+// completes at all. A run that stops moving — a dropped token strands
+// its partner in front of a merge that waits forever — is a fixed point,
+// which the stepper reports as ErrDeadlock within QuiescenceWindow
+// cycles (see fabric.Stepper), so this budget bounds only livelocks:
+// runs that keep firing without finishing, such as a loop fed a
+// duplicated token. The workload's own MaxCycles budget is sized for
+// fault-free completion from cold and is enormously generous here, so
+// one livelocked run would spin out millions of cycles; eight times
+// golden plus a fixed drain slack keeps hang detection sound while
+// bounding its cost. The workload budget stays as a cap so deliberately
+// tiny budgets still behave.
 func campaignBudget(golden, max int64) int64 {
 	b := golden*8 + 1<<15
 	if b > max {

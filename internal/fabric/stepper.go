@@ -126,7 +126,7 @@ func (s *Stepper) Step() bool {
 		mayFreeze = f.inj.Active()
 	}
 	elems, prep := f.elems, &f.prep
-	worked := false
+	worked, hinted := false, false
 	// Indexing awake (1 byte/element) instead of ranging over the
 	// interface slice keeps the scan over mostly-sleeping fabrics in
 	// one or two cache lines.
@@ -162,23 +162,36 @@ func (s *Stepper) Step() bool {
 				st.sinkDone[i] = true
 				st.sinksLeft--
 			}
+		} else if h := prep.hints[i]; h != nil && h.NeedsStep() {
+			// Read under both wake policies, so the quiescence rule in
+			// epilogue sees the same hints dense and event-driven.
+			hinted = true
 		} else if !s.dense {
-			if h := prep.hints[i]; h == nil || !h.NeedsStep() {
-				st.awake[i] = false
-				st.asleepSince[i] = cur
-			}
+			st.awake[i] = false
+			st.asleepSince[i] = cur
 		}
 	}
 
-	s.commitChannels(cur)
-	return s.epilogue(worked)
+	loud := s.commitChannels(cur)
+	return s.epilogue(worked || hinted, loud)
 }
 
 // epilogue is the end-of-cycle bookkeeping: advance time, surface
 // element faults, detect completion, track quiescence and checkpoint.
 // The idle streak is updated before the checkpoint hook runs, so a
 // snapshot taken there holds the streak the next cycle starts from.
-func (s *Stepper) epilogue(worked bool) bool {
+//
+// A cycle counts toward QuiescenceWindow when nothing is working (no
+// element worked or set its NeedsStep hint, as a PC PE draining a
+// branch penalty does), no freeze window is open, and either no channel
+// holds a token (busyCount == 0) or, while sinks are still pending, no
+// channel is loud: none changed or kept a token staged or in flight.
+// The latter is a fixed point. Tokens may sit in FIFOs whose consumers
+// never fire (a dropped partner strands them), but the next cycle would
+// repeat this one exactly, so waiting longer only burns the budget. A
+// fabric without sinks still needs every channel Idle: quiescence is
+// how it completes, and a stranded token is not a finished run.
+func (s *Stepper) epilogue(working, loud bool) bool {
 	f, st := s.f, s.st
 	f.cycle++
 	for _, fe := range f.prep.faulties {
@@ -189,7 +202,8 @@ func (s *Stepper) epilogue(worked bool) bool {
 	if len(f.sinks) > 0 && st.sinksLeft == 0 {
 		return s.finish(Result{Cycles: f.cycle, Completed: true}, nil)
 	}
-	if !worked && st.busyCount == 0 && (f.inj == nil || !f.inj.Active()) {
+	if !working && (f.inj == nil || !f.inj.Active()) &&
+		(st.busyCount == 0 || st.sinksLeft > 0 && !loud) {
 		s.idleStreak++
 	} else {
 		s.idleStreak = 0
@@ -379,8 +393,10 @@ func (f *Fabric) checkpointSleepers(st *runState) {
 // the busy census, and, under the event-driven policy, drop channels
 // that went quiet (known endpoints only — unknown-endpoint channels are
 // ticked forever, conservatively). Per-channel effects are independent,
-// so the order of the active list never influences results.
-func (s *Stepper) commitChannels(cur int64) {
+// so the order of the active list never influences results. It reports
+// whether any channel changed or still holds a staged or in-flight
+// token; a channel outside the tick list is quiet by the invariant.
+func (s *Stepper) commitChannels(cur int64) (loud bool) {
 	f, st := s.f, s.st
 	chans, prep := f.chans, &f.prep
 	next := st.spare[:0]
@@ -388,6 +404,7 @@ func (s *Stepper) commitChannels(cur int64) {
 		ch := chans[ci]
 		ends := prep.ends[ci]
 		changed, busy, quiet := ch.Commit()
+		loud = loud || changed || !quiet
 		if changed {
 			if ends[0] < 0 || ends[1] < 0 {
 				// Unknown endpoint: wake everything attached anywhere.
@@ -415,6 +432,7 @@ func (s *Stepper) commitChannels(cur int64) {
 	}
 	st.spare = st.activeList[:0]
 	st.activeList = next
+	return loud
 }
 
 // wake marks an element runnable again, backfilling the cycles it slept

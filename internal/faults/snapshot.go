@@ -9,7 +9,8 @@ import (
 // SnapshotState implements fabric.Snapshotter: it serializes the
 // injection counters and each channel site's PRNG position (run-time
 // draws since Attach). Window schedules, window cursors and the
-// per-cycle stall/freeze caches are not state: the schedules are
+// per-cycle stall/freeze caches (with the span between window edges
+// that BeginCycle keeps them for) are not state: the schedules are
 // redrawn deterministically by re-attaching the same plan, and the
 // caches are refreshed from the cycle number on the next BeginCycle.
 func (inj *Injector) SnapshotState(e *snapshot.Encoder) {

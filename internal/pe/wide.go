@@ -29,13 +29,14 @@ func (p *PE) stepWide(cycle int64) bool {
 	var predSet, predClr uint64
 	halting := false
 
+	// Round-robin scans every row once, from the offset the cycle starts
+	// with (rrOffset is zero under priority), and moves the offset once,
+	// past the last row fired, after the scan.
+	start, last := p.rrOffset, -1
 	fired := 0
 	sawInputWait, sawOutputWait := false, false
 	for k := 0; k < n && fired < p.issueWidth; k++ {
-		idx := k
-		if p.policy == SchedRoundRobin {
-			idx = (k + p.rrOffset) % n
-		}
+		idx := (k + start) % n
 		ci := &p.prog[idx]
 		// Triggers evaluate against start-of-cycle predicate state:
 		// predicate writes are deferred, so predBits is unchanged here.
@@ -112,9 +113,10 @@ func (p *PE) stepWide(cycle int64) bool {
 			p.Trace(cycle, idx, result)
 		}
 		fired++
-		if p.policy == SchedRoundRobin {
-			p.rrOffset = (idx + 1) % n
-		}
+		last = idx
+	}
+	if p.policy == SchedRoundRobin && last >= 0 {
+		p.rrOffset = (last + 1) % n
 	}
 
 	// Commit architectural state.

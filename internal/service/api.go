@@ -211,7 +211,9 @@ const (
 	ErrCancelled ErrorKind = "cancelled"
 	// ErrDeadline reports a job stopped by its own deadline.
 	ErrDeadline ErrorKind = "deadline"
-	// ErrDeadlock reports a fabric that went idle with unfinished sinks.
+	// ErrDeadlock reports a fabric that reached a fixed point with
+	// unfinished sinks: nothing can fire again, though tokens may still
+	// be queued in front of consumers that will never take them.
 	ErrDeadlock ErrorKind = "deadlock"
 	// ErrCycleBudget reports a simulation that exhausted MaxCycles.
 	ErrCycleBudget ErrorKind = "cycle_budget"

@@ -475,6 +475,50 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 }
 
+// strandedMergeNetlist is examples/netlists/merge.tia with stream a cut
+// short: it ends after 1 3, without EOD.
+const strandedMergeNetlist = `
+source a : 1 3
+source b : 2 4 6 8 9 10 eod
+sink out
+
+pe merge
+in a b
+out o
+pred sel cvalid adone bdone
+
+cmp:    when !cvalid !adone !bdone a.tag==0 b.tag==0 : leu p:sel, a, b ; set cvalid
+sendA:  when cvalid sel : mov o, a ; deq a ; clr cvalid
+sendB:  when cvalid !sel : mov o, b ; deq b ; clr cvalid
+eodA:   when !cvalid !adone a.tag==eod : nop ; deq a ; set adone
+eodB:   when !cvalid !bdone b.tag==eod : nop ; deq b ; set bdone
+drainA: when bdone !adone a.tag==0 : mov o, a ; deq a
+drainB: when adone !bdone b.tag==0 : mov o, b ; deq b
+fin:    when adone bdone : halt o#eod
+end
+
+wire a.0 -> merge.a
+wire b.0 -> merge.b
+wire merge.o -> out.0
+`
+
+// TestStrandedTokenDeadlock: a merge whose a stream ends without EOD
+// stops with b's tokens still queued in front of it. That fixed point is
+// a deadlock with the wait-for diagnosis, reported within a few cycles,
+// not a run spun out to its cycle budget.
+func TestStrandedTokenDeadlock(t *testing.T) {
+	svc := newServer(t, testConfig())
+	defer svc.Drain()
+
+	je := submitErr(t, svc, &service.JobRequest{Netlist: strandedMergeNetlist, MaxCycles: 1_000_000})
+	if je.Kind != service.ErrDeadlock {
+		t.Fatalf("error kind = %s (%s), want %s", je.Kind, je.Message, service.ErrDeadlock)
+	}
+	if !strings.Contains(je.Message, "channel b.out0->merge.in1 holds 4 tokens") || je.Cycles > 100 {
+		t.Errorf("deadlock at cycle %d: %s; want the stranded tokens named, early", je.Cycles, je.Message)
+	}
+}
+
 // TestBadRequests exercises the request-validation and compile errors.
 func TestBadRequests(t *testing.T) {
 	svc := newServer(t, testConfig())
