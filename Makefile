@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench-smoke perfbench-smoke alloc-gate fault-smoke batch-smoke snapshot-smoke fleet-smoke chaos-smoke fuzz-smoke check
+.PHONY: all build test race vet bench-smoke perfbench-smoke alloc-gate fault-smoke batch-smoke snapshot-smoke fleet-smoke chaos-smoke chaos-soak fuzz-smoke check
 
 all: build
 
@@ -94,6 +94,14 @@ chaos-smoke:
 	$(GO) test -race -count=1 ./internal/chaos
 	$(GO) test -race -run 'TestChaosSoak|TestBreaker|TestStaleHeartbeatSkew|TestRegistryConcurrentProbes|TestStash|TestCoordinatorJournal|TestCoordinatorShutdownGoroutines' -count=1 ./internal/fleet
 
+# The fleet chaos soak again, without the race detector and five times
+# over. -race slows the simulator enough that the soak's long job
+# outlasts the crash-restart scenario's wall-clock restart timer, which
+# hides races against that timer: a check that ran before the restart
+# fired passed under -race and failed about two runs in three without it.
+chaos-soak:
+	$(GO) test -run 'TestChaosSoak$$' -count=5 ./internal/fleet
+
 # Generative differential fuzz smoke: 60 seconds of FuzzSimulate —
 # seeded random netlists (plus hostile mutations) assembled, validated
 # and run on the interpreter under both wake policies and on compiled
@@ -103,6 +111,7 @@ chaos-smoke:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzSimulate' -fuzztime 60s ./internal/gen
 
-# Each test runs once: race covers the fault, batch, snapshot, fleet and
-# chaos smokes, so they are not prerequisites here.
-check: vet race bench-smoke perfbench-smoke alloc-gate fuzz-smoke
+# Each test runs once under -race: race covers the fault, batch,
+# snapshot, fleet and chaos smokes, so they are not prerequisites here.
+# chaos-soak repeats the soak without -race (see its comment).
+check: vet race bench-smoke perfbench-smoke alloc-gate chaos-soak fuzz-smoke

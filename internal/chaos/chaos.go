@@ -30,6 +30,7 @@
 package chaos
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -231,6 +232,11 @@ type Harness struct {
 	timers  []*time.Timer
 	kills   sync.WaitGroup
 	crashes int
+
+	// pending counts restarts armed but not yet done; restarted is
+	// closed (and cleared) when it drops back to zero.
+	pending   int
+	restarted chan struct{}
 }
 
 // New builds a harness for a validated plan.
@@ -298,7 +304,41 @@ func (h *Harness) stopTimers() {
 	h.timers = nil
 	h.mu.Unlock()
 	for _, t := range timers {
-		t.Stop()
+		if t.Stop() {
+			h.restartDone() // stopped before it fired: it never will
+		}
+	}
+}
+
+// restartDone retires one armed restart.
+func (h *Harness) restartDone() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.pending--
+	if h.pending == 0 {
+		close(h.restarted)
+		h.restarted = nil
+	}
+}
+
+// WaitRestarts blocks until every restart the crash schedule has armed
+// has fired and its worker is back (or was cancelled by Reset or Close),
+// or ctx is done. The restart timers run on wall time, so a workload can
+// finish before they fire; callers that assert on the schedule's outcome
+// wait here first.
+func (h *Harness) WaitRestarts(ctx context.Context) error {
+	for {
+		h.mu.Lock()
+		restarted := h.restarted
+		h.mu.Unlock()
+		if restarted == nil {
+			return nil
+		}
+		select {
+		case <-restarted:
+		case <-ctx.Done():
+			return fmt.Errorf("chaos: armed restarts still pending: %w", ctx.Err())
+		}
 	}
 }
 
@@ -435,7 +475,12 @@ func (h *Harness) observeCycle(s *site, cycle int64) {
 	url := s.url
 	h.kills.Add(1)
 	if h.plan.RestartAfter > 0 {
+		if h.pending == 0 {
+			h.restarted = make(chan struct{})
+		}
+		h.pending++
 		t := time.AfterFunc(h.plan.RestartAfter, func() {
+			defer h.restartDone()
 			h.record(Event{Site: s.name, Class: ClassCrash, Seq: 1, Kind: "restart"})
 			ctrl.Restart(url)
 		})

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"net/http"
@@ -341,6 +342,58 @@ func TestSnapshotCorruptionAndCrash(t *testing.T) {
 	}
 	if strings.Contains(log, "corrupt-snapshot") {
 		t.Error("deterministic log leaked a ticker-driven class")
+	}
+}
+
+// TestWaitRestarts: WaitRestarts returns at once with nothing armed,
+// returns only after an armed restart has run its worker's Restart,
+// fails when its context ends first, and is released when Close stops a
+// timer that would otherwise never fire in time.
+func TestWaitRestarts(t *testing.T) {
+	crash := func(after time.Duration) (*Harness, *fakeCtrl) {
+		t.Helper()
+		h, err := New(Plan{CrashAtCycle: 1, RestartAfter: after})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctrl := &fakeCtrl{done: make(chan struct{})}
+		h.Bind(ctrl)
+		s, _ := h.siteFor("http://w0", ClassSnapshot)
+		h.observeCycle(s, 1)
+		return h, ctrl
+	}
+
+	idle, err := New(Plan{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := idle.WaitRestarts(context.Background()); err != nil {
+		t.Fatalf("nothing armed: %v", err)
+	}
+
+	h, ctrl := crash(20 * time.Millisecond)
+	defer h.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := h.WaitRestarts(ctx); err != nil {
+		t.Fatalf("armed restart: %v", err)
+	}
+	ctrl.mu.Lock()
+	restarted := len(ctrl.restarted)
+	ctrl.mu.Unlock()
+	if restarted != 1 {
+		t.Errorf("WaitRestarts returned with %d restarts run, want 1", restarted)
+	}
+
+	late, _ := crash(time.Hour)
+	short, cancelShort := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancelShort()
+	if err := late.WaitRestarts(short); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("restart an hour out: WaitRestarts = %v, want a deadline error", err)
+	}
+	late.Close()
+	if err := late.WaitRestarts(context.Background()); err != nil {
+		t.Errorf("after Close stopped the timer: %v", err)
 	}
 }
 

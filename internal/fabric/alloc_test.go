@@ -108,8 +108,8 @@ func TestDenseRunAllocationFree(t *testing.T) {
 // Reset keeps the closures — it does not touch program or
 // configuration), a Reset+Run loop under the event policy dispatches
 // via the compiled table with zero heap allocations, same contract as
-// the interpreter — under each scheduler configuration CompileStep
-// specializes.
+// the interpreter — under each scheduling policy, at single and wide
+// issue.
 func TestCompiledEventRunAllocationFree(t *testing.T) {
 	for _, sc := range []struct {
 		label string
@@ -118,6 +118,7 @@ func TestCompiledEventRunAllocationFree(t *testing.T) {
 		{"priority", func(*pe.PE) {}},
 		{"roundrobin", func(m *pe.PE) { m.SetPolicy(pe.SchedRoundRobin) }},
 		{"width2", func(m *pe.PE) { m.SetIssueWidth(2) }},
+		{"roundrobin-width2", func(m *pe.PE) { m.SetPolicy(pe.SchedRoundRobin); m.SetIssueWidth(2) }},
 	} {
 		t.Run(sc.label, func(t *testing.T) {
 			f, merges := buildCycleFabricPEs(t)

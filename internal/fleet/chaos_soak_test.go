@@ -318,6 +318,13 @@ func TestChaosSoak(t *testing.T) {
 			},
 			heartbeat: 25 * time.Millisecond, // the restarted worker must rejoin
 			check: func(t *testing.T, c *Coordinator, workers []*soakWorker, h *chaos.Harness) {
+				// The restart timer runs on wall time and the workload can
+				// finish before it fires: wait for the schedule to play out.
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				defer cancel()
+				if err := h.WaitRestarts(ctx); err != nil {
+					t.Fatalf("restart schedule never completed: %v\nfault log:\n%s", err, h.Log())
+				}
 				log := h.DeterministicLog()
 				if !strings.Contains(log, "crash[0] crash") || !strings.Contains(log, "crash[1] restart") {
 					t.Errorf("crash-restart schedule missing from log:\n%s", log)

@@ -24,51 +24,44 @@ func benchMergeSetup(b testing.TB) (*PE, *channel.Channel, *channel.Channel, *ch
 	return p, a, bb, o
 }
 
-// BenchmarkSchedulerStep measures the single-issue scheduler on the merge
-// kernel in steady state.
+// BenchmarkSchedulerStep measures the compiled step function — what a
+// fabric runs — on the merge kernel in steady state, under each
+// scheduling policy at single and double issue.
 func BenchmarkSchedulerStep(b *testing.B) {
-	p, a, bb, o := benchMergeSetup(b)
-	v := isa.Word(0)
-	for i := 0; i < b.N; i++ {
-		if a.CanAccept() {
-			a.Send(channel.Data(v))
-			v++
-		}
-		if bb.CanAccept() {
-			bb.Send(channel.Data(v))
-			v++
-		}
-		p.Step(int64(i))
-		if _, ok := o.Peek(); ok {
-			o.Deq()
-		}
-		a.Tick()
-		bb.Tick()
-		o.Tick()
-	}
-}
-
-// BenchmarkSchedulerStepWide measures the width-2 scheduler on the same
-// kernel.
-func BenchmarkSchedulerStepWide(b *testing.B) {
-	p, a, bb, o := benchMergeSetup(b)
-	p.SetIssueWidth(2)
-	v := isa.Word(0)
-	for i := 0; i < b.N; i++ {
-		if a.CanAccept() {
-			a.Send(channel.Data(v))
-			v++
-		}
-		if bb.CanAccept() {
-			bb.Send(channel.Data(v))
-			v++
-		}
-		p.Step(int64(i))
-		if _, ok := o.Peek(); ok {
-			o.Deq()
-		}
-		a.Tick()
-		bb.Tick()
-		o.Tick()
+	for _, sc := range []struct {
+		label  string
+		policy SchedPolicy
+		width  int
+	}{
+		{"priority", SchedPriority, 1},
+		{"roundrobin", SchedRoundRobin, 1},
+		{"width2", SchedPriority, 2},
+		{"roundrobin-width2", SchedRoundRobin, 2},
+	} {
+		b.Run(sc.label, func(b *testing.B) {
+			p, a, bb, o := benchMergeSetup(b)
+			p.SetPolicy(sc.policy)
+			p.SetIssueWidth(sc.width)
+			step := p.CompileStep()
+			v := isa.Word(0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if a.CanAccept() {
+					a.Send(channel.Data(v))
+					v++
+				}
+				if bb.CanAccept() {
+					bb.Send(channel.Data(v))
+					v++
+				}
+				step(int64(i))
+				if _, ok := o.Peek(); ok {
+					o.Deq()
+				}
+				a.Tick()
+				bb.Tick()
+				o.Tick()
+			}
+		})
 	}
 }

@@ -22,16 +22,17 @@ package pe
 //   - The per-cycle channel-status scan is specialized to the channels
 //     the live instructions can observe, via channel.Ready instead of
 //     token-copying Peeks.
-//   - A pool with a single live trigger collapses to a direct
-//     guard-and-fire closure: no masks, no dispatch loop at all.
+//   - The live rows form one dispatch loop, compileScan, whose policy
+//     and issue width are parameters — like the paper's scheduler, one
+//     structure that looks at every trigger in the pool each cycle.
 //
-// The compiled form covers both scheduling policies at single issue and
-// the superscalar scheduler under the priority policy, on a fully wired
-// PE; a PE combining round-robin with wide issue, or with unwired ports,
-// steps through the interpreter. The compiled rows are derived here from
-// the ISA form; of what New precomputes they share only the input and
-// output channel lists with the interpreter, so the differential tests
-// compare two independent readings of each instruction.
+// The compiled form covers both scheduling policies at every issue
+// width; it requires a fully wired PE, which fabric.BeginRun checks
+// (Validate, then PE.CheckConnections) before it compiles. The compiled
+// rows are derived here from the ISA form; of what New precomputes they
+// share only the input and output channel lists with the interpreter, so
+// the differential tests compare two independent readings of each
+// instruction.
 //
 // Staleness: closures capture register/predicate constants and channel
 // pointers, so anything that could invalidate them (SetReg, SetPred,
@@ -57,6 +58,10 @@ func (p *PE) invalidateCompiled() { p.compileGen++ }
 // The result is cached until the PE changes in a way that could affect
 // it; callers (the fabric's dispatch table) re-query per run rather
 // than holding closures across mutations.
+//
+// The PE must be fully wired: every channel its program names is
+// attached, so CheckConnections returns nil. The closure captures the
+// channel pointers, and an unwired port would be a nil channel.
 func (p *PE) CompileStep() func(cycle int64) bool {
 	if p.compiledStep == nil || p.compiledFor != p.compileGen {
 		p.compiledStep = p.buildCompiledStep()
@@ -65,43 +70,11 @@ func (p *PE) CompileStep() func(cycle int64) bool {
 	return p.compiledStep
 }
 
-// buildCompiledStep constructs the specialized step function, or falls
-// back to the interpreter for configurations it does not specialize.
+// buildCompiledStep constructs the specialized step function: the
+// analyzed plan's live instructions, compiled into one dispatch loop.
 func (p *PE) buildCompiledStep() func(cycle int64) bool {
-	if p.issueWidth > 1 && p.policy == SchedRoundRobin {
-		return p.Step
-	}
 	plan := compile.Analyzed(p.cfg, p.Program(), p.regs, p.predBits)
-	// Resolve the channels the live instructions touch; a partially
-	// wired PE (possible in unit harnesses that never run a fabric)
-	// falls back to the interpreter rather than capturing nil ports.
-	for _, ri := range plan.Live {
-		if !p.connected(&p.prog[ri.Index]) {
-			return p.Step
-		}
-	}
-
-	switch {
-	case len(plan.Live) == 0:
-		// Nothing can ever trigger: every cycle classifies idle.
-		return func(int64) bool {
-			if p.halted {
-				return false
-			}
-			p.stats.Cycles++
-			p.stats.IdleCycles++
-			p.lastStall = stallIdle
-			return false
-		}
-	case len(plan.Live) == 1:
-		// One live trigger fires at most once a cycle, so neither
-		// rotation nor issue width can change which instruction fires.
-		return p.compileSingle(plan.Live[0])
-	case p.issueWidth > 1:
-		return p.compileWide(p.compilePool(plan.Live))
-	default:
-		return p.compileMulti(plan.Live, p.compilePool(plan.Live))
-	}
+	return p.compileScan(plan.Live)
 }
 
 // chanMask packs a channel list into a bitmask.
@@ -111,15 +84,6 @@ func chanMask(chs []int) uint64 {
 		m |= 1 << uint(ch)
 	}
 	return m
-}
-
-// resolve maps a channel list onto a port table.
-func resolve(chs []int, ports []*channel.Channel) []*channel.Channel {
-	out := make([]*channel.Channel, len(chs))
-	for i, ch := range chs {
-		out[i] = ports[ch]
-	}
-	return out
 }
 
 // cTag is a compiled head-tag condition over a resolved channel. Tag
@@ -145,58 +109,10 @@ type cAct struct {
 	deq, regs, preds uint64 // inputs dequeued, registers and predicates written
 }
 
-// compileSingle builds the direct guard-and-fire closure for a pool with
-// one live trigger. Check order mirrors classifyRef (predicates →
-// inputs → tags → outputs), and each early-out performs exactly the
-// stall accounting the interpreter's no-fire epilogue would.
-func (p *PE) compileSingle(ri compile.Inst) func(cycle int64) bool {
-	ci := &p.prog[ri.Index]
-	predMask, predVal := ri.PredMask, ri.PredVal
-	ins := resolve(ci.inputs, p.in)
-	outs := resolve(ci.outputs, p.out)
-	act := p.compileAct(ri)
-	tags, eval, apply := act.tags, act.eval, act.apply
-	return func(cycle int64) bool {
-		if p.halted {
-			return false
-		}
-		p.stats.Cycles++
-		if p.predBits&predMask != predVal {
-			p.stats.IdleCycles++
-			p.lastStall = stallIdle
-			return false
-		}
-		for _, ch := range ins {
-			if !ch.Ready() {
-				p.stats.InputStall++
-				p.lastStall = stallInput
-				return false
-			}
-		}
-		for _, tc := range tags {
-			if (tc.ch.HeadTag() == tc.tag) != tc.eq {
-				// Tag mismatch is "not triggered", like a predicate miss.
-				p.stats.IdleCycles++
-				p.lastStall = stallIdle
-				return false
-			}
-		}
-		for _, ch := range outs {
-			if !ch.CanAccept() {
-				p.stats.OutputStall++
-				p.lastStall = stallOutput
-				return false
-			}
-		}
-		apply(cycle, eval())
-		return true
-	}
-}
-
 // cRow is one live instruction's residual classification state — the
 // hot part of the dispatch loop, kept to 32 bytes (two rows per cache
-// line) so the priority scan streams. The cold per-instruction data
-// lives in the parallel cAct slice.
+// line) so the scan streams. The cold per-instruction data lives in the
+// parallel cAct slice.
 type cRow struct {
 	predMask, predVal uint64
 	inMask, outMask   uint64
@@ -206,43 +122,6 @@ type cRow struct {
 type scanBit struct {
 	ch  *channel.Channel
 	bit uint64
-}
-
-// cPool is a compiled trigger pool: the live rows in program order, their
-// cold counterparts, and the status scan restricted to the channels the
-// live instructions observe.
-type cPool struct {
-	rows            []cRow
-	acts            []cAct
-	scanIn, scanOut []scanBit
-}
-
-func (p *PE) compilePool(live []compile.Inst) cPool {
-	pool := cPool{rows: make([]cRow, len(live)), acts: make([]cAct, len(live))}
-	var inU, outU uint64
-	for k, ri := range live {
-		ci := &p.prog[ri.Index]
-		pool.rows[k] = cRow{
-			predMask: ri.PredMask, predVal: ri.PredVal,
-			inMask: chanMask(ci.inputs), outMask: chanMask(ci.outputs),
-		}
-		pool.acts[k] = p.compileAct(ri)
-		// Every channel a trigger, operand or dequeue names is in
-		// ImplicitInputs, so the input rows cover the whole scan.
-		inU |= pool.rows[k].inMask
-		outU |= pool.rows[k].outMask
-	}
-	for i, ch := range p.in {
-		if inU&(1<<uint(i)) != 0 {
-			pool.scanIn = append(pool.scanIn, scanBit{ch: ch, bit: 1 << uint(i)})
-		}
-	}
-	for i, ch := range p.out {
-		if outU&(1<<uint(i)) != 0 {
-			pool.scanOut = append(pool.scanOut, scanBit{ch: ch, bit: 1 << uint(i)})
-		}
-	}
-	return pool
 }
 
 // readyBits returns the ready bits of the scanned input channels.
@@ -277,17 +156,56 @@ func tagsHold(tags []cTag) bool {
 	return true
 }
 
-// compileMulti builds the single-issue dispatch loop over the live
-// instructions: the interpreter's scan with the dead rows removed,
-// operating on locally computed status words. Under round-robin the rows
-// are laid out twice and the scan covers one window of them, starting at
-// the first live row at or after the rotation offset; dead rows never
-// fire or stall, so skipping them cannot change the outcome.
-func (p *PE) compileMulti(live []compile.Inst, pool cPool) func(cycle int64) bool {
-	rows, acts, scanIn, scanOut := pool.rows, pool.acts, pool.scanIn, pool.scanOut
-	n := len(rows)
+// compileScan builds the dispatch loop over the live instructions: the
+// interpreter's scan with the dead rows removed, operating on status
+// words computed from only the channels the live rows observe. The
+// scheduler's policy and issue width are parameters of this one loop:
+//
+//   - Round-robin lays the rows out twice and scans one window of them,
+//     starting at the first live row at or after the rotation offset;
+//     dead rows never fire or stall, so skipping them cannot change the
+//     outcome. With one live row there is nothing to rotate.
+//   - At width 1 the first fireable row applies and the cycle ends.
+//   - Wider, the scan issues up to the issue width of fireable rows
+//     whose footprints do not conflict, and evaluates every issued row
+//     before any applies its effects — stepWide's parallel semantics:
+//     operands read start-of-cycle registers, triggers see start-of-
+//     cycle predicates (the local copy), and the channel effects are
+//     staged either way. Each apply moves the rotation offset past its
+//     own row, so the last row applied in scan order leaves it where
+//     stepWide does.
+//
+// A cycle that fires nothing performs the interpreter's no-fire
+// epilogue, stall.
+func (p *PE) compileScan(live []compile.Inst) func(cycle int64) bool {
+	n := len(live)
+	rows, acts := make([]cRow, n), make([]cAct, n)
+	var inU, outU uint64
+	for k, ri := range live {
+		ci := &p.prog[ri.Index]
+		rows[k] = cRow{
+			predMask: ri.PredMask, predVal: ri.PredVal,
+			inMask: chanMask(ci.inputs), outMask: chanMask(ci.outputs),
+		}
+		acts[k] = p.compileAct(ri)
+		// Every channel a trigger, operand or dequeue names is in
+		// ImplicitInputs, so the input rows cover the whole scan.
+		inU |= rows[k].inMask
+		outU |= rows[k].outMask
+	}
+	var scanIn, scanOut []scanBit
+	for i, ch := range p.in {
+		if inU&(1<<uint(i)) != 0 {
+			scanIn = append(scanIn, scanBit{ch: ch, bit: 1 << uint(i)})
+		}
+	}
+	for i, ch := range p.out {
+		if outU&(1<<uint(i)) != 0 {
+			scanOut = append(scanOut, scanBit{ch: ch, bit: 1 << uint(i)})
+		}
+	}
 	var startRow []int // rrOffset -> first row scanned; nil under priority
-	if p.policy == SchedRoundRobin {
+	if p.policy == SchedRoundRobin && n > 1 {
 		rows = append(rows, rows...)
 		acts = append(acts, acts...)
 		startRow = make([]int, len(p.prog))
@@ -297,6 +215,8 @@ func (p *PE) compileMulti(live []compile.Inst, pool cPool) func(cycle int64) boo
 			}
 		}
 	}
+	width := p.issueWidth
+	g := &issueGroup{rows: make([]int, width), results: make([]isa.Word, width)}
 	return func(cycle int64) bool {
 		if p.halted {
 			return false
@@ -323,60 +243,7 @@ func (p *PE) compileMulti(live []compile.Inst, pool cPool) func(cycle int64) boo
 				sawInputWait = true
 				continue
 			}
-			if !tagsHold(acts[k].tags) {
-				continue
-			}
-			if r.outMask != 0 {
-				if !outScanned {
-					outScanned = true
-					outR = creditBits(scanOut)
-				}
-				if r.outMask&^outR != 0 {
-					sawOutputWait = true
-					continue
-				}
-			}
-			acts[k].apply(cycle, acts[k].eval())
-			return true
-		}
-		p.stall(sawInputWait, sawOutputWait)
-		return false
-	}
-}
-
-// compileWide builds the superscalar dispatch loop (priority policy):
-// stepWide's scan over the live rows, issuing up to the issue width of
-// fireable rows whose footprints do not conflict. Every issued row is
-// evaluated before any applies its effects, which is stepWide's parallel
-// semantics: operands read start-of-cycle registers, triggers see
-// start-of-cycle predicates (the local copy), and the channel effects
-// are staged either way.
-func (p *PE) compileWide(pool cPool) func(cycle int64) bool {
-	rows, acts, scanIn, scanOut := pool.rows, pool.acts, pool.scanIn, pool.scanOut
-	width := p.issueWidth
-	issued := make([]int, width)
-	results := make([]isa.Word, width)
-	return func(cycle int64) bool {
-		if p.halted {
-			return false
-		}
-		p.stats.Cycles++
-		inR := readyBits(scanIn)
-		var outR uint64
-		outScanned := false
-		sawInputWait, sawOutputWait := false, false
-		preds := p.predBits
-		var usedOut, usedDeq, wRegs, wPreds uint64
-		n := 0
-		for k := 0; k < len(rows) && n < width; k++ {
-			r, a := &rows[k], &acts[k]
-			if preds&r.predMask != r.predVal {
-				continue
-			}
-			if r.inMask&^inR != 0 {
-				sawInputWait = true
-				continue
-			}
+			a := &acts[k] // cold: most rows fail before they reach it
 			if !tagsHold(a.tags) {
 				continue
 			}
@@ -390,26 +257,52 @@ func (p *PE) compileWide(pool cPool) func(cycle int64) bool {
 					continue
 				}
 			}
-			if r.outMask&usedOut != 0 || a.deq&usedDeq != 0 ||
-				a.regs&wRegs != 0 || a.preds&wPreds != 0 {
-				continue
+			if width == 1 {
+				a.apply(cycle, a.eval())
+				return true
 			}
-			usedOut |= r.outMask
-			usedDeq |= a.deq
-			wRegs |= a.regs
-			wPreds |= a.preds
-			issued[n], results[n] = k, a.eval()
-			n++
+			if g.issue(k, r, a) == width {
+				break
+			}
 		}
-		for i := 0; i < n; i++ {
-			acts[issued[i]].apply(cycle, results[i])
-		}
-		if n > 0 {
+		if g.n > 0 {
+			for i := 0; i < g.n; i++ {
+				acts[g.rows[i]].apply(cycle, g.results[i])
+			}
+			*g = issueGroup{rows: g.rows, results: g.results}
 			return true
 		}
 		p.stall(sawInputWait, sawOutputWait)
 		return false
 	}
+}
+
+// issueGroup is one wide cycle's issue stage: the rows issued so far,
+// their results, and their accumulated footprint. It lives behind a
+// pointer so the scan loop keeps only its status words in registers;
+// the dispatch closure clears it after applying the group.
+type issueGroup struct {
+	rows    []int
+	results []isa.Word
+	n       int
+
+	out, deq, regs, preds uint64 // outputs enqueued, inputs dequeued, registers and predicates written
+}
+
+// issue adds a fireable row to the group unless its footprint conflicts
+// with a row already issued, evaluating its operands now, against
+// start-of-cycle state. It returns the group's size.
+func (g *issueGroup) issue(k int, r *cRow, a *cAct) int {
+	if r.outMask&g.out != 0 || a.deq&g.deq != 0 || a.regs&g.regs != 0 || a.preds&g.preds != 0 {
+		return g.n
+	}
+	g.out |= r.outMask
+	g.deq |= a.deq
+	g.regs |= a.regs
+	g.preds |= a.preds
+	g.rows[g.n], g.results[g.n] = k, a.eval()
+	g.n++
+	return g.n
 }
 
 // cOut is one resolved output destination.
@@ -465,7 +358,10 @@ func (p *PE) compileAct(ri compile.Inst) cAct {
 			prDst |= 1 << uint(d.Index)
 		}
 	}
-	deqs := resolve(inst.Deq, p.in)
+	deqs := make([]*channel.Channel, len(inst.Deq))
+	for i, ch := range inst.Deq {
+		deqs[i] = p.in[ch]
+	}
 	act.deq = chanMask(inst.Deq)
 	for _, u := range inst.PredUpdates {
 		if u.Op == isa.PredSet {

@@ -20,8 +20,8 @@
 // from the ISA form and resolves every trigger with word compares, the
 // way the paper's hardware resolves it in a handful of gates; the
 // differential tests in packages workloads, fabric and gen hold the two
-// to bit-identical results under every scheduler configuration it
-// compiles. Beyond each instruction's input and output channel lists,
+// to bit-identical results under every scheduling policy and issue
+// width. Beyond each instruction's input and output channel lists,
 // the two share no encoding, so those tests check the packed form
 // instead of sharing it.
 package pe
@@ -126,12 +126,13 @@ func New(name string, cfg isa.Config, prog []isa.Instruction) (*PE, error) {
 		return nil, fmt.Errorf("pe %s: %w", name, err)
 	}
 	p := &PE{
-		name:     name,
-		cfg:      cfg,
-		regs:     make([]isa.Word, cfg.NumRegs),
-		in:       make([]*channel.Channel, cfg.NumIn),
-		out:      make([]*channel.Channel, cfg.NumOut),
-		initRegs: make([]isa.Word, cfg.NumRegs),
+		name:       name,
+		cfg:        cfg,
+		regs:       make([]isa.Word, cfg.NumRegs),
+		in:         make([]*channel.Channel, cfg.NumIn),
+		out:        make([]*channel.Channel, cfg.NumOut),
+		issueWidth: 1,
+		initRegs:   make([]isa.Word, cfg.NumRegs),
 	}
 	p.stats.PerInst = make([]int64, len(prog))
 	for _, inst := range prog {

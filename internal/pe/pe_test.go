@@ -471,37 +471,48 @@ func TestIssueWidthParallelSemantics(t *testing.T) {
 // per cycle from the offset the cycle starts with, then moves the offset
 // past the last row fired. Three always-ready movs at width 2 fire rows
 // 0 and 1, then 2 and 0; a mov with no destination (so no structural
-// conflict with itself) still fires at most once per cycle.
+// conflict with itself) still fires at most once per cycle. The
+// interpreter and the compiled step function both must.
 func TestIssueWidthRoundRobin(t *testing.T) {
 	mov := func(r int) isa.Instruction {
 		return isa.Instruction{Op: isa.OpMov, Srcs: [2]isa.Src{isa.Imm(1), {}}, Dsts: []isa.Dst{isa.DReg(r)}}
 	}
-	p, err := New("rr", isa.DefaultConfig(), []isa.Instruction{mov(0), mov(1), mov(2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.SetPolicy(SchedRoundRobin)
-	p.SetIssueWidth(2)
-	for cyc, want := range [][]int64{{1, 1, 0}, {2, 1, 1}, {2, 2, 2}} {
-		p.Step(int64(cyc))
-		if got := p.Stats().PerInst; !reflect.DeepEqual(got, want) {
-			t.Fatalf("after cycle %d: per-instruction fires %v, want %v", cyc, got, want)
+	for _, stepper := range []struct {
+		label string
+		step  func(*PE) func(int64) bool
+	}{
+		{"interpreted", func(p *PE) func(int64) bool { return p.Step }},
+		{"compiled", (*PE).CompileStep},
+	} {
+		p, err := New("rr", isa.DefaultConfig(), []isa.Instruction{mov(0), mov(1), mov(2)})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		p.SetPolicy(SchedRoundRobin)
+		p.SetIssueWidth(2)
+		step := stepper.step(p)
+		for cyc, want := range [][]int64{{1, 1, 0}, {2, 1, 1}, {2, 2, 2}} {
+			step(int64(cyc))
+			if got := p.Stats().PerInst; !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: after cycle %d: per-instruction fires %v, want %v", stepper.label, cyc, got, want)
+			}
+		}
 
-	lone, err := New("lone", isa.DefaultConfig(), []isa.Instruction{
-		{Op: isa.OpMov, Srcs: [2]isa.Src{isa.Imm(1), {}}},
-		{Trigger: isa.When([]isa.PredLit{isa.P(0)}, nil), Op: isa.OpMov, Srcs: [2]isa.Src{isa.Imm(1), {}}, Dsts: []isa.Dst{isa.DReg(0)}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lone.SetPolicy(SchedRoundRobin)
-	lone.SetIssueWidth(2)
-	for cyc := int64(0); cyc < 3; cyc++ {
-		lone.Step(cyc)
-		if got := lone.Stats().PerInst[0]; got != cyc+1 {
-			t.Fatalf("after cycle %d: the destination-less mov fired %d times, want %d", cyc, got, cyc+1)
+		lone, err := New("lone", isa.DefaultConfig(), []isa.Instruction{
+			{Op: isa.OpMov, Srcs: [2]isa.Src{isa.Imm(1), {}}},
+			{Trigger: isa.When([]isa.PredLit{isa.P(0)}, nil), Op: isa.OpMov, Srcs: [2]isa.Src{isa.Imm(1), {}}, Dsts: []isa.Dst{isa.DReg(0)}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lone.SetPolicy(SchedRoundRobin)
+		lone.SetIssueWidth(2)
+		step = stepper.step(lone)
+		for cyc := int64(0); cyc < 3; cyc++ {
+			step(cyc)
+			if got := lone.Stats().PerInst[0]; got != cyc+1 {
+				t.Fatalf("%s: after cycle %d: the destination-less mov fired %d times, want %d", stepper.label, cyc, got, cyc+1)
+			}
 		}
 	}
 }

@@ -67,7 +67,7 @@ func observeTIA(t *testing.T, spec *Spec, p Params, dense, compiled bool) kernel
 // TestSchedulerSteppingDifferential runs every kernel under the
 // reference (the interpreter with dense stepping) and under event and
 // compiled stepping, and requires identical observations — across both
-// scheduling policies and the superscalar scheduler.
+// scheduling policies and the superscalar scheduler under each.
 func TestSchedulerSteppingDifferential(t *testing.T) {
 	cases := []struct {
 		label string
@@ -76,6 +76,7 @@ func TestSchedulerSteppingDifferential(t *testing.T) {
 		{"priority", func(p *Params) { p.Policy = pe.SchedPriority }},
 		{"roundrobin", func(p *Params) { p.Policy = pe.SchedRoundRobin }},
 		{"width2", func(p *Params) { p.IssueWidth = 2 }},
+		{"roundrobin-width2", func(p *Params) { p.Policy, p.IssueWidth = pe.SchedRoundRobin, 2 }},
 	}
 	for _, spec := range All() {
 		for _, tc := range cases {
@@ -164,8 +165,9 @@ func randomProgram(r *rand.Rand, cfg isa.Config) []isa.Instruction {
 }
 
 // schedulers are the scheduler configurations the single-PE property
-// checks: the default priority encoder, round-robin rotation and the
-// width-2 superscalar scheduler, each of which CompileStep specializes.
+// checks: the default priority encoder, round-robin rotation, the
+// width-2 superscalar scheduler, and round-robin at widths 2 and 3 —
+// every policy and width CompileStep's one dispatch loop takes.
 var schedulers = []struct {
 	label string
 	set   func(*pe.PE)
@@ -173,6 +175,8 @@ var schedulers = []struct {
 	{"priority", func(*pe.PE) {}},
 	{"roundrobin", func(p *pe.PE) { p.SetPolicy(pe.SchedRoundRobin) }},
 	{"width2", func(p *pe.PE) { p.SetIssueWidth(2) }},
+	{"roundrobin-width2", func(p *pe.PE) { p.SetPolicy(pe.SchedRoundRobin); p.SetIssueWidth(2) }},
+	{"roundrobin-width3", func(p *pe.PE) { p.SetPolicy(pe.SchedRoundRobin); p.SetIssueWidth(3) }},
 }
 
 // mirroredRun drives one PE with the given program and scheduler
