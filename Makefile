@@ -31,22 +31,25 @@ bench-smoke:
 # it: vet and test the module, then run each workload of BENCHMARK.json
 # for one second and fail unless its final JSON line reports every
 # operation correct and none failed. An API break between the simulator
-# and the benchmark fails here instead of in a benchmark run.
+# and the benchmark fails here instead of in a benchmark run. The traced
+# campaign runs too: it drives internal/batchrun directly, over a batch
+# of 8 lanes, which no other run outside the tests does.
 perfbench-smoke:
 	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench test -count=1 ./...
-	@for w in paper campaign serve; do \
-		out=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 1) || exit 1; \
+	@for wt in paper:0 campaign:0 serve:0 campaign:1; do \
+		w=$${wt%:*}; tr=$${wt#*:}; \
+		out=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace $$tr) || exit 1; \
 		line=$$(printf '%s\n' "$$out" | tail -n 1); \
-		echo "perfbench-smoke $$w: $$line"; \
-		case "$$line" in *'"correct":true'*) ;; *) echo "perfbench-smoke: $$w is not correct" >&2; exit 1 ;; esac; \
-		case "$$line" in *'"failed":0,'*|*'"failed":0}'*) ;; *) echo "perfbench-smoke: $$w has failed operations" >&2; exit 1 ;; esac; \
+		echo "perfbench-smoke $$w trace=$$tr: $$line"; \
+		case "$$line" in *'"correct":true'*) ;; *) echo "perfbench-smoke: $$w trace=$$tr is not correct" >&2; exit 1 ;; esac; \
+		case "$$line" in *'"failed":0,'*|*'"failed":0}'*) ;; *) echo "perfbench-smoke: $$w trace=$$tr has failed operations" >&2; exit 1 ;; esac; \
 	done
 
 # Zero-allocation gates on the per-cycle hot paths (the fabric cycle
 # loop — compiled dispatch and the interpreted oracle, under the dense
 # and event wake policies — the interpreter's trigger classifier
-# classifyRef, channel reset/restore reuse, a batch lane's Reset +
+# classifyRef, channel reset/restore reuse, a reused instance's Reset +
 # Rearm + run under stall and freeze windows): any regression to >0
 # allocs/op fails these tests, not just a benchmark number. One-time
 # compilation cost is gated separately as a bounded constant. Run with
@@ -59,14 +62,15 @@ alloc-gate:
 fault-smoke:
 	$(GO) test -run 'TestFaultCampaignSmoke' -count=1 ./internal/core
 
-# Batched-campaign differential smoke under the race detector: the
-# structure-of-arrays batched stepper (internal/batchrun) must produce
-# campaign reports bit-identical to the serial runner for every kernel
-# (data + timing plans), with lane eviction and lane bookkeeping
-# contracts riding along (see internal/core/batch_test.go).
+# Batched-campaign differential smoke under the race detector: a
+# campaign on one reused instance (internal/batchrun) must produce
+# reports bit-identical to the fresh-build serial runner for every
+# kernel (data + timing plans), build the kernel only twice, and keep
+# the batch's own bookkeeping and allocation contracts (see
+# internal/core/batch_test.go and internal/batchrun).
 batch-smoke:
 	$(GO) test -race -count=1 ./internal/batchrun
-	$(GO) test -race -run 'TestBatchedCampaign|TestBatchedTiming' -count=1 ./internal/core
+	$(GO) test -race -run 'TestBatchedCampaign|TestBatchedTiming|TestCampaignBuildsOnce' -count=1 ./internal/core
 
 # Checkpoint/restore differential smoke under the race detector: two
 # kernels in every stepping mode (dense and event interpreted, and

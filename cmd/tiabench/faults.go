@@ -12,10 +12,6 @@ import (
 	"tia/internal/workloads"
 )
 
-// campaignLanes is how many batched lanes a campaign runs across: the
-// service's default for campaign jobs.
-const campaignLanes = 8
-
 // campaignRow is one kernel's finished campaign pair, exactly the fields
 // the printed table needs — persisting it makes the row replayable
 // without re-simulating.
@@ -96,10 +92,10 @@ func (st *campaignState) save(path string) error {
 // interrupted sweep resumes where it stopped: recorded kernels print
 // from the state file without re-simulating.
 //
-// The campaigns run across campaignLanes batched lanes
-// (internal/batchrun); batched reports are bit-identical to serial ones
-// (core's TestBatchedCampaignDifferential), so lanes only amortize
-// instance builds and never change a row.
+// Each campaign re-arms one reused instance run after run
+// (internal/batchrun); its reports are bit-identical to fresh-build
+// ones (core's TestBatchedCampaignDifferential), so reuse only
+// amortizes instance builds and never changes a row.
 func runFaultCampaigns(ctx context.Context, out io.Writer, p workloads.Params, runs int, seed int64, statePath string) error {
 	var st *campaignState
 	if statePath != "" {
@@ -122,11 +118,11 @@ func runFaultCampaigns(ctx context.Context, out io.Writer, p workloads.Params, r
 			row, done = st.Kernels[spec.Name]
 		}
 		if !done {
-			trep, err := core.RunTimingCampaignBatch(ctx, spec, p, core.DefaultTimingPlan(seed), runs, campaignLanes, false)
+			trep, err := core.RunTimingCampaignBatch(ctx, spec, p, core.DefaultTimingPlan(seed), runs, 1, false)
 			if err != nil {
 				return err
 			}
-			drep, err := core.RunDataCampaignBatch(ctx, spec, p, core.DefaultDataPlan(seed), runs, campaignLanes)
+			drep, err := core.RunDataCampaignBatch(ctx, spec, p, core.DefaultDataPlan(seed), runs, 1)
 			if err != nil {
 				return err
 			}

@@ -1,6 +1,6 @@
-// Package batchrun is the structure-of-arrays batched stepper for
-// campaign execution: one topology, K independent lanes of dynamic
-// state, advanced in lockstep one cycle at a time.
+// Package batchrun runs a campaign's many runs on reused fabric
+// instances: one topology, built once per lane, with each run re-armed
+// in place instead of rebuilt.
 //
 // A campaign (internal/core's resilience runners, the service's
 // campaign jobs, tiabench sweeps) executes the same netlist hundreds of
@@ -8,50 +8,38 @@
 // per run pays the whole static cost — netlist construction, wiring
 // tables, trigger classification, compiled step closures, fault-site
 // scanning and PRNG seeding — for a few thousand simulated cycles of
-// dynamic work. The batch splits those axes: everything static is
-// instantiated once per lane for the lifetime of the batch, and only
-// the dynamic state (register files, predicate words, channel ring
-// buffers, scratchpad contents, PRNG positions, window schedules) is
-// re-armed between runs via Fabric.Reset + faults.Rearm, both of which
-// are proven bit-identical to a fresh build by differential tests.
+// dynamic work. A batch pays it once per lane; between runs only the
+// dynamic state (register files, predicate words, channel ring buffers,
+// scratchpad contents, PRNG positions, window schedules) is re-armed
+// via Fabric.Reset + faults.Rearm, both of which are proven
+// bit-identical to a fresh build by differential tests.
 //
-// Scheduling never changes results: each lane is driven by the same
-// fabric.Stepper that implements Fabric.RunContext, one cycle per
-// lockstep turn, and a lane's outcome depends only on its own state.
-// The lane-active bitmask tracks which lanes still have a run in
-// flight; lanes retire independently (completion, deadlock, fault
-// divergence, budget exhaustion) and are immediately re-armed with the
-// next pending run. A lane that outlives the batch's eviction horizon
-// is evicted: its remaining cycles are finished outside the lockstep
-// loop (Stepper.Finish) so one livelocked run cannot hold the loop
-// hostage — eviction changes scheduling, never results, and the
-// recorded outcome taxonomy is exact.
+// Runs execute one at a time, in order, each to completion through the
+// fabric's own RunContext (BeginRun + Finish), so a run's outcome is the
+// serial outcome by construction. Run r uses lane r mod K; the campaign
+// runners use a single lane.
 package batchrun
 
 import (
 	"context"
 	"fmt"
-	"math/bits"
 
 	"tia/internal/fabric"
 )
 
-// Lane is one unit of dynamic state in the batch: a fabric instance
-// plus whatever per-lane payload the caller attached (typically the
-// workload instance and its fault injector). The fabric's static
-// structure is built once, when the batch is; runs only Reset and
-// re-arm it.
+// Lane is one reused instance: a fabric plus whatever payload the
+// caller attached (typically the workload instance and its fault
+// injector). The fabric's static structure is built once, when the
+// batch is; runs only Reset and re-arm it.
 type Lane struct {
 	// ID is the lane's index in the batch, fixed for its lifetime.
 	ID int
-	// Fabric is the lane's instance; the batch drives it via BeginRun.
+	// Fabric is the lane's instance; the batch runs it via RunContext.
 	Fabric *fabric.Fabric
 	// Payload is the caller's per-lane state (instance, injector, ...).
 	Payload any
 
-	stepper *fabric.Stepper
-	run     int   // index of the run in flight, -1 when idle
-	steps   int64 // lockstep cycles spent on the current run
+	run int // index of the run in flight, -1 when idle
 }
 
 // Run reports the index of the run the lane is currently executing
@@ -60,27 +48,24 @@ func (l *Lane) Run() int { return l.run }
 
 // Config sizes a batch.
 type Config struct {
-	// Lanes is the number of concurrent lanes (K). Values below 1 are
-	// treated as 1.
+	// Lanes is the number of instances New builds. Values below 1 are
+	// treated as 1. Runs execute one at a time whatever the count, so
+	// more than one lane only costs builds.
 	Lanes int
-	// MaxCycles is the per-run cycle budget handed to each lane's
-	// stepper, exactly as a serial RunContext would receive it.
+	// MaxCycles is the per-run cycle budget, exactly as a serial
+	// RunContext would receive it.
 	MaxCycles int64
-	// EvictAfter, when positive, is the lockstep-cycle horizon after
-	// which a still-running lane is evicted from the batch and finished
-	// outside the lockstep loop. Zero means lanes are never evicted (a
-	// hung lane then runs its full budget inside the lockstep loop,
-	// which is correct but lets one livelocked run dominate the loop).
+	// EvictAfter is accepted and ignored. It once bounded how long a
+	// lane could stay in a lockstep loop that no longer exists.
 	EvictAfter int64
 }
 
 // Batch is a set of lanes over one topology. Create with New, execute
-// campaigns with Run; a batch is reusable across campaigns (Run resets
-// the lane bookkeeping) but not concurrently.
+// campaigns with Run; a batch is reusable across campaigns but not
+// concurrently.
 type Batch struct {
 	cfg   Config
 	lanes []*Lane
-	mask  []uint64 // lane-active bitmask, bit i = lanes[i] has a run in flight
 }
 
 // New builds a batch of cfg.Lanes lanes, calling build once per lane.
@@ -96,10 +81,7 @@ func New(cfg Config, build func(lane int) (*fabric.Fabric, any, error)) (*Batch,
 	if cfg.MaxCycles < 1 {
 		return nil, fmt.Errorf("batchrun: MaxCycles %d < 1", cfg.MaxCycles)
 	}
-	b := &Batch{
-		cfg:  cfg,
-		mask: make([]uint64, (cfg.Lanes+63)/64),
-	}
+	b := &Batch{cfg: cfg}
 	for i := 0; i < cfg.Lanes; i++ {
 		f, payload, err := build(i)
 		if err != nil {
@@ -116,107 +98,27 @@ func New(cfg Config, build func(lane int) (*fabric.Fabric, any, error)) (*Batch,
 // Lanes returns the batch's lane count.
 func (b *Batch) Lanes() int { return len(b.lanes) }
 
-// ActiveMask returns the lane-active bitmask words (bit i of word i/64
-// set while lane i has a run in flight). The returned slice aliases the
-// batch's state; treat it as read-only.
-func (b *Batch) ActiveMask() []uint64 { return b.mask }
-
-func (b *Batch) setActive(i int, on bool) {
-	if on {
-		b.mask[i/64] |= 1 << uint(i%64)
-	} else {
-		b.mask[i/64] &^= 1 << uint(i%64)
-	}
-}
-
-// Run executes runs runs across the batch's lanes. For each run it
-// picks an idle lane, calls arm(lane, run) to re-arm the lane's
-// dynamic state (Reset + Rearm, or a first-run Attach), then advances
-// all armed lanes in lockstep, one cycle per lane per turn. When a
-// lane's run finishes — for any reason a serial RunContext would have
-// finished it — done(lane, run, result, err) is called with exactly the
-// Result and error a serial RunContext of that run would have
-// returned, and the lane is re-armed with the next pending run.
-// Lanes exceeding cfg.EvictAfter lockstep cycles are evicted and
-// finished serially before their done callback runs.
+// Run executes runs runs in order, run r on lane r mod K. For each run
+// it calls arm(lane, run) to re-arm the lane's dynamic state (Reset +
+// Rearm, or a first-run Attach), runs the lane's fabric with RunContext,
+// and calls done(lane, run, result, err) with that run's Result and
+// error.
 //
-// An error from arm or done aborts the batch immediately (in-flight
-// lanes are abandoned, their fabrics left mid-run; Run resets lanes on
-// the next call). Run itself never reorders or rewrites outcomes: the
-// callbacks observe per-run results identical to serial execution, in
-// retirement order.
+// An error from arm or done stops the batch at that run; done's error
+// is returned unwrapped, so a runner that rejects a run's outcome
+// reports its own error.
 func (b *Batch) Run(ctx context.Context, runs int, arm func(l *Lane, run int) error, done func(l *Lane, run int, res fabric.Result, err error) error) error {
-	for _, l := range b.lanes {
-		l.run = -1
-		l.stepper = nil
-		l.steps = 0
-	}
-	for i := range b.mask {
-		b.mask[i] = 0
-	}
-	next := 0
-	refill := func(l *Lane) error {
-		for next < runs {
-			r := next
-			next++
-			if err := arm(l, r); err != nil {
-				return fmt.Errorf("batchrun: arm lane %d run %d: %w", l.ID, r, err)
-			}
-			st, err := l.Fabric.BeginRun(ctx, b.cfg.MaxCycles)
-			if err != nil {
-				return fmt.Errorf("batchrun: begin lane %d run %d: %w", l.ID, r, err)
-			}
-			l.stepper, l.run, l.steps = st, r, 0
-			b.setActive(l.ID, true)
-			return nil
+	for r := 0; r < runs; r++ {
+		l := b.lanes[r%len(b.lanes)]
+		l.run = r
+		if err := arm(l, r); err != nil {
+			return fmt.Errorf("batchrun: arm lane %d run %d: %w", l.ID, r, err)
 		}
-		return nil
-	}
-	retire := func(l *Lane) error {
-		res, err := l.stepper.Result()
-		run := l.run
-		b.setActive(l.ID, false)
-		dErr := done(l, run, res, err)
-		l.stepper, l.run, l.steps = nil, -1, 0
-		if dErr != nil {
-			return dErr
-		}
-		return refill(l)
-	}
-	for _, l := range b.lanes {
-		if err := refill(l); err != nil {
+		res, err := l.Fabric.RunContext(ctx, b.cfg.MaxCycles)
+		if err := done(l, r, res, err); err != nil {
 			return err
 		}
+		l.run = -1
 	}
-	for {
-		live := false
-		for w, word := range b.mask {
-			for word != 0 {
-				i := w*64 + bits.TrailingZeros64(word)
-				word &= word - 1
-				l := b.lanes[i]
-				live = true
-				if l.stepper.Step() {
-					if err := retire(l); err != nil {
-						return err
-					}
-					continue
-				}
-				l.steps++
-				if b.cfg.EvictAfter > 0 && l.steps >= b.cfg.EvictAfter {
-					// Evict: the lane has outlived the horizon (almost
-					// always a hung run burning its budget). Finish it
-					// outside the lockstep loop so the loop stays full;
-					// the outcome is the same stepper's, hence identical.
-					l.stepper.Finish()
-					if err := retire(l); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		if !live {
-			return nil
-		}
-	}
+	return nil
 }

@@ -14,7 +14,7 @@ var lineWords = []isa.Word{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3}
 
 // buildLine returns a src -> sink fabric, the toy topology the batch
 // tests drive under per-run fault plans (seeds change dynamic behavior
-// per run, so lanes genuinely diverge and retire out of order).
+// per run, so each re-armed lane starts from a different run's state).
 func buildLine() (*fabric.Fabric, *fabric.Sink) {
 	f := fabric.New(fabric.DefaultConfig())
 	src := fabric.NewWordSource("src", lineWords, true)
@@ -63,9 +63,9 @@ type batchLane struct {
 	inj *faults.Injector
 }
 
-func newLineBatch(t *testing.T, lanes int, budget, evictAfter int64) *Batch {
+func newLineBatch(t *testing.T, lanes int, budget int64) *Batch {
 	t.Helper()
-	b, err := New(Config{Lanes: lanes, MaxCycles: budget, EvictAfter: evictAfter},
+	b, err := New(Config{Lanes: lanes, MaxCycles: budget},
 		func(lane int) (*fabric.Fabric, any, error) {
 			f, snk := buildLine()
 			return f, &batchLane{snk: snk}, nil
@@ -129,14 +129,14 @@ func diffOutcomes(t *testing.T, got, want []outcome, label string) {
 	}
 }
 
-// TestBatchMatchesSerial: lockstep execution over reused lanes must
-// reproduce fresh-instance serial runs exactly — results, errors
-// (including deadlocks from dropped EODs), tokens and injection counts
-// — with more runs than lanes so lanes refill out of order.
+// TestBatchMatchesSerial: execution over reused lanes must reproduce
+// fresh-instance serial runs exactly — results, errors (including
+// deadlocks from dropped EODs), tokens and injection counts — with more
+// runs than lanes so every lane is re-armed after a different run.
 func TestBatchMatchesSerial(t *testing.T) {
 	const runs, budget = 13, 10_000
 	want := serialOutcomes(t, runs, budget)
-	b := newLineBatch(t, 4, budget, 0)
+	b := newLineBatch(t, 4, budget)
 	got := batchOutcomes(t, b, runs)
 	diffOutcomes(t, got, want, "batch")
 
@@ -146,24 +146,12 @@ func TestBatchMatchesSerial(t *testing.T) {
 	diffOutcomes(t, again, want, "batch reuse")
 }
 
-// TestBatchEvictionIdentical: an absurdly tight eviction horizon (every
-// run evicted after 3 lockstep cycles, finished serially) must not
-// change a single outcome — eviction is scheduling, never results.
-func TestBatchEvictionIdentical(t *testing.T) {
-	const runs, budget = 13, 10_000
-	want := serialOutcomes(t, runs, budget)
-	b := newLineBatch(t, 4, budget, 3)
-	got := batchOutcomes(t, b, runs)
-	diffOutcomes(t, got, want, "evicted batch")
-}
-
 // TestBatchBookkeeping: every run is armed exactly once and retired
-// exactly once, lanes stay within range, the active mask drains to
-// zero, and a batch wider than the run count leaves the extra lanes
-// idle.
+// exactly once, lanes stay within range, and a batch wider than the run
+// count leaves the extra lanes idle.
 func TestBatchBookkeeping(t *testing.T) {
 	const runs, lanes = 5, 8
-	b := newLineBatch(t, lanes, 10_000, 0)
+	b := newLineBatch(t, lanes, 10_000)
 	armed := make([]int, runs)
 	retired := make([]int, runs)
 	arm := func(l *Lane, run int) error {
@@ -198,11 +186,6 @@ func TestBatchBookkeeping(t *testing.T) {
 			t.Errorf("run %d: armed %d times, retired %d times, want 1/1", r, armed[r], retired[r])
 		}
 	}
-	for w, word := range b.ActiveMask() {
-		if word != 0 {
-			t.Errorf("active mask word %d = %#x after Run, want 0", w, word)
-		}
-	}
 	if got := b.Lanes(); got != lanes {
 		t.Errorf("Lanes() = %d, want %d", got, lanes)
 	}
@@ -211,9 +194,9 @@ func TestBatchBookkeeping(t *testing.T) {
 // TestBatchStepAllocationFree extends the simulator's allocation gates
 // to the batched steady-state step path: once every lane has run a
 // campaign (buffers grown, injector attached, compiled state warm), an
-// entire further campaign — arm via Reset+Rearm, lockstep stepping,
-// retirement, refill — performs zero heap allocations. This is the
-// pooled-lane contract: batching adds no per-cycle or per-run garbage.
+// entire further campaign — arm via Reset+Rearm, stepping, the done
+// callback — performs zero heap allocations. This is the pooled-lane
+// contract: batching adds no per-cycle or per-run garbage.
 func TestBatchStepAllocationFree(t *testing.T) {
 	const runs, budget = 9, 10_000
 	// Jitter and flips only: every run completes. Drops would deadlock
@@ -222,7 +205,7 @@ func TestBatchStepAllocationFree(t *testing.T) {
 	gatePlan := func(run int) faults.Plan {
 		return faults.Plan{Seed: 7000 + int64(run), JitterRate: 0.4, JitterMax: 5, FlipRate: 0.1}
 	}
-	b := newLineBatch(t, 3, budget, 0)
+	b := newLineBatch(t, 3, budget)
 	arm := func(l *Lane, run int) error {
 		bl := l.Payload.(*batchLane)
 		if bl.inj == nil {

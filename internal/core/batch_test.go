@@ -9,15 +9,15 @@ import (
 	"tia/internal/workloads"
 )
 
-// TestBatchedCampaignDifferential is the batched-execution contract:
-// for every kernel, a batched data campaign and a batched timing
-// campaign must produce reports bit-identical to the serial runners —
-// the same per-run records (outcome, cycles, injected counts, detail
+// TestBatchedCampaignDifferential is the reused-instance contract: for
+// every kernel, a batched data campaign and a batched timing campaign
+// must produce reports bit-identical to the fresh-build serial runners
+// — the same per-run records (outcome, cycles, injected counts, detail
 // strings), the same taxonomy, the same golden anchor. The oracle
 // timing arm runs the interpreter under dense stepping against the
-// compiled serial runs, so batching and dispatch answer to one
+// compiled serial runs, so instance reuse and dispatch answer to one
 // reference. Run under -race in `make batch-smoke` this also shakes out
-// any accidental sharing between lanes.
+// any state one run leaks into the next.
 func TestBatchedCampaignDifferential(t *testing.T) {
 	ctx := context.Background()
 	for _, spec := range workloads.All() {
@@ -25,7 +25,7 @@ func TestBatchedCampaignDifferential(t *testing.T) {
 		t.Run(spec.Name, func(t *testing.T) {
 			p := workloads.Params{Seed: 11, Size: 8}
 			data := faults.Plan{Seed: 9100, FlipRate: 0.01, DropRate: 0.005, DupRate: 0.005}
-			const runs, lanes = 12, 5 // runs not divisible by lanes: exercises refill + tail drain
+			const runs, lanes = 12, 5 // lanes is ignored: every run re-arms one instance
 
 			serial, err := RunDataCampaign(ctx, spec, p, data, runs)
 			if err != nil {
@@ -64,8 +64,8 @@ func TestBatchedCampaignDifferential(t *testing.T) {
 
 // TestBatchedCampaignSmoke pins the batched taxonomy to the exact
 // counts of TestFaultCampaignSmoke: same kernel, same plan, same seeds,
-// executed over 4 lanes. Identical pins, not merely self-consistent —
-// the batched path must reproduce the serial numbers.
+// executed on one reused instance. Identical pins, not merely
+// self-consistent — the batched path must reproduce the serial numbers.
 func TestBatchedCampaignSmoke(t *testing.T) {
 	ctx := context.Background()
 	spec, err := workloads.ByName("mergesort")
@@ -85,8 +85,7 @@ func TestBatchedCampaignSmoke(t *testing.T) {
 }
 
 // A batched timing campaign over a violating plan must report the same
-// lowest-seed violation error the serial runner aborts with, even
-// though the batch retires runs out of order.
+// lowest-seed violation error the serial runner aborts with.
 func TestBatchedTimingViolationMatchesSerial(t *testing.T) {
 	ctx := context.Background()
 	spec, err := workloads.ByName("mergesort")
@@ -106,5 +105,40 @@ func TestBatchedTimingViolationMatchesSerial(t *testing.T) {
 	}
 	if serialErr.Error() != batchErr.Error() {
 		t.Fatalf("errors diverge: serial=%q batch=%q", serialErr, batchErr)
+	}
+}
+
+// TestCampaignBuildsOnce pins what the batched runners amortize: a
+// campaign builds the kernel exactly twice, once for the golden run and
+// once for the instance every faulty run re-arms, whatever lanes says.
+func TestCampaignBuildsOnce(t *testing.T) {
+	ctx := context.Background()
+	base, err := workloads.ByName("mergesort")
+	if err != nil {
+		t.Fatal(err)
+	}
+	builds := 0
+	spec := *base
+	spec.BuildTIA = func(p workloads.Params) (*workloads.Instance, error) {
+		builds++
+		return base.BuildTIA(p)
+	}
+	p := workloads.Params{Seed: 11, Size: 8}
+	const runs = 12
+	for _, lanes := range []int{1, 8, 64} {
+		builds = 0
+		if _, err := RunDataCampaignBatch(ctx, &spec, p, DefaultDataPlan(3), runs, lanes); err != nil {
+			t.Fatalf("data campaign at %d lanes: %v", lanes, err)
+		}
+		if builds != 2 {
+			t.Errorf("data campaign at %d lanes built %d instances, want 2", lanes, builds)
+		}
+		builds = 0
+		if _, err := RunTimingCampaignBatch(ctx, &spec, p, DefaultTimingPlan(3), runs, lanes, false); err != nil {
+			t.Fatalf("timing campaign at %d lanes: %v", lanes, err)
+		}
+		if builds != 2 {
+			t.Errorf("timing campaign at %d lanes built %d instances, want 2", lanes, builds)
+		}
 	}
 }

@@ -148,9 +148,9 @@ func faultyRun(ctx context.Context, spec *workloads.Spec, p workloads.Params, pl
 
 // classifyRun turns one finished faulty run's raw outcome into a
 // FaultRun record. It is the single classification path shared by the
-// serial campaign runners and the batched ones (internal/core batch
-// runners retire lanes through it), which is what makes the batched
-// taxonomy bit-identical to serial by construction.
+// fresh-build campaign runners and the reused-instance ones, which is
+// what makes the reused taxonomy bit-identical to fresh by
+// construction.
 func classifyRun(seed int64, res fabric.Result, err error, injected int64, got, golden []channel.Token) (FaultRun, error) {
 	run := FaultRun{Seed: seed, Cycles: res.Cycles, Injected: injected}
 	if err != nil {
@@ -191,16 +191,27 @@ func classifyTokens(got, want []channel.Token) (FaultOutcome, string) {
 	return OutcomeMasked, ""
 }
 
-// RunTimingCampaign asserts the latency-insensitivity property: `runs`
-// seeded runs under the (timing-only) plan must each produce output
-// byte-identical to the fault-free golden run, under production
-// stepping or, with oracle set, the reference stepping (see setOracle).
-// Plan.To, when unset, is anchored to the golden cycle count so
-// stall/freeze windows land inside the run. The returned report's
-// taxonomy counts every run as masked; any divergence or hang is an
-// error — a broken latency-insensitivity contract, reported loudly.
-func RunTimingCampaign(ctx context.Context, spec *workloads.Spec, p workloads.Params, plan faults.Plan, runs int, oracle bool) (*CampaignReport, error) {
-	if !plan.Timing() {
+// campaign is the state every campaign runner shares once its
+// prologue has run: the normalized params, the plan anchored to the
+// golden run, the faulty-run budget, the golden tokens, and the report
+// the runs are recorded into.
+type campaign struct {
+	spec   *workloads.Spec
+	p      workloads.Params
+	plan   faults.Plan
+	timing bool // every run must be masked (latency insensitivity)
+	oracle bool // reference stepping (see setOracle)
+	budget int64
+	golden []channel.Token
+	rep    *CampaignReport
+}
+
+// beginCampaign is the prologue of every campaign runner: normalize the
+// params, run the golden instance, anchor an unset Plan.To to the
+// golden cycle count so fault windows land inside the run, and size the
+// faulty-run budget. A timing campaign rejects a plan with data faults.
+func beginCampaign(ctx context.Context, spec *workloads.Spec, p workloads.Params, plan faults.Plan, timing, oracle bool) (*campaign, error) {
+	if timing && !plan.Timing() {
 		return nil, fmt.Errorf("%s: timing campaign given a data-fault plan", spec.Name)
 	}
 	p = spec.Normalize(p)
@@ -211,51 +222,79 @@ func RunTimingCampaign(ctx context.Context, spec *workloads.Spec, p workloads.Pa
 	if plan.To <= 0 {
 		plan.To = cycles
 	}
-	rep := &CampaignReport{Workload: spec.Name, Plan: plan, GoldenCycles: cycles}
-	budget := campaignBudget(cycles, spec.MaxCycles(p))
-	base := plan.Seed
+	return &campaign{
+		spec: spec, p: p, plan: plan, timing: timing, oracle: oracle,
+		budget: campaignBudget(cycles, spec.MaxCycles(p)),
+		golden: golden,
+		rep:    &CampaignReport{Workload: spec.Name, Plan: plan, GoldenCycles: cycles},
+	}, nil
+}
+
+// runPlan is the plan of the campaign's run-th faulty run.
+func (c *campaign) runPlan(run int) faults.Plan {
+	plan := c.plan
+	plan.Seed += int64(run)
+	return plan
+}
+
+// record appends one finished run to the report. In a timing campaign a
+// run that is not masked breaks the latency-insensitivity contract and
+// is returned as an error instead.
+func (c *campaign) record(run FaultRun) error {
+	if c.timing && run.Outcome != OutcomeMasked {
+		return fmt.Errorf("%s: latency-insensitivity violated under timing faults (seed %d): %s: %s",
+			c.spec.Name, run.Seed, run.Outcome, run.Detail)
+	}
+	c.rep.FaultRuns = append(c.rep.FaultRuns, run)
+	c.rep.Taxonomy.add(run)
+	return nil
+}
+
+// runFresh executes the campaign's runs serially, each on a fresh build
+// with a fresh Attach. It is the oracle the reused-instance runners are
+// held to.
+func (c *campaign) runFresh(ctx context.Context, runs int) (*CampaignReport, error) {
 	for r := 0; r < runs; r++ {
-		plan.Seed = base + int64(r)
-		run, err := faultyRun(ctx, spec, p, plan, oracle, budget, golden)
+		run, err := faultyRun(ctx, c.spec, c.p, c.runPlan(r), c.oracle, c.budget, c.golden)
 		if err != nil {
 			return nil, err
 		}
-		if run.Outcome != OutcomeMasked {
-			return nil, fmt.Errorf("%s: latency-insensitivity violated under timing faults (seed %d): %s: %s",
-				spec.Name, plan.Seed, run.Outcome, run.Detail)
+		if err := c.record(run); err != nil {
+			return nil, err
 		}
-		rep.FaultRuns = append(rep.FaultRuns, run)
-		rep.Taxonomy.add(run)
 	}
-	return rep, nil
+	return c.rep, nil
+}
+
+// RunTimingCampaign asserts the latency-insensitivity property: `runs`
+// seeded runs under the (timing-only) plan must each produce output
+// byte-identical to the fault-free golden run, under production
+// stepping or, with oracle set, the reference stepping (see setOracle).
+// Plan.To, when unset, is anchored to the golden cycle count so
+// stall/freeze windows land inside the run. The returned report's
+// taxonomy counts every run as masked; any divergence or hang is an
+// error — a broken latency-insensitivity contract, reported loudly.
+// Every run builds a fresh instance: this is the oracle
+// RunTimingCampaignBatch is held to.
+func RunTimingCampaign(ctx context.Context, spec *workloads.Spec, p workloads.Params, plan faults.Plan, runs int, oracle bool) (*CampaignReport, error) {
+	c, err := beginCampaign(ctx, spec, p, plan, true, oracle)
+	if err != nil {
+		return nil, err
+	}
+	return c.runFresh(ctx, runs)
 }
 
 // RunDataCampaign runs `runs` seeded data-fault runs under the plan and
 // classifies each into the masked / detected / SDC / hang taxonomy. The
 // classification is fully deterministic for a fixed plan seed. Plan.To,
-// when unset, is anchored to the golden cycle count.
+// when unset, is anchored to the golden cycle count. Every run builds a
+// fresh instance: this is the oracle RunDataCampaignBatch is held to.
 func RunDataCampaign(ctx context.Context, spec *workloads.Spec, p workloads.Params, plan faults.Plan, runs int) (*CampaignReport, error) {
-	p = spec.Normalize(p)
-	golden, cycles, err := goldenRun(ctx, spec, p, false)
+	c, err := beginCampaign(ctx, spec, p, plan, false, false)
 	if err != nil {
 		return nil, err
 	}
-	if plan.To <= 0 {
-		plan.To = cycles
-	}
-	rep := &CampaignReport{Workload: spec.Name, Plan: plan, GoldenCycles: cycles}
-	budget := campaignBudget(cycles, spec.MaxCycles(p))
-	base := plan.Seed
-	for r := 0; r < runs; r++ {
-		plan.Seed = base + int64(r)
-		run, err := faultyRun(ctx, spec, p, plan, false, budget, golden)
-		if err != nil {
-			return nil, err
-		}
-		rep.FaultRuns = append(rep.FaultRuns, run)
-		rep.Taxonomy.add(run)
-	}
-	return rep, nil
+	return c.runFresh(ctx, runs)
 }
 
 // DefaultTimingPlan is the standard timing-fault campaign: latency

@@ -1,10 +1,8 @@
 // The cycle loop. Stepper.Step simulates exactly one cycle and is the
 // only cycle loop in the package: RunContext is BeginRun followed by
-// Finish, and incremental callers — the batched campaign runner
-// (internal/batchrun) above all, which advances K fabrics in lockstep
-// and finishes a lane that outlives the batch with the same Stepper —
-// drive the identical code path one cycle at a time. Eviction changes
-// scheduling, never results.
+// Finish, and incremental callers — the differential tests that hold
+// one-cycle-at-a-time stepping to RunContext — drive the identical
+// code path one cycle at a time.
 //
 // Two wake policies share the loop:
 //
@@ -226,8 +224,7 @@ func (s *Stepper) epilogue(working, loud bool) bool {
 }
 
 // Finish runs the remaining cycles to the run's end and returns its
-// outcome. This is both how RunContext runs a whole run and how the
-// batch runner retires an evicted lane.
+// outcome. This is how RunContext runs a whole run.
 func (s *Stepper) Finish() (Result, error) {
 	for !s.Step() {
 	}

@@ -50,12 +50,10 @@ type BatchRow struct {
 	Worker string             `json:"worker,omitempty"`
 	Result *service.JobResult `json:"result,omitempty"`
 	Error  *service.JobError  `json:"error,omitempty"`
-	// Cached and Batched mirror the row's Result provenance (served
-	// from the worker's result cache; campaign executed on batched
-	// lanes) at the top level, so sweep consumers can account cache
-	// hits and batched execution without unpacking every payload.
-	Cached  bool `json:"cached,omitempty"`
-	Batched bool `json:"batched,omitempty"`
+	// Cached mirrors the row's Result provenance (served from the
+	// worker's result cache) at the top level, so sweep consumers can
+	// account cache hits without unpacking every payload.
+	Cached bool `json:"cached,omitempty"`
 }
 
 // BatchResult is the buffered (non-streaming) batch response.
@@ -232,7 +230,6 @@ func (c *Coordinator) runBatch(ctx context.Context, runs []service.JobRequest, e
 			} else {
 				row.Result = res
 				row.Cached = res.Cached
-				row.Batched = res.Batched
 			}
 			rows[i] = row
 			if emit != nil {

@@ -121,10 +121,11 @@ type FaultCampaignRequest struct {
 	DropRate float64 `json:"drop_rate,omitempty"`
 	DupRate  float64 `json:"dup_rate,omitempty"`
 
-	// Lanes is the number of batch lanes the campaign's runs execute
-	// across (structure-of-arrays lane reuse; see internal/batchrun).
-	// 0 picks the server default; 1 forces serial execution. Results
-	// are bit-identical either way.
+	// Lanes is accepted and ignored, like JobRequest.Shards. It once set
+	// how many instances a campaign stepped in lockstep; every campaign
+	// now re-arms one instance run after run. The field stays so that
+	// requests from older clients still decode (the server rejects
+	// unknown fields).
 	Lanes int `json:"lanes,omitempty"`
 }
 
@@ -189,13 +190,6 @@ type JobResult struct {
 	// Campaign is the fault-campaign taxonomy, for jobs submitted with
 	// Faults set.
 	Campaign *CampaignSummary `json:"campaign,omitempty"`
-
-	// Batched reports that a campaign's runs executed on batched lanes
-	// (internal/batchrun) rather than one fresh instance per run; Lanes
-	// is the lane count used. Purely provenance: batched results are
-	// bit-identical to serial.
-	Batched bool `json:"batched,omitempty"`
-	Lanes   int  `json:"lanes,omitempty"`
 }
 
 // ErrorKind classifies job failures for programmatic handling.

@@ -16,14 +16,6 @@ const maxCampaignRuns = 256
 // defaultCampaignRuns applies when the request leaves Runs unset.
 const defaultCampaignRuns = 10
 
-// defaultCampaignLanes is the batch width campaigns execute across when
-// the request leaves Lanes unset; maxCampaignLanes caps explicit
-// requests. Lane count never changes results, only amortization.
-const (
-	defaultCampaignLanes = 8
-	maxCampaignLanes     = 64
-)
-
 // planFromRequest translates the wire form into a fault plan.
 func planFromRequest(fc *FaultCampaignRequest) faults.Plan {
 	return faults.Plan{
@@ -65,23 +57,13 @@ func (s *Server) runFaultCampaign(ctx context.Context, id string, req *JobReques
 	if err := plan.Validate(); err != nil {
 		return nil, jobErrorf(ErrBadRequest, "%v", err)
 	}
-	lanes := req.Faults.Lanes
-	if lanes <= 0 {
-		lanes = defaultCampaignLanes
-	}
-	if lanes > maxCampaignLanes {
-		lanes = maxCampaignLanes
-	}
-	if lanes > runs {
-		lanes = runs
-	}
 
 	timing := plan.Timing()
 	var rep *core.CampaignReport
 	if timing {
-		rep, err = core.RunTimingCampaignBatch(ctx, spec, p, plan, runs, lanes, false)
+		rep, err = core.RunTimingCampaignBatch(ctx, spec, p, plan, runs, 1, false)
 	} else {
-		rep, err = core.RunDataCampaignBatch(ctx, spec, p, plan, runs, lanes)
+		rep, err = core.RunDataCampaignBatch(ctx, spec, p, plan, runs, 1)
 	}
 	if err != nil {
 		switch {
@@ -110,8 +92,6 @@ func (s *Server) runFaultCampaign(ctx context.Context, id string, req *JobReques
 		Cycles:    rep.GoldenCycles,
 		Completed: true,
 		Verified:  timing,
-		Batched:   lanes > 1,
-		Lanes:     lanes,
 		Campaign: &CampaignSummary{
 			Runs:         tx.Runs,
 			Masked:       tx.Masked,

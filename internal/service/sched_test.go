@@ -189,8 +189,9 @@ func TestSchedulerFullQueueRejectsBusy(t *testing.T) {
 // TestSchedulerDrain checks that close() lets queued and running jobs
 // finish and that later submissions are refused.
 func TestSchedulerDrain(t *testing.T) {
-	var completed atomic.Int64
+	var entered, completed atomic.Int64
 	run := func(context.Context, string, *JobRequest) (*JobResult, error) {
+		entered.Add(1)
 		time.Sleep(2 * time.Millisecond)
 		completed.Add(1)
 		return &JobResult{}, nil
@@ -208,7 +209,17 @@ func TestSchedulerDrain(t *testing.T) {
 			}
 		}()
 	}
-	time.Sleep(3 * time.Millisecond) // let submissions land, some mid-flight
+	// Drain only once every submission is admitted: queued, running or
+	// done. A job counts in QueueDepth from its enqueue until a worker
+	// takes it, and in entered from then on, so the sum never counts a
+	// job twice and reaches jobs only when all have passed the gate.
+	deadline := time.Now().Add(10 * time.Second)
+	for entered.Load()+m.QueueDepth.Load() < jobs {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d submissions admitted", entered.Load()+m.QueueDepth.Load(), jobs)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
 	s.close()
 	wg.Wait()
 

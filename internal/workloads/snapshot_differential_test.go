@@ -10,6 +10,7 @@ package workloads
 // contract of internal/snapshot + fabric.Snapshot/Restore.
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -125,6 +126,15 @@ func runSnapshotDifferential(t *testing.T, spec *Spec, p Params, pc, dense, comp
 	}
 	if got := c.Fabric.Cycle(); got != mid {
 		t.Fatalf("restored to cycle %d, want %d", got, mid)
+	}
+	// Re-encoding is idempotent: the restored state snapshots to the
+	// very bytes it was restored from.
+	again, err := c.Fabric.Snapshot(fp)
+	if err != nil {
+		t.Fatalf("snapshot after restore: %v", err)
+	}
+	if !bytes.Equal(again, snap) {
+		t.Errorf("snapshot after restore differs from the restored snapshot (%d vs %d bytes)", len(again), len(snap))
 	}
 	resC, errC := c.Fabric.Run(spec.MaxCycles(p) - mid)
 	obsC := snapObserve(c, injC, resC.Cycles, resC.Completed, errC)
