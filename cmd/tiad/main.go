@@ -1,9 +1,9 @@
 // Command tiad is the simulation-as-a-service daemon: a long-running
 // HTTP/JSON server that accepts simulation jobs (a netlist source or a
 // named workload plus configuration overrides), runs them on a bounded
-// job scheduler with content-addressed program/result caches, and
-// answers with cycle counts, per-element statistics, sink tokens and
-// optional Chrome traces. Workload jobs can instead request a seeded
+// job scheduler with a content-addressed result cache, and answers
+// with cycle counts, per-element statistics, sink tokens and optional
+// Chrome traces. Workload jobs can instead request a seeded
 // fault-injection campaign (the "faults" job option): the result then
 // carries the masked/detected/SDC/hang taxonomy and /metrics exports
 // the injected/detected/silent outcome counters. See internal/service
@@ -24,17 +24,16 @@
 // Usage:
 //
 //	tiad [-addr :8080] [-workers N] [-queue N] [-result-cache N]
-//	     [-program-cache N] [-max-cycles N] [-check-every N]
-//	     [-drain-timeout D] [-journal FILE] [-snapshot-dir DIR]
-//	     [-checkpoint-every N]
+//	     [-max-cycles N] [-drain-timeout D] [-journal FILE]
+//	     [-snapshot-dir DIR] [-checkpoint-every N]
 //	     [-max-elements N] [-max-channel-tokens N]
 //	     [-max-scratchpad-words N] [-max-cost-words N]
 //	     [-server-cost-budget N]
 //
-// Triggered PEs run compiled (internal/compile), bit-identical to the
-// interpreter; compiled plans are cached process-wide by assembled-form
-// fingerprint. The request field "compiled", which once opted into
-// compiled stepping, is accepted and ignored.
+// Every netlist job parses its own fabric. Triggered PEs run compiled
+// (internal/compile), bit-identical to the interpreter. The request
+// field "compiled", which once opted into compiled stepping, is
+// accepted and ignored.
 //
 // With -journal, every accepted job is recorded in a crash-safe
 // write-ahead journal before it runs, long workload runs persist
@@ -97,9 +96,7 @@ func main() {
 	workers := flag.Int("workers", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "job queue capacity (0 = 4x workers)")
 	resultCache := flag.Int("result-cache", 1024, "completed-result cache entries")
-	programCache := flag.Int("program-cache", 128, "assembled-program cache entries")
 	maxCycles := flag.Int64("max-cycles", 100_000_000, "hard per-job cycle ceiling")
-	checkEvery := flag.Int("check-every", 1024, "cycles between cancellation checks")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
 	journal := flag.String("journal", "", "job journal path (enables crash-safe durability)")
 	snapshotDir := flag.String("snapshot-dir", "", "checkpoint snapshot directory (default <journal>.snapshots)")
@@ -141,9 +138,7 @@ func main() {
 	cfg.Workers = *workers
 	cfg.QueueCap = *queue
 	cfg.ResultCacheEntries = *resultCache
-	cfg.ProgramCacheEntries = *programCache
 	cfg.MaxCyclesCap = *maxCycles
-	cfg.CancelCheckInterval = *checkEvery
 	cfg.JournalPath = *journal
 	cfg.SnapshotDir = *snapshotDir
 	cfg.CheckpointEvery = *checkpointEvery

@@ -94,8 +94,7 @@ func TestFingerprintStable(t *testing.T) {
 // assembled state that FormatTIA does not render, so the fingerprint
 // records must carry them explicitly. Netlists whose PE programs differ
 // only in a `reg r = v` or `pred p = 1` declaration simulate differently
-// and must not collide in the content-addressed caches (result cache,
-// compiled-plan cache).
+// and must not collide in the content-addressed result cache.
 func TestFingerprintCoversInitializers(t *testing.T) {
 	const tmpl = `
 source a : 1 3 5 eod

@@ -38,22 +38,35 @@
 // contributes observable InputStall/OutputStall accounting, so it must
 // stay in the dispatch loop even if its channels can never fill.
 //
-// Plans are pure data — no channel pointers, no simulator state — so
-// they are shared across PE instances and cached content-addressed (see
-// Analyzed): the cache key is a digest of the architectural config, the
-// assembled instruction stream, and the values of the registers and
-// predicates proven constant. Two netlists that assemble to the same
-// form share one plan no matter how their sources differ cosmetically.
+// Plans are pure data — no channel pointers, no simulator state. They
+// are not cached: Analyze is one linear pass over the program, cheaper
+// than digesting the program to look a plan up would be, so every PE
+// analyzes its own program when it first compiles.
 package compile
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"tia/internal/isa"
 )
+
+var analyses atomic.Int64
+
+// CacheStats counts plan analyses, for the benchmark's compile.plan_*
+// rows.
+type CacheStats struct {
+	// Hits is always 0: plans are not cached.
+	Hits int64
+	// Misses counts Analyze calls, one per analyzed program.
+	Misses int64
+}
+
+// Counters returns the process-wide analysis count.
+func Counters() CacheStats {
+	return CacheStats{Misses: analyses.Load()}
+}
 
 // Inst is the residual form of one live instruction.
 type Inst struct {
@@ -88,8 +101,6 @@ type Plan struct {
 	// instruction ever writes (the constancy base of the rules above).
 	ConstRegs  uint64
 	ConstPreds uint64
-	// Key is the content digest this plan is cached under.
-	Key string
 }
 
 // writeSets returns the union of register and predicate write masks over
@@ -127,18 +138,9 @@ func constMasks(cfg isa.Config, prog []isa.Instruction) (regs, preds uint64) {
 // never-written registers and predicates influence the plan, so any
 // reachable mid-run state of the same program yields the same plan.
 func Analyze(cfg isa.Config, prog []isa.Instruction, regs []isa.Word, preds uint64) *Plan {
+	analyses.Add(1)
 	constRegs, constPreds := constMasks(cfg, prog)
-	key := planKey(cfg, prog, regs, preds, constRegs, constPreds)
-	return analyze(cfg, prog, regs, preds, constRegs, constPreds, key)
-}
-
-func analyze(cfg isa.Config, prog []isa.Instruction, regs []isa.Word, preds uint64,
-	constRegs, constPreds uint64, key string) *Plan {
-	p := &Plan{
-		ConstRegs:  constRegs,
-		ConstPreds: constPreds,
-		Key:        key,
-	}
+	p := &Plan{ConstRegs: constRegs, ConstPreds: constPreds}
 	for i := range prog {
 		in := &prog[i]
 		ri := Inst{Index: i}
@@ -192,35 +194,6 @@ func analyze(cfg isa.Config, prog []isa.Instruction, regs []isa.Word, preds uint
 		p.Live = append(p.Live, ri)
 	}
 	return p
-}
-
-// planKey digests everything a plan can depend on: the architectural
-// config, the assembled instruction stream, and the values of the
-// registers/predicates proven constant. Written state is deliberately
-// excluded — plans are independent of it — so programs differing only in
-// the initial value of a written register share a cache entry.
-func planKey(cfg isa.Config, prog []isa.Instruction, regs []isa.Word, preds uint64,
-	constRegs, constPreds uint64) string {
-	h := sha256.New()
-	var scratch [8]byte
-	writeInt := func(v uint64) {
-		binary.LittleEndian.PutUint64(scratch[:], v)
-		h.Write(scratch[:])
-	}
-	fmt.Fprintf(h, "cfg %d %d %d %d %d %d\n",
-		cfg.NumRegs, cfg.NumPreds, cfg.NumIn, cfg.NumOut, cfg.MaxInsts, cfg.MaxTag)
-	for i := range prog {
-		fmt.Fprintf(h, "%d %s\n", i, prog[i].String())
-	}
-	writeInt(constRegs)
-	for r := 0; r < cfg.NumRegs; r++ {
-		if constRegs&(1<<uint(r)) != 0 {
-			writeInt(uint64(regs[r]))
-		}
-	}
-	writeInt(constPreds)
-	writeInt(preds & constPreds)
-	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
 // Stats summarizes how much of a program the partial evaluator resolved.

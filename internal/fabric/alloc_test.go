@@ -153,13 +153,12 @@ func TestCompiledDenseRunAllocationFree(t *testing.T) {
 
 // TestCompileStepAllocationBounded gates the one-time cost of
 // compilation itself: rebuilding a PE's step closure (forced here by a
-// state poke that bumps its compile generation; the analysis plan stays
-// cached in internal/compile's content-addressed cache) is a bounded
-// constant — closure captures and the per-instruction dispatch rows —
-// not proportional to anything a run does.
+// state poke that bumps its compile generation) is a bounded constant —
+// the plan analysis, closure captures and the per-instruction dispatch
+// rows — not proportional to anything a run does.
 func TestCompileStepAllocationBounded(t *testing.T) {
 	f, merges := buildCycleFabricPEs(t)
-	runToCompletion(t, f) // populates the plan cache for the merge pool
+	runToCompletion(t, f)
 	avg := testing.AllocsPerRun(5, func() {
 		for _, m := range merges {
 			m.SetReg(0, m.Reg(0)) // invalidates the cached closure only
@@ -168,11 +167,9 @@ func TestCompileStepAllocationBounded(t *testing.T) {
 			}
 		}
 	})
-	// ~170 allocs today: the plan-cache key digest (rendered
-	// instructions + sha256) plus closure captures and dispatch rows.
-	// The slack absorbs key-digest tweaks; a regression to re-analyzing
-	// on every compile (plan-cache bypass) or anything proportional to
-	// run or input size blows through it.
+	// ~50 allocs today: the plan analysis, closure captures and dispatch
+	// rows. The slack absorbs changes to the analysis or the closures;
+	// anything proportional to run or input size blows through it.
 	const perCompile = 256
 	if bound := float64(len(merges) * perCompile); avg > bound {
 		t.Errorf("recompiling %d merge pools: %.1f allocs/run, want <= %.0f (bounded one-time compile cost)",

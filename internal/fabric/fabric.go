@@ -240,15 +240,6 @@ func New(cfg Config) *Fabric {
 // Config returns the fabric's defaults.
 func (f *Fabric) Config() Config { return f.cfg }
 
-// SetCancelCheckInterval overrides Config.CancelCheckInterval on an
-// already-built fabric (e.g. one assembled from a netlist, whose config
-// the builder owns). Values below 1 are ignored.
-func (f *Fabric) SetCancelCheckInterval(n int) {
-	if n >= 1 {
-		f.cfg.CancelCheckInterval = n
-	}
-}
-
 // stepCompiler is the optional element interface behind compiled
 // dispatch: CompileStep returns a step function with Step's exact
 // observable semantics, specialized to the element's current program

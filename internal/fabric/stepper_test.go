@@ -262,7 +262,7 @@ func TestExitPaths(t *testing.T) {
 					var cancel context.CancelFunc
 					ctx, cancel = context.WithCancel(ctx)
 					cancel()
-					f.SetCancelCheckInterval(100)
+					f.cfg.CancelCheckInterval = 100
 				}
 				ckpts := 0
 				f.SetCheckpoint(30, func(cycle int64) error {

@@ -58,7 +58,6 @@ func newSoakWorker(t *testing.T, dir string, i int) *soakWorker {
 	t.Helper()
 	cfg := service.DefaultConfig()
 	cfg.Workers = 2
-	cfg.CancelCheckInterval = 64
 	cfg.JournalPath = filepath.Join(dir, fmt.Sprintf("w%d.wal", i))
 	cfg.CheckpointEvery = 50_000
 	svc, err := service.New(cfg)

@@ -82,7 +82,6 @@ func newTestWorker(t *testing.T, mutate func(*service.Config)) *testWorker {
 	t.Helper()
 	cfg := service.DefaultConfig()
 	cfg.Workers = 2
-	cfg.CancelCheckInterval = 64
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -200,9 +199,8 @@ func TestFleetAffinityAndCache(t *testing.T) {
 	for _, w := range workers {
 		hits += w.svc.Metrics().ResultHits.Load()
 	}
-	// Run 2 hits the result cache; the cosmetic run hits at least the
-	// program cache and, sharing the assembled fingerprint, the result
-	// cache too.
+	// Run 2 hits the result cache; the cosmetic run, sharing the
+	// assembled fingerprint, hits it too.
 	if hits < 2 {
 		t.Errorf("fleet-wide result cache hits = %d, want >= 2", hits)
 	}

@@ -10,6 +10,7 @@ package gen
 // pins a deterministic seed sweep into the ordinary test suite.
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"strings"
@@ -133,6 +134,16 @@ func differential(t *testing.T, src string) {
 	c := parse(t, src)
 	if err := c.Fabric.Restore(snap, c.Fingerprint()); err != nil {
 		t.Fatalf("restore into a fresh parse: %v", err)
+	}
+	// Re-encoding is idempotent: the restored state snapshots to the
+	// same bytes.
+	again, err := c.Fabric.Snapshot(fp)
+	if err != nil {
+		t.Fatalf("snapshot after restore: %v", err)
+	}
+	if !bytes.Equal(again, snap) {
+		t.Fatalf("snapshot after restore differs from the restored snapshot (%d vs %d bytes)\nnetlist:\n%s",
+			len(again), len(snap), src)
 	}
 	resC, errC := c.Fabric.Run(fuzzMaxCycles - mid)
 	if got := observe(c, resC.Cycles, resC.Completed, errC); !reflect.DeepEqual(ref, got) {

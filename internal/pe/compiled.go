@@ -73,7 +73,7 @@ func (p *PE) CompileStep() func(cycle int64) bool {
 // buildCompiledStep constructs the specialized step function: the
 // analyzed plan's live instructions, compiled into one dispatch loop.
 func (p *PE) buildCompiledStep() func(cycle int64) bool {
-	plan := compile.Analyzed(p.cfg, p.Program(), p.regs, p.predBits)
+	plan := compile.Analyze(p.cfg, p.Program(), p.regs, p.predBits)
 	return p.compileScan(plan.Live)
 }
 

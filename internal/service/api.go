@@ -5,11 +5,12 @@
 // statistics, sink tokens and optional Chrome traces.
 //
 // The package amortizes the simulator's speed across many concurrent
-// requests with two content-addressed caches (assembled programs and
-// completed results, keyed by stable hashes of the assembled form — see
-// internal/asm), plumbs per-job deadlines and cancellation from the HTTP
-// request down into the fabric stepping loop (fabric.RunContext), and
-// exposes health and Prometheus-text metrics endpoints. Shutdown is
+// requests with one content-addressed cache of completed results, keyed
+// by a stable hash of the assembled form (see internal/asm); every
+// netlist job parses its own fabric. It plumbs per-job deadlines and
+// cancellation from the HTTP request down into the fabric stepping loop
+// (fabric.RunContext), and exposes health and Prometheus-text metrics
+// endpoints. Shutdown is
 // graceful: new jobs are rejected while in-flight jobs drain.
 package service
 

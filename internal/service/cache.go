@@ -5,10 +5,8 @@ import (
 	"sync"
 )
 
-// cache is a bounded LRU keyed by content hash. Both the assembled-
-// program cache and the completed-result cache are instances of it; hit
-// and miss counters are reported by the caller so each instance feeds
-// its own metrics.
+// cache is a bounded LRU keyed by content hash: the completed-result
+// cache. Hit and miss counters are reported by the caller.
 type cache struct {
 	mu    sync.Mutex
 	max   int
@@ -57,11 +55,4 @@ func (c *cache) put(key string, val any) {
 		c.order.Remove(last)
 		delete(c.items, last.Value.(*cacheEntry).key)
 	}
-}
-
-// len reports the current entry count.
-func (c *cache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.items)
 }

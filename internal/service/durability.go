@@ -212,7 +212,7 @@ type pendingJob struct {
 	snapFile string
 }
 
-// recoverFromJournal folds replayed records into the caches and
+// recoverFromJournal folds replayed records into the result cache and
 // re-enqueues every unfinished job in the background. Completed records
 // repopulate the content-addressed result cache so a restarted daemon
 // serves finished work without re-simulating; the job sequence resumes

@@ -22,7 +22,6 @@ import (
 func durableConfig(dir string) Config {
 	cfg := DefaultConfig()
 	cfg.Workers = 2
-	cfg.CancelCheckInterval = 64
 	cfg.JournalPath = filepath.Join(dir, "jobs.journal")
 	return cfg
 }
@@ -47,7 +46,6 @@ func baselineRun(t *testing.T, req *JobRequest) *JobResult {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Workers = 2
-	cfg.CancelCheckInterval = 64
 	svc := mustNew(t, cfg)
 	defer svc.Drain()
 	res, err := svc.Submit(context.Background(), req)

@@ -113,18 +113,14 @@ func TestResourceGovernorE2E(t *testing.T) {
 	}
 }
 
-// TestGovernorCacheHitReadmission pins that program-cache hits still go
-// through admission: the second submission of a cached over-budget
-// program must be rejected exactly like the first.
+// TestGovernorCacheHitReadmission pins that every submission is
+// admitted: a repeat of an over-budget source is parsed and
+// cost-modeled again, and rejected exactly like the first.
 func TestGovernorCacheHitReadmission(t *testing.T) {
 	src, err := os.ReadFile("testdata/hostile/over-budget.tia")
 	if err != nil {
 		t.Fatalf("read over-budget.tia: %v", err)
 	}
-	// First parse+cache the program on a server with room, then shrink
-	// the budget via a fresh server — caches are per-server, so instead
-	// submit twice against the limited server: both must 422, proving
-	// the cache-hit path re-admits rather than bypassing the governor.
 	svc := newServer(t, hostileConfig())
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sync/atomic"
-
-	"tia/internal/compile"
 )
 
 // Metrics aggregates the daemon's operational counters. All fields are
@@ -24,8 +22,12 @@ type Metrics struct {
 	SnapshotExports atomic.Int64 // checkpoint snapshots served to migrators
 	StatusLookups   atomic.Int64 // GET /v1/jobs/{id} answers
 
-	ResultHits    atomic.Int64
-	ResultMisses  atomic.Int64
+	ResultHits   atomic.Int64
+	ResultMisses atomic.Int64
+	// ProgramHits and ProgramMisses feed the benchmark's
+	// service.program_* rows. Every netlist job parses its own fabric,
+	// so ProgramMisses counts netlist parses and ProgramHits stays 0.
+	// Neither is exported on /metrics.
 	ProgramHits   atomic.Int64
 	ProgramMisses atomic.Int64
 
@@ -73,11 +75,6 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	counter("tia_status_lookups_total", "Job status lookups answered.", m.StatusLookups.Load())
 	counter("tia_result_cache_hits_total", "Completed-result cache hits.", m.ResultHits.Load())
 	counter("tia_result_cache_misses_total", "Completed-result cache misses.", m.ResultMisses.Load())
-	counter("tia_program_cache_hits_total", "Assembled-program cache hits.", m.ProgramHits.Load())
-	counter("tia_program_cache_misses_total", "Assembled-program cache misses.", m.ProgramMisses.Load())
-	cc := compile.Counters()
-	counter("tia_compile_cache_hits_total", "Compiled-plan cache hits (process-wide, see internal/compile).", cc.Hits)
-	counter("tia_compile_cache_misses_total", "Compiled-plan cache misses (process-wide, see internal/compile).", cc.Misses)
 	gauge("tia_job_queue_depth", "Jobs submitted but not yet executing.", m.QueueDepth.Load())
 	gauge("tia_jobs_running", "Jobs executing right now.", m.Running.Load())
 	counter("tia_cycles_simulated_total", "Fabric cycles simulated across all jobs.", m.CyclesSimulated.Load())

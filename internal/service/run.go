@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"tia/internal/asm"
@@ -21,18 +20,6 @@ import (
 	"tia/internal/trace"
 	"tia/internal/workloads"
 )
-
-// cachedProgram is one assembled netlist held by the program cache. A
-// netlist owns mutable fabric state, so reuse is serialized by mu and
-// every run starts from Reset; simulations are deterministic, so a reset
-// rerun is bit-identical to a fresh parse (asserted by tests). The
-// census is kept so cache hits still pass resource admission per job.
-type cachedProgram struct {
-	mu          sync.Mutex
-	nl          *asm.Netlist
-	fingerprint string
-	census      asm.Census
-}
 
 // resultKey is the canonical content-address of a job result: every
 // field that can change the response payload. Hashing its JSON encoding
@@ -61,11 +48,11 @@ func (k resultKey) hash() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// runJob executes one job: resolve the program (through the assembled-
-// program cache for netlists), consult the completed-result cache, and
-// only simulate on a miss. ctx carries the job's deadline/cancellation
-// all the way into the fabric stepping loop; id is the journaled job
-// identity (checkpoints and resume snapshots are keyed by it).
+// runJob executes one job: build or parse the program, consult the
+// completed-result cache, and only simulate on a miss. ctx carries the
+// job's deadline/cancellation all the way into the fabric stepping
+// loop; id is the journaled job identity (checkpoints and resume
+// snapshots are keyed by it).
 func (s *Server) runJob(ctx context.Context, id string, req *JobRequest) (*JobResult, error) {
 	if req.MaxCycles < 0 {
 		// Submit rejects this at the boundary; guard replayed or embedded
@@ -174,7 +161,6 @@ func (s *Server) runWorkloadJob(ctx context.Context, id string, req *JobRequest)
 	if err != nil {
 		return nil, jobErrorf(ErrCompile, "build %s: %v", spec.Name, err)
 	}
-	inst.Fabric.SetCancelCheckInterval(s.cfg.CancelCheckInterval)
 	fp := ""
 	for _, pr := range inst.PEs {
 		fp += asm.HashTIAProgram(pr.Program())
@@ -243,49 +229,29 @@ func (s *Server) runWorkloadJob(ctx context.Context, id string, req *JobRequest)
 	return res, nil
 }
 
-// runNetlistJob parses (or reuses) a netlist and simulates it. Assembled
-// netlists are cached by source hash; reuse resets the fabric, which
-// restores sources, scratchpad images and PE state, so a rerun is
-// bit-identical to a fresh parse.
+// runNetlistJob parses a netlist and simulates it. Every job parses its
+// own fabric, so no simulator state is shared between jobs; the parse
+// passes governor admission before any element is built.
 func (s *Server) runNetlistJob(ctx context.Context, id string, req *JobRequest) (*JobResult, error) {
-	srcHash := hashString(req.Netlist)
-	var prog *cachedProgram
+	s.metrics.ProgramMisses.Add(1)
 	var release func()
-	if v, ok := s.programs.get(srcHash); ok {
-		s.metrics.ProgramHits.Add(1)
-		prog = v.(*cachedProgram)
-		// The governor budgets live jobs, not cached programs: a cache
-		// hit still reserves the job's modeled footprint.
-		var aerr error
-		release, aerr = s.governor.Admit(prog.census)
-		if aerr != nil {
+	nl, err := asm.ParseNetlistAdmit(req.Netlist, isa.DefaultConfig(), pcpe.DefaultConfig(),
+		func(c asm.Census) error {
+			var aerr error
+			release, aerr = s.governor.Admit(c)
+			return aerr
+		})
+	if err != nil {
+		if release != nil {
+			release() // admission passed but construction failed
+		}
+		if limits.IsResourceLimit(err) {
 			s.metrics.JobsRejectedResource.Add(1)
-			return nil, jobErrorf(ErrResourceLimit, "%v", aerr)
+			return nil, jobErrorf(ErrResourceLimit, "%v", err)
 		}
-	} else {
-		s.metrics.ProgramMisses.Add(1)
-		var census asm.Census
-		nl, err := asm.ParseNetlistAdmit(req.Netlist, isa.DefaultConfig(), pcpe.DefaultConfig(),
-			func(c asm.Census) error {
-				census = c
-				var aerr error
-				release, aerr = s.governor.Admit(c)
-				return aerr
-			})
-		if err != nil {
-			if release != nil {
-				release() // admission passed but construction failed
-			}
-			if limits.IsResourceLimit(err) {
-				s.metrics.JobsRejectedResource.Add(1)
-				return nil, jobErrorf(ErrResourceLimit, "%v", err)
-			}
-			// Validation failures are the client's malformed input, not a
-			// compiler defect: typed bad_request, deterministic for failover.
-			return nil, jobErrorf(ErrBadRequest, "%v", err)
-		}
-		prog = &cachedProgram{nl: nl, fingerprint: nl.Fingerprint(), census: census}
-		s.programs.put(srcHash, prog)
+		// Validation failures are the client's malformed input, not a
+		// compiler defect: typed bad_request, deterministic for failover.
+		return nil, jobErrorf(ErrBadRequest, "%v", err)
 	}
 	defer release()
 
@@ -295,45 +261,29 @@ func (s *Server) runNetlistJob(ctx context.Context, id string, req *JobRequest) 
 	}
 	budget = min(budget, s.cfg.MaxCyclesCap)
 
-	key := resultKey{Kind: "netlist", Fingerprint: prog.fingerprint, MaxCycles: budget, Trace: req.Trace}
+	fp := nl.Fingerprint()
+	key := resultKey{Kind: "netlist", Fingerprint: fp, MaxCycles: budget, Trace: req.Trace}
 	keyHash := key.hash()
 	if res, ok := s.lookupResult(keyHash, req.NoCache); ok {
 		return res, nil
 	}
 
-	// One simulation at a time per cached netlist; distinct netlists
-	// still run concurrently across workers.
-	prog.mu.Lock()
-	defer prog.mu.Unlock()
-	nl := prog.nl
-	nl.Fabric.Reset()
-	nl.Fabric.SetCancelCheckInterval(s.cfg.CancelCheckInterval)
-
 	var rec *trace.Recorder
 	if req.Trace {
 		rec = trace.New(s.cfg.TraceEventLimit)
 		for _, pr := range nl.PEs {
-			pr.Trace = nil // drop hooks chained by earlier cache reuses
 			rec.Attach(pr)
 		}
 	}
-	budget = s.restoreOrRestart(id, prog.fingerprint, nl.Fabric, budget)
+	budget = s.restoreOrRestart(id, fp, nl.Fabric, budget)
 	if s.checkpointsOn(req) {
 		nl.Fabric.SetCheckpoint(s.cfg.CheckpointEvery, func(cycle int64) error {
-			return s.writeCheckpoint(id, prog.fingerprint, nl.Fabric, cycle)
+			return s.writeCheckpoint(id, fp, nl.Fabric, cycle)
 		})
-		// The fabric is shared through the program cache: the hook must
-		// not outlive this job and fire under a later job's identity.
-		defer nl.Fabric.SetCheckpoint(0, nil)
 	}
 	start, startCycle := time.Now(), nl.Fabric.Cycle()
 	runRes, err := nl.Fabric.RunContext(ctx, budget)
 	s.accountSim(runRes.Cycles-startCycle, time.Since(start))
-	if rec != nil {
-		for _, pr := range nl.PEs {
-			pr.Trace = nil
-		}
-	}
 	if err != nil {
 		return nil, simError(ctx, err, runRes.Cycles)
 	}
@@ -341,7 +291,7 @@ func (s *Server) runNetlistJob(ctx context.Context, id string, req *JobRequest) 
 	res := &JobResult{
 		ID:          id,
 		Key:         keyHash,
-		Fingerprint: prog.fingerprint,
+		Fingerprint: fp,
 		Cycles:      runRes.Cycles,
 		Completed:   runRes.Completed,
 		Sinks:       map[string][]string{},

@@ -25,16 +25,12 @@ type Config struct {
 	// QueueCap bounds jobs waiting for a worker; submissions beyond it
 	// block (backpressure). 0 means 4x workers.
 	QueueCap int
-	// ResultCacheEntries / ProgramCacheEntries bound the caches.
-	ResultCacheEntries  int
-	ProgramCacheEntries int
+	// ResultCacheEntries bounds the completed-result cache.
+	ResultCacheEntries int
 	// DefaultMaxCycles is the netlist-job cycle budget when the request
 	// names none; MaxCyclesCap is the hard per-job ceiling.
 	DefaultMaxCycles int64
 	MaxCyclesCap     int64
-	// CancelCheckInterval is how many simulated cycles pass between
-	// cancellation checks inside the stepping loop.
-	CancelCheckInterval int
 	// TraceEventLimit bounds Chrome-trace captures (0 = unlimited).
 	TraceEventLimit int
 	// MaxRequestBytes bounds the request body.
@@ -63,25 +59,22 @@ type Config struct {
 // DefaultConfig returns production-shaped defaults.
 func DefaultConfig() Config {
 	return Config{
-		Workers:             0, // GOMAXPROCS
-		QueueCap:            0, // 4x workers
-		ResultCacheEntries:  1024,
-		ProgramCacheEntries: 128,
-		DefaultMaxCycles:    1_000_000,
-		MaxCyclesCap:        100_000_000,
-		CancelCheckInterval: 1024,
-		TraceEventLimit:     1 << 20,
-		MaxRequestBytes:     8 << 20,
+		Workers:            0, // GOMAXPROCS
+		QueueCap:           0, // 4x workers
+		ResultCacheEntries: 1024,
+		DefaultMaxCycles:   1_000_000,
+		MaxCyclesCap:       100_000_000,
+		TraceEventLimit:    1 << 20,
+		MaxRequestBytes:    8 << 20,
 	}
 }
 
-// Server is the simulation service: scheduler, caches, metrics and the
-// HTTP handler around them.
+// Server is the simulation service: scheduler, result cache, metrics
+// and the HTTP handler around them.
 type Server struct {
 	cfg      Config
 	metrics  *Metrics
 	results  *cache
-	programs *cache
 	sched    *scheduler
 	tracker  *jobTracker
 	governor *limits.Governor
@@ -114,9 +107,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.ResultCacheEntries <= 0 {
 		cfg.ResultCacheEntries = 1024
 	}
-	if cfg.ProgramCacheEntries <= 0 {
-		cfg.ProgramCacheEntries = 128
-	}
 	if cfg.DefaultMaxCycles <= 0 {
 		cfg.DefaultMaxCycles = 1_000_000
 	}
@@ -135,10 +125,9 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	s := &Server{
-		cfg:      cfg,
-		metrics:  &Metrics{},
-		results:  newCache(cfg.ResultCacheEntries),
-		programs: newCache(cfg.ProgramCacheEntries),
+		cfg:     cfg,
+		metrics: &Metrics{},
+		results: newCache(cfg.ResultCacheEntries),
 	}
 	s.sched = newScheduler(cfg.Workers, cfg.QueueCap, s.metrics, s.runRecorded)
 	s.tracker = newJobTracker(trackedTerminalJobs)

@@ -88,7 +88,6 @@ wire a.0 -> merge.a
 func testConfig() service.Config {
 	cfg := service.DefaultConfig()
 	cfg.Workers = 2
-	cfg.CancelCheckInterval = 64
 	return cfg
 }
 
@@ -191,8 +190,7 @@ func counterValue(t *testing.T, exposition []byte, name string) int64 {
 // TestServerEndToEnd is the acceptance scenario: the dmm workload
 // submitted twice over HTTP (fresh run matching E1, then a cache hit),
 // a 1ms-deadline job that is cancelled without leaking goroutines, a
-// /metrics exposition that reflects all three jobs, and a cold netlist
-// job that consults the compiled-plan cache.
+// and a /metrics exposition that reflects all three jobs.
 func TestServerEndToEnd(t *testing.T) {
 	svc := newServer(t, testConfig())
 	ts := httptest.NewServer(svc.Handler())
@@ -283,29 +281,6 @@ func TestServerEndToEnd(t *testing.T) {
 	if cycles := svc.Metrics().CyclesSimulated.Load(); cycles < 1221 {
 		t.Errorf("tia_cycles_simulated_total = %d, want >= 1221", cycles)
 	}
-
-	// A cold netlist job steps its PEs compiled, so it consults the
-	// process-wide plan cache (a hit or a miss, depending on which plans
-	// earlier jobs in this process compiled).
-	lookups := func() int64 {
-		resp, err := client.Get(ts.URL + "/metrics")
-		if err != nil {
-			t.Fatalf("GET /metrics: %v", err)
-		}
-		defer resp.Body.Close()
-		text, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatalf("read /metrics: %v", err)
-		}
-		return counterValue(t, text, "tia_compile_cache_hits_total") + counterValue(t, text, "tia_compile_cache_misses_total")
-	}
-	before := lookups()
-	if _, _, jerr := postJob(t, client, ts.URL, &service.JobRequest{Netlist: mergeNetlist}); jerr != nil {
-		t.Fatalf("cold netlist job failed: %v", jerr)
-	}
-	if after := lookups(); after <= before {
-		t.Errorf("compiled-plan lookups %d -> %d across a cold netlist job, want a rise", before, after)
-	}
 }
 
 // TestElementSharesSumToOne checks the per-element utilization
@@ -335,9 +310,9 @@ func TestElementSharesSumToOne(t *testing.T) {
 	}
 }
 
-// TestNetlistDeterminism checks the cache contract: a cached result is
-// byte-for-byte identical to a fresh (cache-bypassing) rerun of the
-// same netlist, because fabric reuse resets to the initial image.
+// TestNetlistDeterminism checks the result-cache contract: a cached
+// result is byte-for-byte identical to a fresh (cache-bypassing) rerun
+// of the same netlist.
 func TestNetlistDeterminism(t *testing.T) {
 	svc := newServer(t, testConfig())
 	defer svc.Drain()
@@ -374,7 +349,7 @@ func TestNetlistDeterminism(t *testing.T) {
 		t.Errorf("merge output = %s, want %s", got, want)
 	}
 	if !bytes.Equal(normalize(fresh), normalize(rerun)) {
-		t.Errorf("fresh run and reset rerun diverge:\n%s\n%s", normalize(fresh), normalize(rerun))
+		t.Errorf("fresh run and no-cache rerun diverge:\n%s\n%s", normalize(fresh), normalize(rerun))
 	}
 	if !bytes.Equal(normalize(cached), normalize(rerun)) {
 		t.Errorf("cached result and fresh rerun diverge:\n%s\n%s", normalize(cached), normalize(rerun))
@@ -382,9 +357,8 @@ func TestNetlistDeterminism(t *testing.T) {
 }
 
 // TestFingerprintCosmeticInvariance submits two textually different
-// spellings of the same fabric: the program cache misses twice (keyed
-// by source hash) but the result cache hits, because the assembled-form
-// fingerprint is identical.
+// spellings of the same fabric: both are parsed, but the result cache
+// hits, because the assembled-form fingerprint is identical.
 func TestFingerprintCosmeticInvariance(t *testing.T) {
 	svc := newServer(t, testConfig())
 	defer svc.Drain()
@@ -405,7 +379,7 @@ func TestFingerprintCosmeticInvariance(t *testing.T) {
 	}
 	m := svc.Metrics()
 	if got := m.ProgramMisses.Load(); got != 2 {
-		t.Errorf("ProgramMisses = %d, want 2 (distinct sources)", got)
+		t.Errorf("ProgramMisses = %d, want 2 (one parse per job)", got)
 	}
 	if got := m.ResultHits.Load(); got != 1 {
 		t.Errorf("ResultHits = %d, want 1 (same fingerprint)", got)
