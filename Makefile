@@ -83,9 +83,11 @@ snapshot-smoke:
 # plus a coordinator — cache-affinity routing across resubmission,
 # SIGKILL mid-job with snapshot migration to a survivor (byte-identical
 # completion), and a 64-seed batch fanned out with exactly-once
-# streaming delivery (see internal/fleet/e2e_test.go).
+# streaming delivery (see internal/fleet/e2e_test.go). The routing-key
+# properties ride along: what must and must not change a job's affinity
+# key (see internal/fleet/affinity_test.go).
 fleet-smoke:
-	$(GO) test -race -run 'TestFleetE2E' -count=1 ./internal/fleet
+	$(GO) test -race -run 'TestFleetE2E|TestAffinityKey' -count=1 ./internal/fleet
 
 # Deterministic chaos soak under the race detector: the seeded fault
 # harness's own replay contracts (internal/chaos) plus the fleet-level

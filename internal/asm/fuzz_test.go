@@ -57,7 +57,9 @@ func FuzzParsePC(f *testing.F) {
 // FuzzParseNetlist checks the netlist layer never panics. The shipped
 // example netlists seed the corpus: they exercise every declaration kind
 // (sources, sinks, scratchpads, both PE dialects, wires) through real,
-// runnable programs.
+// runnable programs. Its cosmetic arm prepends a comment line and
+// appends blanks to every line: neither TokenHash nor, for a source that
+// parses, Fingerprint may change.
 func FuzzParseNetlist(f *testing.F) {
 	f.Add(mergeNetlist)
 	f.Add(scratchpadNetlist)
@@ -77,9 +79,20 @@ func FuzzParseNetlist(f *testing.F) {
 		f.Add(string(src))
 	}
 	f.Fuzz(func(t *testing.T, src string) {
+		cosmetic := "// cosmetic\n" + strings.ReplaceAll(src, "\n", " \t\n") + " \t"
+		if TokenHash(cosmetic) != TokenHash(src) {
+			t.Fatalf("comment and trailing blanks changed the token hash of %q", src)
+		}
 		nl, err := ParseNetlist(src, isa.DefaultConfig(), pcpe.DefaultConfig())
 		if err != nil {
 			return
+		}
+		twin, err := ParseNetlist(cosmetic, isa.DefaultConfig(), pcpe.DefaultConfig())
+		if err != nil {
+			t.Fatalf("comment and trailing blanks broke a parsing source: %v\n%q", err, src)
+		}
+		if twin.Fingerprint() != nl.Fingerprint() {
+			t.Fatalf("comment and trailing blanks changed the fingerprint of %q", src)
 		}
 		// Anything that parses must be runnable (possibly to deadlock or
 		// timeout, both of which are errors, not panics).

@@ -41,6 +41,24 @@ func (n *Netlist) Fingerprint() string {
 	return hashString(strings.Join(recs, "\x00"))
 }
 
+// TokenHash returns a stable hex digest of netlist source text at the
+// lexer level: each line loses its // comment, its tokens are rejoined
+// with single spaces, and blank lines are dropped. Comments, blank lines
+// and indentation therefore do not affect it; anything else does,
+// including label renames and declaration order, which Fingerprint
+// ignores. It needs no parse, so it also hashes sources that do not
+// assemble. The fleet routes netlist jobs on it.
+func TokenHash(src string) string {
+	h := sha256.New()
+	for _, line := range strings.Split(src, "\n") {
+		if toks := strings.Fields(stripComment(line)); len(toks) > 0 {
+			h.Write([]byte(strings.Join(toks, " ")))
+			h.Write([]byte{'\n'})
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 func hashString(s string) string {
 	sum := sha256.Sum256([]byte(s))
 	return hex.EncodeToString(sum[:])

@@ -2,6 +2,7 @@ package asm
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"tia/internal/isa"
@@ -135,5 +136,22 @@ func TestHashTIAProgramDistinguishes(t *testing.T) {
 	}
 	if h1 != HashTIAProgram(p1) {
 		t.Error("hash not deterministic")
+	}
+}
+
+// TestTokenHash: comments, blank lines and indentation leave the token
+// hash unchanged; a token edit changes it. It is a lexer-level digest,
+// so declaration reordering (fpCosmetic), which Fingerprint ignores,
+// changes it too.
+func TestTokenHash(t *testing.T) {
+	base := TokenHash(fpBase)
+	respelled := "// a comment line\n\n" + strings.ReplaceAll(fpBase, "\n", "   // note\n\t\n  ")
+	if got := TokenHash(respelled); got != base {
+		t.Errorf("comments and blanks changed the token hash:\n%s\n%s", base, got)
+	}
+	for name, src := range map[string]string{"behavioural": fpChanged, "reordered": fpCosmetic} {
+		if TokenHash(src) == base {
+			t.Errorf("%s edit kept the token hash", name)
+		}
 	}
 }

@@ -8,9 +8,6 @@ import (
 	"sort"
 	"sync"
 
-	"tia/internal/asm"
-	"tia/internal/isa"
-	"tia/internal/pcpe"
 	"tia/internal/service"
 )
 
@@ -101,7 +98,7 @@ func expandBatch(req *BatchRequest, maxRuns int) ([]service.JobRequest, *service
 		// Vet the template once before fanning it out: a netlist that
 		// fails validation would fail identically on every worker.
 		if req.Template.Netlist != "" {
-			if _, err := asm.CheckNetlist(req.Template.Netlist, isa.DefaultConfig(), pcpe.DefaultConfig()); err != nil {
+			if err := service.CheckNetlist(req.Template.Netlist); err != nil {
 				return nil, bad("batch: template netlist: %v", err)
 			}
 		}
@@ -155,13 +152,13 @@ func (c *Coordinator) handleBatches(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, c.cfg.MaxRequestBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		service.WriteError(w, &service.JobError{Kind: service.ErrBadRequest, Message: fmt.Sprintf("decode request: %v", err)})
 		return
 	}
-	runs, jerr := expandBatch(&req, c.cfg.MaxBatchRuns)
+	runs, jerr := expandBatch(&req, maxBatchRuns)
 	if jerr != nil {
 		service.WriteError(w, jerr)
 		return

@@ -4,13 +4,15 @@
 //
 // The paper's triggered-instruction fabrics are distributed ensembles
 // of autonomous workers reacting to readiness events; the fleet applies
-// the same paradigm one level up. Each job's content-addressed affinity
-// key (assembled-form fingerprint plus behaviour-affecting parameters —
-// the same identity the workers' result caches hash) places it on a
-// deterministic consistent-hash ring, so identical jobs always land on
-// the worker that already holds the cached result: the per-worker
+// the same paradigm one level up. Each job's affinity key (the
+// behaviour-affecting fields the workers' result caches hash, with a
+// netlist's source reduced to its lexer-level token hash) places it on
+// a deterministic consistent-hash ring, so identical jobs always land
+// on the worker that already holds the cached result: the per-worker
 // result caches compose into one fleet-wide cache with no cache
-// coherence traffic at all.
+// coherence traffic at all. Routing never parses or builds a job; the
+// only coordinator-side parse vets a batch template once before it fans
+// out.
 //
 // Failures migrate instead of restarting: while a job runs, the
 // coordinator polls the owning worker's checkpoint snapshot
@@ -59,13 +61,11 @@ type Config struct {
 	// Workers lists the tiad base URLs the fleet routes over. Order is
 	// irrelevant to routing (the ring sorts), duplicates are dropped.
 	Workers []string
-	// Replicas is the virtual-node count per worker on the hash ring;
-	// 0 means 64.
-	Replicas int
-	// HeartbeatEvery is the /healthz probe cadence; 0 means 1s.
+	// HeartbeatEvery is the /healthz probe cadence; 0 means 1s. A worker
+	// whose last heartbeat is more than three cadences old, in either
+	// direction (clock skew on a worker that reports a future timestamp
+	// is as disqualifying as a stale one), stops receiving new jobs.
 	HeartbeatEvery time.Duration
-	// ProbeTimeout bounds every health/status/snapshot probe; 0 means 2s.
-	ProbeTimeout time.Duration
 	// PollEvery is how often an in-flight job's checkpoint snapshot is
 	// polled from its worker (the migration stash); 0 means 250ms.
 	PollEvery time.Duration
@@ -84,40 +84,39 @@ type Config struct {
 	// BreakerThreshold is the consecutive-failure count that opens a
 	// worker's circuit breaker; 0 means 3, negative disables breakers.
 	BreakerThreshold int
-	// BreakerCooldown is the first breaker-open period (doubling per
-	// re-open, capped at BreakerMaxCooldown); 0s mean 2s / 30s.
-	BreakerCooldown    time.Duration
-	BreakerMaxCooldown time.Duration
-	// StaleAfter bounds heartbeat age (either direction — clock skew on
-	// a worker that reports a future timestamp is as disqualifying as a
-	// stale one) before a worker stops receiving new jobs; 0 means
-	// 3 × HeartbeatEvery, negative disables the check.
-	StaleAfter time.Duration
 	// BatchConcurrency bounds concurrently routed runs per batch;
 	// 0 means 4 per worker.
 	BatchConcurrency int
-	// MaxBatchRuns bounds one batch request; 0 means 4096.
-	MaxBatchRuns int
-	// MaxRequestBytes bounds request bodies; 0 means 8 MiB.
-	MaxRequestBytes int64
-	// MaxStashBytes caps the migration stash's resident bytes; crossing
-	// it evicts the oldest entries (their jobs migrate by fresh re-run
-	// instead). 0 means 256 MiB, negative disables the cap.
-	MaxStashBytes int64
 	// JournalPath, when set, makes accepted jobs durable: every job is
 	// journaled (internal/wal framing) before routing and marked
 	// terminal after, and a restarted coordinator re-drives the
-	// difference to exactly one terminal state each.
+	// difference to exactly one terminal state each. The migration
+	// stash is then mirrored to JournalPath+".stash", so recovered jobs
+	// resume from their last checkpoint instead of cycle 0.
 	JournalPath string
-	// StashDir, when set (or defaulted to JournalPath+".stash" when
-	// journaling), mirrors the migration stash to disk so recovered
-	// jobs resume from their last checkpoint instead of cycle 0.
-	StashDir string
 	// HTTP is the transport shared by all worker clients; nil means a
 	// client without an overall timeout (submissions stay open for the
 	// whole simulation).
 	HTTP *http.Client
 }
+
+// Fixed serving limits of the coordinator.
+const (
+	// probeTimeout bounds every health, status and snapshot probe.
+	probeTimeout = 2 * time.Second
+	// breakerCooldown is a worker breaker's first open period; each
+	// re-open doubles it, up to breakerMaxCooldown.
+	breakerCooldown    = 2 * time.Second
+	breakerMaxCooldown = 30 * time.Second
+	// maxBatchRuns bounds the runs of one batch request.
+	maxBatchRuns = 4096
+	// maxRequestBytes bounds request bodies.
+	maxRequestBytes = 8 << 20
+	// maxStashBytes caps the migration stash's resident bytes; crossing
+	// it evicts the oldest entries (their jobs migrate by fresh re-run
+	// instead).
+	maxStashBytes = 256 << 20
+)
 
 // Coordinator routes jobs across the fleet and serves the coordinator
 // API: POST /v1/jobs, POST /v1/batches, GET /v1/fleet, GET /healthz,
@@ -127,7 +126,6 @@ type Coordinator struct {
 	metrics *Metrics
 	ring    *ring
 	reg     *Registry
-	fps     *fingerprints
 	stash   *snapStash
 	journal *coordJournal
 	mux     *http.ServeMux
@@ -154,9 +152,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.HeartbeatEvery <= 0 {
 		cfg.HeartbeatEvery = time.Second
 	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = 2 * time.Second
-	}
 	if cfg.PollEvery <= 0 {
 		cfg.PollEvery = 250 * time.Millisecond
 	}
@@ -172,48 +167,23 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.BreakerThreshold == 0 {
 		cfg.BreakerThreshold = 3
 	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = 2 * time.Second
-	}
-	if cfg.BreakerMaxCooldown <= 0 {
-		cfg.BreakerMaxCooldown = 30 * time.Second
-	}
-	if cfg.StaleAfter == 0 {
-		cfg.StaleAfter = 3 * cfg.HeartbeatEvery
-	}
 	if cfg.BatchConcurrency <= 0 {
 		cfg.BatchConcurrency = 4 * len(cfg.Workers)
-	}
-	if cfg.MaxBatchRuns <= 0 {
-		cfg.MaxBatchRuns = 4096
-	}
-	if cfg.MaxRequestBytes <= 0 {
-		cfg.MaxRequestBytes = 8 << 20
-	}
-	if cfg.MaxStashBytes == 0 {
-		cfg.MaxStashBytes = 256 << 20
-	}
-	if cfg.StashDir == "" && cfg.JournalPath != "" {
-		cfg.StashDir = cfg.JournalPath + ".stash"
 	}
 	if cfg.HTTP == nil {
 		cfg.HTTP = &http.Client{}
 	}
 	metrics := &Metrics{}
 	brCfg := breakerConfig{
-		threshold:   cfg.BreakerThreshold,
-		cooldown:    cfg.BreakerCooldown,
-		maxCooldown: cfg.BreakerMaxCooldown,
-		staleAfter:  cfg.StaleAfter,
+		threshold:   max(cfg.BreakerThreshold, 0), // negative disables breakers
+		cooldown:    breakerCooldown,
+		maxCooldown: breakerMaxCooldown,
+		staleAfter:  3 * cfg.HeartbeatEvery,
 	}
-	if brCfg.threshold < 0 {
-		brCfg.threshold = 0 // breakers disabled
-	}
-	if brCfg.staleAfter < 0 {
-		brCfg.staleAfter = 0 // staleness check disabled
-	}
-	if cfg.StashDir != "" {
-		if err := os.MkdirAll(cfg.StashDir, 0o755); err != nil {
+	stashDir := ""
+	if cfg.JournalPath != "" {
+		stashDir = cfg.JournalPath + ".stash"
+		if err := os.MkdirAll(stashDir, 0o755); err != nil {
 			return nil, fmt.Errorf("fleet: stash dir: %w", err)
 		}
 	}
@@ -221,11 +191,10 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg:     cfg,
 		metrics: metrics,
 		reg:     newRegistry(cfg.Workers, cfg.HTTP, brCfg, metrics),
-		fps:     newFingerprints(128),
-		stash:   newSnapStash(cfg.MaxStashBytes, cfg.StashDir, metrics),
+		stash:   newSnapStash(maxStashBytes, stashDir, metrics),
 		stop:    make(chan struct{}),
 	}
-	c.ring = newRing(c.reg.urls(), cfg.Replicas)
+	c.ring = newRing(c.reg.urls())
 	c.mux = http.NewServeMux()
 	c.mux.HandleFunc("POST /v1/jobs", c.handleJobs)
 	c.mux.HandleFunc("POST /v1/batches", c.handleBatches)
@@ -245,7 +214,7 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 
 	probeCtx, cancelProbes := context.WithCancel(context.Background())
-	c.reg.probeAll(probeCtx, cfg.ProbeTimeout)
+	c.reg.probeAll(probeCtx, probeTimeout)
 	c.probing.Add(1)
 	go func() {
 		defer c.probing.Done()
@@ -257,7 +226,7 @@ func New(cfg Config) (*Coordinator, error) {
 			case <-c.stop:
 				return
 			case <-t.C:
-				c.reg.probeAll(probeCtx, cfg.ProbeTimeout)
+				c.reg.probeAll(probeCtx, probeTimeout)
 				c.metrics.Probes.Add(1)
 			}
 		}
@@ -321,7 +290,7 @@ func (c *Coordinator) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req service.JobRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, c.cfg.MaxRequestBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		service.WriteError(w, &service.JobError{Kind: service.ErrBadRequest, Message: fmt.Sprintf("decode request: %v", err)})
@@ -346,14 +315,10 @@ type FleetInfo struct {
 }
 
 func (c *Coordinator) handleFleet(w http.ResponseWriter, _ *http.Request) {
-	replicas := c.cfg.Replicas
-	if replicas <= 0 {
-		replicas = defaultReplicas
-	}
 	service.WriteJSON(w, http.StatusOK, FleetInfo{
 		Workers:        c.reg.infos(),
 		WorkersHealthy: c.reg.healthyCount(),
-		RingReplicas:   replicas,
+		RingReplicas:   ringReplicas,
 	})
 }
 
@@ -365,7 +330,7 @@ func (c *Coordinator) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 		if !c.reg.admissible(wk) {
 			continue
 		}
-		ctx, cancel := context.WithTimeout(r.Context(), c.cfg.ProbeTimeout)
+		ctx, cancel := context.WithTimeout(r.Context(), probeTimeout)
 		list, err := wk.client.Workloads(ctx)
 		cancel()
 		if err == nil {

@@ -160,8 +160,9 @@ func postCoordinator(t *testing.T, url string, req *service.JobRequest) (int, st
 
 // TestFleetAffinityAndCache: the identical job must route to the same
 // worker twice and be served from that worker's result cache the second
-// time — and a cosmetically different netlist must follow it there,
-// because affinity keys on the assembled-form fingerprint.
+// time — and a netlist that differs only in comments must follow it
+// there, because affinity keys on the source's token hash, which drops
+// comments and blanks.
 func TestFleetAffinityAndCache(t *testing.T) {
 	coord, workers := newTestFleet(t, 3, nil, nil)
 	ts := httptest.NewServer(coord.Handler())
@@ -277,6 +278,28 @@ func TestResourceLimitIsDeterministic(t *testing.T) {
 	}
 }
 
+// postRejected posts one job the coordinator must reject and returns
+// the status, the Retry-After header and the typed error's kind.
+func postRejected(t *testing.T, url string, req *service.JobRequest) (int, string, service.ErrorKind) {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	resp, err := http.Post(url+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST /v1/jobs: %v", err)
+	}
+	defer resp.Body.Close()
+	var envelope struct {
+		Error *service.JobError `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil || envelope.Error == nil {
+		t.Fatalf("status %d: no typed error (%v)", resp.StatusCode, err)
+	}
+	return resp.StatusCode, resp.Header.Get("Retry-After"), envelope.Error.Kind
+}
+
 // TestFleetUnavailable: with every worker dead the coordinator must
 // shed the job with a typed 503 and a Retry-After hint, not hang.
 func TestFleetUnavailable(t *testing.T) {
@@ -286,9 +309,52 @@ func TestFleetUnavailable(t *testing.T) {
 	for _, w := range workers {
 		w.die()
 	}
-	status, _, _, jerr := postCoordinator(t, ts.URL, &service.JobRequest{Workload: "dmm"})
-	if status != http.StatusServiceUnavailable || jerr == nil || jerr.Kind != service.ErrUnavailable {
-		t.Fatalf("status %d err %+v, want 503 unavailable", status, jerr)
+	status, retryAfter, kind := postRejected(t, ts.URL, &service.JobRequest{Workload: "dmm"})
+	if status != http.StatusServiceUnavailable || kind != service.ErrUnavailable {
+		t.Fatalf("status %d kind %s, want 503 unavailable", status, kind)
+	}
+	if retryAfter != "2" {
+		t.Errorf("Retry-After = %q, want \"2\"", retryAfter)
+	}
+}
+
+// TestFleetRelaysBusyRetryAfter: when every worker sheds the job as
+// busy with a 1 s hint, the coordinator's caller gets 429 with
+// Retry-After: 1. The worker client makes one attempt per call, so the
+// hint reaches the router intact and the router passes it on.
+func TestFleetRelaysBusyRetryAfter(t *testing.T) {
+	var posts atomic.Int64
+	busy := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			service.WriteJSON(w, http.StatusOK, service.Health{Status: "ok"})
+			return
+		}
+		posts.Add(1)
+		service.WriteError(w, &service.JobError{Kind: service.ErrBusy, Message: "job queue full", RetryAfter: time.Second})
+	})
+	urls := make([]string, 2)
+	for i := range urls {
+		ws := httptest.NewServer(busy)
+		t.Cleanup(ws.Close)
+		urls[i] = ws.URL
+	}
+	coord, err := New(Config{Workers: urls, HeartbeatEvery: time.Hour, RetryBudget: 2})
+	if err != nil {
+		t.Fatalf("fleet.New: %v", err)
+	}
+	t.Cleanup(coord.Close)
+	ts := httptest.NewServer(coord.Handler())
+	defer ts.Close()
+
+	status, retryAfter, kind := postRejected(t, ts.URL, &service.JobRequest{Workload: "dmm"})
+	if status != http.StatusTooManyRequests || kind != service.ErrBusy {
+		t.Fatalf("status %d kind %s, want 429 busy", status, kind)
+	}
+	if retryAfter != "1" {
+		t.Errorf("Retry-After = %q, want \"1\" (the workers' hint)", retryAfter)
+	}
+	if got := posts.Load(); got != 2 {
+		t.Errorf("workers saw %d submissions, want 2 (the retry budget)", got)
 	}
 }
 
@@ -496,10 +562,14 @@ func TestFleetDrainAndHealth(t *testing.T) {
 	}
 
 	coord.Drain()
-	status, _, _, jerr := postCoordinator(t, ts.URL, &service.JobRequest{Workload: "dmm"})
-	if status != http.StatusServiceUnavailable || jerr == nil || jerr.Kind != service.ErrDraining {
-		t.Fatalf("draining coordinator: status %d err %+v", status, jerr)
+	status, retryAfter, kind := postRejected(t, ts.URL, &service.JobRequest{Workload: "dmm"})
+	if status != http.StatusServiceUnavailable || kind != service.ErrDraining {
+		t.Fatalf("draining coordinator: status %d kind %s", status, kind)
 	}
+	if retryAfter != "2" {
+		t.Errorf("draining rejection Retry-After = %q, want \"2\"", retryAfter)
+	}
+	// healthz reports draining with 503; the hint rides on job rejections.
 	hresp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatalf("GET /healthz: %v", err)
@@ -507,10 +577,5 @@ func TestFleetDrainAndHealth(t *testing.T) {
 	defer hresp.Body.Close()
 	if hresp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("draining healthz status %d, want 503", hresp.StatusCode)
-	}
-	if hresp.Header.Get("Retry-After") == "" {
-		// The draining job rejection carries the hint; healthz does not
-		// need one, so only assert the job path above.
-		_ = hresp
 	}
 }

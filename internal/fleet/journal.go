@@ -139,13 +139,13 @@ func (c *Coordinator) recoverJob(ctx context.Context, id string, req *service.Jo
 		c.journalTerminal(id)
 		return
 	}
-	key := c.affinityKey(req)
+	key := affinityKey(req)
 	for _, u := range c.ring.sequence(key, c.cfg.MaxFailover) {
 		if ctx.Err() != nil {
 			return
 		}
 		w := c.reg.get(u)
-		pctx, cancel := context.WithTimeout(ctx, c.cfg.ProbeTimeout)
+		pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 		st, err := w.client.Status(pctx, id)
 		cancel()
 		if err != nil {

@@ -44,9 +44,9 @@ type breakerConfig struct {
 type worker struct {
 	// URL is the worker's base URL; it is also its ring identity.
 	URL string
-	// client speaks the job API. MaxAttempts is 1: the router owns
-	// retry/failover policy, so a transport failure must surface
-	// immediately instead of being retried against a dead worker.
+	// client speaks the job API. Each call is one round trip: the
+	// router owns retry and failover, so a failure surfaces at once
+	// instead of being retried against a dead worker.
 	client *service.Client
 
 	mu      sync.Mutex
@@ -231,10 +231,9 @@ type Registry struct {
 	metrics *Metrics
 }
 
-// newRegistry builds workers (and their single-attempt clients) for the
-// given base URLs. hc is the shared transport; it must not carry an
-// overall timeout, because job submissions stay open for the full
-// simulation.
+// newRegistry builds workers (and their clients) for the given base
+// URLs. hc is the shared transport; it must not carry an overall
+// timeout, because job submissions stay open for the full simulation.
 func newRegistry(urls []string, hc *http.Client, cfg breakerConfig, m *Metrics) *Registry {
 	r := &Registry{
 		workers: make(map[string]*worker, len(urls)),
@@ -249,7 +248,7 @@ func newRegistry(urls []string, hc *http.Client, cfg breakerConfig, m *Metrics) 
 		r.order = append(r.order, u)
 		r.workers[u] = &worker{
 			URL:      u,
-			client:   &service.Client{BaseURL: u, HTTP: hc, MaxAttempts: 1},
+			client:   &service.Client{BaseURL: u, HTTP: hc},
 			cooldown: cfg.cooldown,
 		}
 	}

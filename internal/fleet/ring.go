@@ -36,21 +36,18 @@ type ringPoint struct {
 	member int // index into members
 }
 
-// defaultReplicas is the virtual-node count per worker: enough that
+// ringReplicas is the virtual-node count per worker: enough that
 // three workers split keys within a few percent of evenly, cheap enough
 // that ring construction is microseconds.
-const defaultReplicas = 64
+const ringReplicas = 64
 
 // newRing builds the ring for the given member names.
-func newRing(members []string, replicas int) *ring {
-	if replicas <= 0 {
-		replicas = defaultReplicas
-	}
+func newRing(members []string) *ring {
 	sorted := append([]string(nil), members...)
 	sort.Strings(sorted)
 	r := &ring{members: sorted}
 	for i, m := range sorted {
-		for v := 0; v < replicas; v++ {
+		for v := 0; v < ringReplicas; v++ {
 			r.points = append(r.points, ringPoint{hash: hash64(m + "#" + strconv.Itoa(v)), member: i})
 		}
 	}

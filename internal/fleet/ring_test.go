@@ -10,8 +10,8 @@ import (
 // input order must not matter, and rebuilding must reproduce every
 // key's full failover sequence.
 func TestRingDeterminism(t *testing.T) {
-	a := newRing([]string{"http://w1", "http://w2", "http://w3"}, 0)
-	b := newRing([]string{"http://w3", "http://w1", "http://w2"}, 0)
+	a := newRing([]string{"http://w1", "http://w2", "http://w3"})
+	b := newRing([]string{"http://w3", "http://w1", "http://w2"})
 	for i := 0; i < 1000; i++ {
 		key := fmt.Sprintf("key-%d", i)
 		sa, sb := a.sequence(key, 0), b.sequence(key, 0)
@@ -34,7 +34,7 @@ func TestRingDeterminism(t *testing.T) {
 // TestRingDistribution: virtual nodes should split keys roughly evenly
 // — with 3 workers nobody should fall outside [15%, 55%].
 func TestRingDistribution(t *testing.T) {
-	r := newRing([]string{"http://w1", "http://w2", "http://w3"}, 0)
+	r := newRing([]string{"http://w1", "http://w2", "http://w3"})
 	const n = 10_000
 	counts := map[string]int{}
 	for i := 0; i < n; i++ {
@@ -55,8 +55,8 @@ func TestRingDistribution(t *testing.T) {
 // owned; every other key keeps its owner (this is what makes failover
 // cheap and a recovered worker reclaim its cached keys).
 func TestRingStability(t *testing.T) {
-	full := newRing([]string{"http://w1", "http://w2", "http://w3"}, 0)
-	without2 := newRing([]string{"http://w1", "http://w3"}, 0)
+	full := newRing([]string{"http://w1", "http://w2", "http://w3"})
+	without2 := newRing([]string{"http://w1", "http://w3"})
 	const n = 5_000
 	moved := 0
 	for i := 0; i < n; i++ {

@@ -7,36 +7,33 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"tia/internal/asm"
-	"tia/internal/isa"
-	"tia/internal/pcpe"
 	"tia/internal/service"
 	"tia/internal/snapshot"
 )
 
-// affinityFields is the canonical routing identity of a job: the same
-// behaviour-affecting fields the workers' result caches hash (see
-// service.resultKey), so two requests that would share a worker-side
-// cache entry always hash to the same ring position. The retired
-// stepping fields (compiled and shards, both accepted and ignored) and
-// cache-bypass flags are deliberately absent — they do not change the
-// answer, so they must not change the route.
+// affinityFields is the routing identity of a job: the behaviour-
+// affecting fields the workers' result caches hash (see
+// service.resultKey), so identical jobs always hash to the same ring
+// position. The retired stepping fields (compiled, shards and
+// faults.lanes, all accepted and ignored) and cache-bypass flags are
+// deliberately absent — they do not change the answer, so they must not
+// change the route.
 type affinityFields struct {
-	Kind        string `json:"kind"` // "workload" or "netlist"
-	Name        string `json:"name,omitempty"`
-	Fingerprint string `json:"fingerprint,omitempty"`
-	Size        int    `json:"size,omitempty"`
-	Seed        int64  `json:"seed,omitempty"`
-	Policy      int    `json:"policy,omitempty"`
-	IssueWidth  int    `json:"issue_width,omitempty"`
-	MemLatency  int    `json:"mem_latency,omitempty"`
-	ChanCap     int    `json:"chan_cap,omitempty"`
-	ChanLat     int    `json:"chan_lat,omitempty"`
-	MaxCycles   int64  `json:"max_cycles,omitempty"`
-	Trace       bool   `json:"trace,omitempty"`
+	Kind       string `json:"kind"` // "workload" or "netlist"
+	Name       string `json:"name,omitempty"`
+	Tokens     string `json:"tokens,omitempty"`
+	Size       int    `json:"size,omitempty"`
+	Seed       int64  `json:"seed,omitempty"`
+	Policy     int    `json:"policy,omitempty"`
+	IssueWidth int    `json:"issue_width,omitempty"`
+	MemLatency int    `json:"mem_latency,omitempty"`
+	ChanCap    int    `json:"chan_cap,omitempty"`
+	ChanLat    int    `json:"chan_lat,omitempty"`
+	MaxCycles  int64  `json:"max_cycles,omitempty"`
+	Trace      bool   `json:"trace,omitempty"`
 	// Faults spreads campaign sweeps (which bypass result caches) by
 	// their seed/plan instead of collapsing a whole sweep onto the
 	// kernel's home worker.
@@ -44,19 +41,22 @@ type affinityFields struct {
 }
 
 // affinityKey computes a job's ring key. Netlist jobs key on the
-// assembled-form fingerprint — parsed coordinator-side and cached by
-// source hash — so cosmetically different netlists (comments,
-// whitespace, label renames) route to the same worker and hit its
-// program/result caches.
-func (c *Coordinator) affinityKey(req *service.JobRequest) string {
-	f := affinityFields{
-		MaxCycles: req.MaxCycles,
-		Trace:     req.Trace,
-		Faults:    req.Faults,
+// source's token hash (asm.TokenHash), so netlists that differ only in
+// comments, blank lines or indentation route to the same worker and hit
+// its result cache, with no coordinator-side parse. The key is only a
+// hint: a label rename or reordered declaration costs an affinity miss,
+// never a wrong result, because the worker keys its cache on the
+// assembled fingerprint.
+func affinityKey(req *service.JobRequest) string {
+	f := affinityFields{MaxCycles: req.MaxCycles, Trace: req.Trace}
+	if req.Faults != nil {
+		fc := *req.Faults
+		fc.Lanes = 0
+		f.Faults = &fc
 	}
 	if req.Netlist != "" {
 		f.Kind = "netlist"
-		f.Fingerprint = c.fps.fingerprint(req.Netlist)
+		f.Tokens = asm.TokenHash(req.Netlist)
 	} else {
 		f.Kind = "workload"
 		f.Name = req.Workload
@@ -75,49 +75,6 @@ func (c *Coordinator) affinityKey(req *service.JobRequest) string {
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
-}
-
-// fingerprints memoizes netlist source → assembled-form fingerprint so
-// the coordinator parses each distinct source once. Bounded FIFO; a
-// source that fails to parse memoizes its raw hash instead (the route
-// stays deterministic and the worker reports the compile error).
-type fingerprints struct {
-	mu    sync.Mutex
-	max   int
-	order []string
-	m     map[string]string
-}
-
-func newFingerprints(max int) *fingerprints {
-	return &fingerprints{max: max, m: make(map[string]string, max)}
-}
-
-func (f *fingerprints) fingerprint(src string) string {
-	sum := sha256.Sum256([]byte(src))
-	srcHash := hex.EncodeToString(sum[:])
-	f.mu.Lock()
-	if fp, ok := f.m[srcHash]; ok {
-		f.mu.Unlock()
-		return fp
-	}
-	f.mu.Unlock()
-
-	fp := srcHash
-	if nl, err := asm.ParseNetlist(src, isa.DefaultConfig(), pcpe.DefaultConfig()); err == nil {
-		fp = nl.Fingerprint()
-	}
-
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if _, ok := f.m[srcHash]; !ok {
-		f.m[srcHash] = fp
-		f.order = append(f.order, srcHash)
-		if len(f.order) > f.max {
-			delete(f.m, f.order[0])
-			f.order = f.order[1:]
-		}
-	}
-	return fp
 }
 
 // asJobError extracts a typed job error from (possibly wrapped) client
@@ -178,7 +135,7 @@ func (c *Coordinator) routeJob(ctx context.Context, req *service.JobRequest) (*s
 // no job can ring-walk forever — it completes, fails on its own merits,
 // or exhausts the budget with a typed, retryable error.
 func (c *Coordinator) routeJobAs(ctx context.Context, id string, req *service.JobRequest) (*service.JobResult, string, error) {
-	key := c.affinityKey(req)
+	key := affinityKey(req)
 	seq := c.ring.sequence(key, c.cfg.MaxFailover)
 	if len(seq) == 0 {
 		return nil, "", noWorkerError()
@@ -384,7 +341,7 @@ func (c *Coordinator) runOn(ctx context.Context, w *worker, id string, req *serv
 // falls back to failover instead of delivering the stale cancellation.
 func (c *Coordinator) reattach(ctx context.Context, w *worker, id string) (res *service.JobResult, jobErr *service.JobError, ok bool) {
 	for {
-		pctx, cancel := context.WithTimeout(ctx, c.cfg.ProbeTimeout)
+		pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 		st, err := w.client.Status(pctx, id)
 		cancel()
 		if err != nil {
@@ -413,7 +370,7 @@ func (c *Coordinator) reattach(ctx context.Context, w *worker, id string) (res *
 // durability configured, or a job before its first checkpoint, simply
 // yields nothing; a corrupted body is quarantined by the stash.
 func (c *Coordinator) pollSnapshot(ctx context.Context, w *worker, id string) {
-	pctx, cancel := context.WithTimeout(ctx, c.cfg.ProbeTimeout)
+	pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	snap, err := w.client.FetchSnapshot(pctx, id)
 	if err == nil && len(snap) > 0 && c.stash.put(id, snap) {

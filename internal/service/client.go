@@ -6,157 +6,38 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"strconv"
 	"time"
 )
 
-// Client is a retrying HTTP client for the tiad job API. Transport
-// failures, draining rejections (a server shutting down while a
-// replacement comes up) and busy rejections (admission control shed the
-// job with 429) are retried with jittered exponential backoff; a
-// Retry-After header on a 429/503 response caps the next delay at the
-// server's hint. Every other typed job error is returned immediately —
-// resubmitting a deterministic simulation that failed to compile,
-// verify, deadlocked or panicked would only fail the same way again.
+// Client is an HTTP client for the tiad job API. Every call is a
+// single round trip with no retries: the fleet router owns retry and
+// failover. A rejected submission comes back as a typed *JobError, and
+// a Retry-After header on a 429/503 response fills its RetryAfter, so a
+// coordinator can pass the worker's hint on to its own caller.
 type Client struct {
 	// BaseURL is the server root, e.g. "http://127.0.0.1:8080".
 	BaseURL string
 	// HTTP is the underlying transport; nil means http.DefaultClient.
 	HTTP *http.Client
-	// MaxAttempts bounds tries per submission (min 1; default 4).
-	MaxAttempts int
-	// BaseBackoff is the first retry delay (default 100ms); each retry
-	// doubles it, capped at MaxBackoff (default 5s), then jitters
-	// uniformly in [delay/2, delay).
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// MaxTotalBackoff caps the cumulative time one Submit call may spend
-	// sleeping between attempts (default 30s). Per-attempt caps alone do
-	// not bound a call: a server feeding maximal Retry-After hints to a
-	// generously configured client could stretch a single submission
-	// arbitrarily. Once the budget is spent the call returns the last
-	// error instead of sleeping again.
-	MaxTotalBackoff time.Duration
-	// Sleep is the delay function, injectable for tests; nil means
-	// time.Sleep (interruptible by ctx).
-	Sleep func(context.Context, time.Duration)
-	// Jitter is the random source for backoff jitter; nil seeds from the
-	// base backoff so a configured client is deterministic under test.
-	Jitter *rand.Rand
 }
 
-// NewClient returns a Client with production defaults.
+// NewClient returns a Client for the server at baseURL.
 func NewClient(baseURL string) *Client {
 	return &Client{BaseURL: baseURL}
 }
 
-func (c *Client) defaults() (attempts int, base, maxB time.Duration) {
-	attempts = c.MaxAttempts
-	if attempts < 1 {
-		attempts = 4
-	}
-	base = c.BaseBackoff
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
-	maxB = c.MaxBackoff
-	if maxB < base {
-		maxB = 5 * time.Second
-		if maxB < base {
-			maxB = base
-		}
-	}
-	return attempts, base, maxB
-}
-
-// retryable reports whether an error class is worth another attempt.
-func retryable(err error) bool {
-	if je, ok := err.(*JobError); ok {
-		return je.Kind == ErrDraining || je.Kind == ErrBusy
-	}
-	return true // transport-level failure
-}
-
-// backoff computes the jittered delay before attempt n (0-based retry
-// index).
-func (c *Client) backoff(n int, base, maxB time.Duration) time.Duration {
-	d := base << uint(n)
-	if d > maxB || d <= 0 {
-		d = maxB
-	}
-	r := c.Jitter
-	if r == nil {
-		r = rand.New(rand.NewSource(int64(base)))
-		c.Jitter = r
-	}
-	// Uniform in [d/2, d): full delay on average 3/4 of nominal, never
-	// synchronized across clients.
-	return d/2 + time.Duration(r.Int63n(int64(d/2)))
-}
-
-// Submit posts one job, retrying transport errors and draining/busy
-// rejections. The context bounds the whole retry loop, and so does the
-// cumulative MaxTotalBackoff sleep budget.
+// Submit performs one POST /v1/jobs round trip, decoding typed job
+// errors out of non-200 responses along with any Retry-After hint.
 func (c *Client) Submit(ctx context.Context, req *JobRequest) (*JobResult, error) {
-	attempts, base, maxB := c.defaults()
-	budget := c.MaxTotalBackoff
-	if budget <= 0 {
-		budget = 30 * time.Second
-	}
-	var slept time.Duration
-	var lastErr error
-	var hint time.Duration // server's Retry-After from the last rejection
-	for n := 0; n < attempts; n++ {
-		if n > 0 {
-			delay := c.backoff(n-1, base, maxB)
-			// Honor the server's Retry-After: it knows how soon a queue
-			// slot frees up, so its hint caps (never extends) the
-			// computed jittered backoff.
-			if hint > 0 && hint < delay {
-				delay = hint
-			}
-			if slept+delay > budget {
-				return nil, fmt.Errorf("service client: backoff budget %v exhausted after %d attempts: %w", budget, n, lastErr)
-			}
-			slept += delay
-			if c.Sleep != nil {
-				c.Sleep(ctx, delay)
-			} else {
-				select {
-				case <-time.After(delay):
-				case <-ctx.Done():
-					return nil, ctx.Err()
-				}
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		res, retryAfter, err := c.submitOnce(ctx, req)
-		if err == nil {
-			return res, nil
-		}
-		lastErr = err
-		hint = retryAfter
-		if !retryable(err) {
-			return nil, err
-		}
-	}
-	return nil, fmt.Errorf("service client: %d attempts exhausted: %w", attempts, lastErr)
-}
-
-// submitOnce performs a single POST /v1/jobs round trip, decoding typed
-// job errors out of non-200 responses along with any Retry-After hint.
-func (c *Client) submitOnce(ctx context.Context, req *JobRequest) (*JobResult, time.Duration, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
-		return nil, 0, fmt.Errorf("encode request: %w", err)
+		return nil, fmt.Errorf("encode request: %w", err)
 	}
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/jobs", bytes.NewReader(body))
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
 	// Propagate the caller's remaining wall-clock budget so the server
@@ -170,50 +51,35 @@ func (c *Client) submitOnce(ctx context.Context, req *JobRequest) (*JobResult, t
 		}
 		hreq.Header.Set(DeadlineHeader, strconv.FormatInt(ms, 10))
 	}
-	hc := c.HTTP
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	resp, err := hc.Do(hreq)
+	resp, payload, err := c.do(hreq)
 	if err != nil {
-		return nil, 0, err
-	}
-	defer resp.Body.Close()
-	payload, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		retryAfter := parseRetryAfter(resp)
-		var fail struct {
-			Error *JobError `json:"error"`
+		err := decodeJobError(resp.StatusCode, payload)
+		if je, ok := err.(*JobError); ok {
+			je.RetryAfter = parseRetryAfter(resp)
 		}
-		if err := json.Unmarshal(payload, &fail); err == nil && fail.Error != nil {
-			fail.Error.RetryAfter = retryAfter
-			return nil, retryAfter, fail.Error
-		}
-		return nil, retryAfter, fmt.Errorf("http %d: %s", resp.StatusCode, bytes.TrimSpace(payload))
+		return nil, err
 	}
 	var res JobResult
 	if err := json.Unmarshal(payload, &res); err != nil {
-		return nil, 0, fmt.Errorf("decode result: %w", err)
+		return nil, fmt.Errorf("decode result: %w", err)
 	}
-	return &res, 0, nil
+	return &res, nil
 }
 
 // maxRetryAfterHint caps how large a server Retry-After hint the client
 // will believe. Beyond defending against absurd values, the cap keeps
 // the seconds→Duration conversion below from overflowing: an attacker-
 // or bug-supplied hint near MaxInt64 seconds would wrap negative, and a
-// negative "hint" would then undercut every computed backoff to nothing
-// — turning the retry loop into a hot spin against a struggling server.
+// negative "hint" would tell the caller to retry at once.
 const maxRetryAfterHint = 5 * time.Minute
 
 // parseRetryAfter reads a delay-seconds Retry-After header off 429/503
 // responses (the only statuses the service sends it with) — busy and
-// draining rejections carry the hint uniformly, and Submit honors it
-// uniformly for both. Negative, non-numeric, and overflow-sized hints
-// are rejected (treated as absent).
+// draining rejections carry the hint uniformly. Negative, non-numeric,
+// and overflow-sized hints are rejected (treated as absent).
 func parseRetryAfter(resp *http.Response) time.Duration {
 	if resp.StatusCode != http.StatusTooManyRequests && resp.StatusCode != http.StatusServiceUnavailable {
 		return 0
@@ -230,8 +96,8 @@ func parseRetryAfter(resp *http.Response) time.Duration {
 
 // getJSON performs one GET round trip and decodes the service's JSON
 // wire shape: 200 decodes into out, anything else decodes the typed job
-// error. No retries — the lookup callers (heartbeats, failover probes)
-// need prompt, truthful failures, not backoff.
+// error. Like every Client call it makes one attempt: the lookup callers
+// (heartbeats, failover probes) need prompt, truthful failures.
 func (c *Client) getJSON(ctx context.Context, path string, out any) error {
 	payload, status, err := c.get(ctx, path)
 	if err != nil {
@@ -252,20 +118,30 @@ func (c *Client) get(ctx context.Context, path string) ([]byte, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
+	resp, payload, err := c.do(hreq)
+	if err != nil {
+		return nil, 0, err
+	}
+	return payload, resp.StatusCode, nil
+}
+
+// do sends one request and reads its whole (bounded) body; the response
+// is returned for its status and headers, its body already closed.
+func (c *Client) do(hreq *http.Request) (*http.Response, []byte, error) {
 	hc := c.HTTP
 	if hc == nil {
 		hc = http.DefaultClient
 	}
 	resp, err := hc.Do(hreq)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
 	defer resp.Body.Close()
 	payload, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
-	return payload, resp.StatusCode, nil
+	return resp, payload, nil
 }
 
 // decodeJobError extracts the typed error from a non-200 payload.

@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -309,38 +308,5 @@ func TestBusyRejectionCarriesRetryAfterHeader(t *testing.T) {
 	}
 	if got := rec.Header().Get("Retry-After"); got != "2" {
 		t.Errorf("Retry-After = %q, want \"2\" (ceil seconds)", got)
-	}
-}
-
-// TestClientHonorsRetryAfterHint submits against a server that sheds the
-// first attempt with 429 + Retry-After: the client's next delay must be
-// capped at the server's hint, not its own (much larger) backoff.
-func TestClientHonorsRetryAfterHint(t *testing.T) {
-	var calls atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			je := jobErrorf(ErrBusy, "job queue full")
-			je.RetryAfter = time.Second
-			writeError(w, je)
-			return
-		}
-		writeJSON(w, http.StatusOK, &JobResult{ID: "job-000001", Cycles: 9, Completed: true})
-	}))
-	defer ts.Close()
-
-	var delays []time.Duration
-	c := NewClient(ts.URL)
-	c.MaxAttempts = 3
-	c.BaseBackoff = 10 * time.Second // jittered backoff would be >= 5s; the hint must win
-	c.Sleep = func(_ context.Context, d time.Duration) { delays = append(delays, d) }
-	res, err := c.Submit(context.Background(), &JobRequest{Workload: "dmm"})
-	if err != nil || res.Cycles != 9 {
-		t.Fatalf("Submit: %+v, %v", res, err)
-	}
-	if calls.Load() != 2 {
-		t.Errorf("server saw %d calls, want 2", calls.Load())
-	}
-	if len(delays) != 1 || delays[0] != time.Second {
-		t.Errorf("delays = %v, want exactly [1s] (the server's hint)", delays)
 	}
 }

@@ -1,24 +1,21 @@
 package service
 
-// Robustness tests for the serving layer: worker panic isolation, the
-// retrying client, and fault-campaign jobs. These live in the internal
-// package so they can reach the scheduler's run-function seam — the
-// netlist and workload surfaces are themselves panic-hardened (size
-// caps, validated programs), so a deliberately panicking run function is
-// the honest way to simulate a simulator bug escaping as a panic.
+// Robustness tests for the serving layer: worker panic isolation and
+// fault-campaign jobs. These live in the internal package so they can
+// reach the scheduler's run-function seam — the netlist and workload
+// surfaces are themselves panic-hardened (size caps, validated
+// programs), so a deliberately panicking run function is the honest way
+// to simulate a simulator bug escaping as a panic.
 
 import (
 	"context"
 	"encoding/json"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // mustNew builds a Server, failing the test on configuration errors.
@@ -111,74 +108,6 @@ func TestServerSurvivesPanickingJob(t *testing.T) {
 	status, payload = post(`{"workload": "dmm"}`)
 	if status != http.StatusOK {
 		t.Fatalf("job after panic: status %d\n%s", status, payload)
-	}
-}
-
-func TestClientRetriesDrainingThenSucceeds(t *testing.T) {
-	var calls atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) <= 2 {
-			writeError(w, jobErrorf(ErrDraining, "server is draining; not accepting jobs"))
-			return
-		}
-		writeJSON(w, http.StatusOK, &JobResult{ID: "job-000042", Cycles: 7, Completed: true})
-	}))
-	defer ts.Close()
-
-	var delays []time.Duration
-	c := NewClient(ts.URL)
-	c.MaxAttempts = 4
-	c.BaseBackoff = 10 * time.Millisecond
-	c.MaxBackoff = 80 * time.Millisecond
-	c.Jitter = rand.New(rand.NewSource(1))
-	c.Sleep = func(_ context.Context, d time.Duration) { delays = append(delays, d) }
-
-	res, err := c.Submit(context.Background(), &JobRequest{Workload: "dmm"})
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	if res.ID != "job-000042" || res.Cycles != 7 {
-		t.Errorf("result = %+v", res)
-	}
-	if got := calls.Load(); got != 3 {
-		t.Errorf("server saw %d calls, want 3", got)
-	}
-	if len(delays) != 2 {
-		t.Fatalf("client slept %d times, want 2 (%v)", len(delays), delays)
-	}
-	for i, d := range delays {
-		nominal := c.BaseBackoff << uint(i)
-		if d < nominal/2 || d >= nominal {
-			t.Errorf("delay %d = %v outside jitter range [%v, %v)", i, d, nominal/2, nominal)
-		}
-	}
-}
-
-func TestClientDoesNotRetryNonRetryableKinds(t *testing.T) {
-	var calls atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		writeError(w, jobErrorf(ErrBadRequest, "no such workload"))
-	}))
-	defer ts.Close()
-
-	c := NewClient(ts.URL)
-	c.MaxAttempts = 5
-	c.Sleep = func(context.Context, time.Duration) {}
-	_, err := c.Submit(context.Background(), &JobRequest{Workload: "nope"})
-	wantKind(t, err, ErrBadRequest)
-	if got := calls.Load(); got != 1 {
-		t.Errorf("bad_request retried: %d calls, want 1", got)
-	}
-}
-
-func TestClientExhaustsAttemptsOnTransportFailure(t *testing.T) {
-	c := NewClient("http://127.0.0.1:1") // nothing listens here
-	c.MaxAttempts = 3
-	c.Sleep = func(context.Context, time.Duration) {}
-	_, err := c.Submit(context.Background(), &JobRequest{Workload: "dmm"})
-	if err == nil || !strings.Contains(err.Error(), "3 attempts exhausted") {
-		t.Fatalf("want exhaustion error, got %v", err)
 	}
 }
 

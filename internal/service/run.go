@@ -178,7 +178,7 @@ func (s *Server) runWorkloadJob(ctx context.Context, id string, req *JobRequest)
 
 	var rec *trace.Recorder
 	if req.Trace {
-		rec = trace.New(s.cfg.TraceEventLimit)
+		rec = trace.New(traceEventLimit)
 		for _, pr := range inst.PEs {
 			rec.Attach(pr)
 		}
@@ -229,6 +229,15 @@ func (s *Server) runWorkloadJob(ctx context.Context, id string, req *JobRequest)
 	return res, nil
 }
 
+// CheckNetlist parses and validates netlist source against the PE
+// configuration a worker builds with, without building it: a non-nil
+// error is what a netlist job with this source fails with as
+// bad_request.
+func CheckNetlist(src string) error {
+	_, err := asm.CheckNetlist(src, isa.DefaultConfig(), pcpe.DefaultConfig())
+	return err
+}
+
 // runNetlistJob parses a netlist and simulates it. Every job parses its
 // own fabric, so no simulator state is shared between jobs; the parse
 // passes governor admission before any element is built.
@@ -255,7 +264,7 @@ func (s *Server) runNetlistJob(ctx context.Context, id string, req *JobRequest) 
 	}
 	defer release()
 
-	budget := s.cfg.DefaultMaxCycles
+	budget := defaultMaxCycles
 	if req.MaxCycles > 0 {
 		budget = req.MaxCycles
 	}
@@ -270,7 +279,7 @@ func (s *Server) runNetlistJob(ctx context.Context, id string, req *JobRequest) 
 
 	var rec *trace.Recorder
 	if req.Trace {
-		rec = trace.New(s.cfg.TraceEventLimit)
+		rec = trace.New(traceEventLimit)
 		for _, pr := range nl.PEs {
 			rec.Attach(pr)
 		}

@@ -27,14 +27,8 @@ type Config struct {
 	QueueCap int
 	// ResultCacheEntries bounds the completed-result cache.
 	ResultCacheEntries int
-	// DefaultMaxCycles is the netlist-job cycle budget when the request
-	// names none; MaxCyclesCap is the hard per-job ceiling.
-	DefaultMaxCycles int64
-	MaxCyclesCap     int64
-	// TraceEventLimit bounds Chrome-trace captures (0 = unlimited).
-	TraceEventLimit int
-	// MaxRequestBytes bounds the request body.
-	MaxRequestBytes int64
+	// MaxCyclesCap is the hard per-job cycle ceiling.
+	MaxCyclesCap int64
 	// Limits are the per-job and whole-server resource budgets netlist
 	// jobs are cost-modeled against before construction (see
 	// internal/limits). Zero values mean unlimited.
@@ -62,12 +56,20 @@ func DefaultConfig() Config {
 		Workers:            0, // GOMAXPROCS
 		QueueCap:           0, // 4x workers
 		ResultCacheEntries: 1024,
-		DefaultMaxCycles:   1_000_000,
 		MaxCyclesCap:       100_000_000,
-		TraceEventLimit:    1 << 20,
-		MaxRequestBytes:    8 << 20,
 	}
 }
+
+// Fixed serving limits of the daemon.
+const (
+	// defaultMaxCycles is the netlist-job cycle budget when the request
+	// names none (Config.MaxCyclesCap still applies).
+	defaultMaxCycles int64 = 1_000_000
+	// traceEventLimit bounds Chrome-trace captures.
+	traceEventLimit = 1 << 20
+	// maxRequestBytes bounds the request body.
+	maxRequestBytes = 8 << 20
+)
 
 // Server is the simulation service: scheduler, result cache, metrics
 // and the HTTP handler around them.
@@ -107,14 +109,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.ResultCacheEntries <= 0 {
 		cfg.ResultCacheEntries = 1024
 	}
-	if cfg.DefaultMaxCycles <= 0 {
-		cfg.DefaultMaxCycles = 1_000_000
-	}
 	if cfg.MaxCyclesCap <= 0 {
 		cfg.MaxCyclesCap = 100_000_000
-	}
-	if cfg.MaxRequestBytes <= 0 {
-		cfg.MaxRequestBytes = 8 << 20
 	}
 	if cfg.JournalPath != "" {
 		if cfg.SnapshotDir == "" {
@@ -258,7 +254,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req JobRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, jobErrorf(ErrBadRequest, "decode request: %v", err))
