@@ -100,7 +100,12 @@ type Channel struct {
 	ifLen      int
 	stagedSend []Token // this cycle's sends, cap == capacity
 	stagedDeq  bool
-	hook       FaultHook // nil in normal operation
+	// unlisted marks the channel as off list, the tick list of the
+	// fabric run it belongs to (nil outside one); id is its index there.
+	unlisted bool
+	list     *TickList
+	id       int
+	hook     FaultHook // nil in normal operation
 
 	// Stats, cumulative since construction.
 	sent      int64
@@ -168,6 +173,7 @@ func (c *Channel) Send(tok Token) {
 	}
 	c.stagedSend = append(c.stagedSend, tok)
 	c.sent++
+	c.relist()
 }
 
 // Ready reports whether a committed token is visible to the receiver —
@@ -201,7 +207,60 @@ func (c *Channel) Deq() {
 	}
 	c.stagedDeq = true
 	c.consumed++
+	c.relist()
 }
+
+// relist puts a channel that just staged an effect back on its tick
+// list, if it had left it.
+func (c *Channel) relist() {
+	if c.unlisted {
+		c.unlisted = false
+		c.list.buf[c.list.off+c.list.n] = c.id
+		c.list.n++
+	}
+}
+
+// TickList is the list of channels a fabric commits this cycle. It is
+// one buffer of two halves, the current list and the next one, which
+// swap by offset, so keeping it costs no pointer writes per cycle. A
+// channel attached to it is on the current list until Unlist, and puts
+// itself back the first time it stages a Send or Deq after that: the
+// current list holds each attached channel at most once.
+type TickList struct {
+	buf          []int
+	half, off, n int
+}
+
+// Reset empties the list and sizes it for n channels.
+func (l *TickList) Reset(n int) {
+	if cap(l.buf) < 2*n {
+		l.buf = make([]int, 2*n)
+	}
+	l.buf, l.half, l.off, l.n = l.buf[:2*n], n, 0, 0
+}
+
+// Current returns the channel indices on the list this cycle.
+func (l *TickList) Current() []int { return l.buf[l.off : l.off+l.n] }
+
+// Next returns the empty other half, to be filled and passed to Flip.
+func (l *TickList) Next() []int {
+	o := l.half - l.off
+	return l.buf[o : o : o+l.half]
+}
+
+// Flip makes the first k entries of Next the current list.
+func (l *TickList) Flip(k int) { l.off, l.n = l.half-l.off, k }
+
+// Attach puts the channel on l as index id.
+func (c *Channel) Attach(l *TickList, id int) {
+	c.list, c.id, c.unlisted = l, id, false
+	l.buf[l.off+l.n] = id
+	l.n++
+}
+
+// Unlist marks an attached channel as off its list; the caller leaves
+// it out of the next list.
+func (c *Channel) Unlist() { c.unlisted = true }
 
 // Tick commits the cycle: applies the staged dequeue, moves staged sends
 // onto the wire, and delivers arrivals. Call exactly once per fabric cycle.
@@ -388,9 +447,8 @@ func (c *Channel) enqueue(tok Token) {
 // Quiet reports that ticking the channel would be a no-op: nothing is
 // staged and nothing is in flight. A quiet channel may still hold queued
 // tokens (so it is not necessarily Idle); its committed state simply
-// cannot change until an endpoint stages a new send or dequeue. The
-// fabric's event-driven stepper drops quiet channels from its per-cycle
-// tick list.
+// cannot change until an endpoint stages a new send or dequeue, and
+// that staging puts it back on its TickList.
 func (c *Channel) Quiet() bool {
 	return c.ifLen == 0 && len(c.stagedSend) == 0 && !c.stagedDeq
 }

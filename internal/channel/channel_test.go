@@ -2,6 +2,7 @@ package channel
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -242,5 +243,58 @@ func TestTokenString(t *testing.T) {
 	}
 	if s := EOD().String(); s != "0#1" {
 		t.Errorf("EOD() = %q", s)
+	}
+}
+
+// TestTickListRelists: a channel dropped from its tick list puts itself
+// back the first time it stages a Send or Deq, exactly once, and a
+// channel outside any list never touches one.
+func TestTickListRelists(t *testing.T) {
+	var l TickList
+	l.Reset(2)
+	a, b := New("a", 2, 0), New("b", 2, 0)
+	a.Attach(&l, 0)
+	b.Attach(&l, 1)
+	check := func(step string, want ...int) {
+		t.Helper()
+		if got := l.Current(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: tick list %v, want %v", step, got, want)
+		}
+	}
+	check("attached", 0, 1)
+	// A commit phase that keeps a and drops b.
+	next := append(l.Next(), 0)
+	b.Unlist()
+	l.Flip(len(next))
+	check("b dropped", 0)
+	b.Send(Data(1))
+	check("b sent", 0, 1)
+	b.Send(Data(2))
+	check("b sent again", 0, 1)
+	a.Send(Data(3))
+	check("a sent while listed", 0, 1)
+	// The next commit drops b again; a Deq relists it.
+	b.Tick()
+	next = append(l.Next(), 0)
+	b.Unlist()
+	l.Flip(len(next))
+	check("b dropped again", 0)
+	b.Deq()
+	check("b dequeued", 0, 1)
+	// Attaching again (a new run) lists an unlisted channel once.
+	b.Tick()
+	b.Unlist()
+	l.Reset(2)
+	a.Attach(&l, 0)
+	b.Attach(&l, 1)
+	b.Send(Data(5))
+	check("reattached", 0, 1)
+
+	c := New("c", 1, 0)
+	c.Send(Data(4))
+	c.Tick()
+	c.Deq()
+	if c.Tick(); !c.Idle() {
+		t.Fatal("standalone channel did not drain")
 	}
 }

@@ -151,6 +151,23 @@ func TestCompiledDenseRunAllocationFree(t *testing.T) {
 	}
 }
 
+// TestMultiWordRunAllocationFree gates a fabric whose awake mask spans
+// three words, with a wake-all channel, under both wake policies.
+func TestMultiWordRunAllocationFree(t *testing.T) {
+	for _, dense := range []bool{false, true} {
+		f, _, _ := wideFabric(t, 130, true)
+		f.SetDenseStepping(dense)
+		runToCompletion(t, f)
+		avg := testing.AllocsPerRun(5, func() {
+			f.Reset()
+			runToCompletion(t, f)
+		})
+		if avg != 0 {
+			t.Errorf("dense=%v: steady-state multi-word Reset+Run: %.1f allocs/run, want 0", dense, avg)
+		}
+	}
+}
+
 // TestCompileStepAllocationBounded gates the one-time cost of
 // compilation itself: rebuilding a PE's step closure (forced here by a
 // state poke that bumps its compile generation) is a bounded constant —

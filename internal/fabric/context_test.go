@@ -32,7 +32,7 @@ func spinnerFabric(t *testing.T) *Fabric {
 // run before any cycle is simulated.
 func TestRunContextPreCancelled(t *testing.T) {
 	f := spinnerFabric(t)
-	f.cfg.CancelCheckInterval = 1
+	f.cancelEvery = 1
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	res, err := f.RunContext(ctx, 1_000_000)
@@ -51,7 +51,7 @@ func TestRunContextPreCancelled(t *testing.T) {
 // stops it between cancellation checks, preserving the cycle count.
 func TestRunContextDeadlineMidFlight(t *testing.T) {
 	f := spinnerFabric(t)
-	f.cfg.CancelCheckInterval = 64
+	f.cancelEvery = 64
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	res, err := f.RunContext(ctx, 2_000_000_000)

@@ -73,7 +73,9 @@ type connectionChecker interface {
 }
 
 // faulty lets elements surface program errors (e.g. out-of-range
-// scratchpad addresses) that should abort the run.
+// scratchpad addresses) that should abort the run. The cycle loop reads
+// Err right after the element's own step, so Err may turn non-nil only
+// in a Step call.
 type faulty interface {
 	Err() error
 }
@@ -137,10 +139,6 @@ type Config struct {
 	// in-flight tokens the simulator requires before declaring the
 	// fabric quiescent.
 	QuiescenceWindow int
-	// CancelCheckInterval is how many cycles RunContext simulates between
-	// context-cancellation checks. Smaller values cancel sooner at the
-	// cost of a check in the hot loop; zero means the default (1024).
-	CancelCheckInterval int
 }
 
 // DefaultConfig returns the defaults used throughout the workload suite:
@@ -160,6 +158,9 @@ type Fabric struct {
 	binds []bind
 	cycle int64
 	dense bool
+	// cancelEvery is how many cycles a run simulates between
+	// context-cancellation checks (1024; tests lower it).
+	cancelEvery int
 	// interpreted dispatches every element through its generic Step
 	// (SetInterpreted); the zero value dispatches compiled.
 	interpreted bool
@@ -188,32 +189,34 @@ type bind struct {
 }
 
 // prepared caches everything the run loop would otherwise re-derive per
-// cycle: interface assertions, channel endpoints and the element→channel
-// adjacency. Built once per Run by prepare().
+// cycle: interface assertions and channel endpoints. Built once per Run
+// by prepare().
 type prepared struct {
 	valid bool
 
-	faulties []faultyElem
-	dumpers  []dumperElem
-	resets   []resettable
-	skips    []skipAware  // indexed by element, nil when unimplemented
-	hints    []wakeHinter // indexed by element, nil when unimplemented
-	sinkOf   []*Sink      // indexed by element, nil for non-sinks
-	elemCh   [][]int      // channel indices attached to each element
-	ends     [][2]int     // per channel: sender/receiver element index, -1 unknown
+	dumpers []dumperElem
+	resets  []resettable
+	ends    [][2]int // per channel: sender/receiver element index, -1 unknown
 
-	// The dispatch table, refreshed per run by refreshSteps: steps[i] is
-	// element i's compiled step closure, or its bound Step method (bound
-	// caches those) for elements that do not compile and under
-	// SetInterpreted. compilers caches the interface assertions.
+	// run is the dispatch table, indexed by element; refreshSteps sets
+	// each step per run. compilers and bound cache the interface
+	// assertions and bound Step methods it draws from.
+	run       []elemRun
 	compilers []stepCompiler
 	bound     []func(cycle int64) bool
-	steps     []func(cycle int64) bool
 }
 
-type faultyElem struct {
-	f faulty
-	e Element
+// elemRun is one element's row of the dispatch table, everything the
+// cycle loop reads of it in one cache line. step is the element's
+// compiled step closure, or its bound Step method for elements that do
+// not compile and under SetInterpreted; an interface field is nil when
+// the element does not implement it, and sink is nil for non-sinks.
+type elemRun struct {
+	step   func(cycle int64) bool
+	skip   skipAware
+	hint   wakeHinter
+	faulty faulty
+	sink   *Sink
 }
 
 type dumperElem struct {
@@ -231,10 +234,7 @@ func New(cfg Config) *Fabric {
 	if cfg.QuiescenceWindow < 1 {
 		cfg.QuiescenceWindow = 4
 	}
-	if cfg.CancelCheckInterval < 1 {
-		cfg.CancelCheckInterval = 1024
-	}
-	return &Fabric{cfg: cfg, names: map[string]bool{}, place: map[Element]point{}}
+	return &Fabric{cfg: cfg, cancelEvery: 1024, names: map[string]bool{}, place: map[Element]point{}}
 }
 
 // Config returns the fabric's defaults.
@@ -476,9 +476,9 @@ func (f *Fabric) Validate() error {
 	return nil
 }
 
-// prepare builds the run caches: hoisted interface assertions, channel
-// endpoint tables and element→channel adjacency. Idempotent until the
-// fabric's structure changes.
+// prepare builds the run caches: hoisted interface assertions and
+// channel endpoint tables. Idempotent until the fabric's structure
+// changes.
 func (f *Fabric) prepare() {
 	if f.prep.valid {
 		return
@@ -494,38 +494,26 @@ func (f *Fabric) prepare() {
 		chanIdx[ch] = i
 	}
 
-	p.faulties = p.faulties[:0]
 	p.dumpers = p.dumpers[:0]
 	p.resets = p.resets[:0]
-	p.skips = make([]skipAware, n)
-	p.hints = make([]wakeHinter, n)
-	p.sinkOf = make([]*Sink, n)
-	p.elemCh = make([][]int, n)
+	p.run = make([]elemRun, n)
 	p.compilers = make([]stepCompiler, n)
 	p.bound = make([]func(cycle int64) bool, n)
-	p.steps = make([]func(cycle int64) bool, n)
 	for i, e := range f.elems {
+		r := &p.run[i]
 		p.bound[i] = e.Step
 		if sc, ok := e.(stepCompiler); ok {
 			p.compilers[i] = sc
 		}
-		if ft, ok := e.(faulty); ok {
-			p.faulties = append(p.faulties, faultyElem{f: ft, e: e})
-		}
+		r.faulty, _ = e.(faulty)
+		r.skip, _ = e.(skipAware)
+		r.hint, _ = e.(wakeHinter)
+		r.sink, _ = e.(*Sink)
 		if d, ok := e.(stateDumper); ok {
 			p.dumpers = append(p.dumpers, dumperElem{d: d, name: e.Name()})
 		}
 		if r, ok := e.(resettable); ok {
 			p.resets = append(p.resets, r)
-		}
-		if s, ok := e.(skipAware); ok {
-			p.skips[i] = s
-		}
-		if h, ok := e.(wakeHinter); ok {
-			p.hints[i] = h
-		}
-		if s, ok := e.(*Sink); ok {
-			p.sinkOf[i] = s
 		}
 	}
 
@@ -546,13 +534,6 @@ func (f *Fabric) prepare() {
 		if b.receiver != nil {
 			if ri, ok := elemIdx[b.receiver]; ok {
 				p.ends[ci][1] = ri
-			}
-		}
-	}
-	for ci, ends := range p.ends {
-		for _, ei := range ends {
-			if ei >= 0 {
-				p.elemCh[ei] = append(p.elemCh[ei], ci)
 			}
 		}
 	}
@@ -588,11 +569,10 @@ func (f *Fabric) Run(maxCycles int64) (Result, error) {
 	return f.RunContext(context.Background(), maxCycles)
 }
 
-// RunContext is Run under a context: every Config.CancelCheckInterval
-// cycles the simulator polls ctx and, if it is done, stops and returns
-// the cycles simulated so far with an error wrapping ErrCancelled (and
-// the context's own cause, so errors.Is distinguishes cancellation from
-// deadline expiry). A context that is never cancelled adds no per-cycle
+// RunContext is Run under a context: every 1024 cycles the simulator
+// polls ctx and, if it is done, stops and returns the cycles simulated
+// so far with an error wrapping ErrCancelled (and the context's own
+// cause, so errors.Is distinguishes cancellation from deadline expiry). A context that is never cancelled adds no per-cycle
 // work beyond one nil comparison.
 func (f *Fabric) RunContext(ctx context.Context, maxCycles int64) (Result, error) {
 	s, err := f.BeginRun(ctx, maxCycles)
@@ -611,9 +591,9 @@ func (f *Fabric) refreshSteps() {
 	p := &f.prep
 	for i, sc := range p.compilers {
 		if sc != nil && !f.interpreted {
-			p.steps[i] = sc.CompileStep()
+			p.run[i].step = sc.CompileStep()
 		} else {
-			p.steps[i] = p.bound[i]
+			p.run[i].step = p.bound[i]
 		}
 	}
 }

@@ -25,9 +25,9 @@
 //     cycle with the same outcome; SkipCycles backfills the counters.
 //   - A channel is outside the tick list only if it is Quiet (nothing
 //     staged, nothing in flight), in which case Tick would be a no-op.
-//     Elements stage effects only in cycles where Step returns true, so
-//     re-activating the channels of every worked element restores the
-//     invariant before the next tick phase.
+//     Staging (Send or Deq) puts a channel off the list back on it (see
+//     channel.TickList), so the invariant holds again before the next
+//     tick phase without the loop visiting a worked element's channels.
 
 package fabric
 
@@ -35,6 +35,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
+
+	"tia/internal/channel"
 )
 
 // Stepper drives one simulation run cycle by cycle. Obtain one from
@@ -124,60 +127,55 @@ func (s *Stepper) Step() bool {
 		mayFreeze = f.inj.Active()
 	}
 	elems, prep := f.elems, &f.prep
-	worked, hinted := false, false
-	// Indexing awake (1 byte/element) instead of ranging over the
-	// interface slice keeps the scan over mostly-sleeping fabrics in
-	// one or two cache lines.
-	for i := range st.awake {
-		if !st.awake[i] {
-			continue
-		}
-		if mayFreeze && f.inj.Frozen(elems[i]) {
-			// Frozen: skip the step but stay awake, so stepping
-			// resumes the cycle the freeze ends even if no channel
-			// changes in between. The cycle is accounted immediately
-			// (an asleep frozen element is instead covered by its
-			// wake-time backfill, exactly as under dense stepping).
-			if sk := prep.skips[i]; sk != nil {
-				sk.SkipCycles(1)
-			}
-			continue
-		}
-		if prep.steps[i](cur) {
-			worked = true
-			for _, ci := range prep.elemCh[i] {
-				// A worked element's untouched channels are still
-				// quiet here (staging is the only way to unquiet a
-				// channel mid-cycle), and Tick on a quiet channel is
-				// a no-op — so only channels with staged effects
-				// need to join the tick list.
-				if !st.active[ci] && !f.chans[ci].Quiet() {
-					st.active[ci] = true
-					st.activeList = append(st.activeList, ci)
+	worked, hinted, erred := false, false, -1
+	// Walking awake's set bits in element order keeps the scan over a
+	// mostly-sleeping fabric to a word per 64 elements.
+	for w, word := range st.awake {
+		for ; word != 0; word &= word - 1 {
+			b := bits.TrailingZeros64(word)
+			i := w<<6 | b
+			r := &prep.run[i]
+			if mayFreeze && f.inj.Frozen(elems[i]) {
+				// Frozen: skip the step but stay awake, so stepping
+				// resumes the cycle the freeze ends even if no channel
+				// changes in between. The cycle is accounted immediately
+				// (an asleep frozen element is instead covered by its
+				// wake-time backfill, exactly as under dense stepping).
+				if r.skip != nil {
+					r.skip.SkipCycles(1)
 				}
+				continue
 			}
-			if snk := prep.sinkOf[i]; snk != nil && !st.sinkDone[i] && snk.Completed() {
-				st.sinkDone[i] = true
-				st.sinksLeft--
+			if r.step(cur) {
+				worked = true
+				if r.sink != nil && !st.sinkDone[i] && r.sink.Completed() {
+					st.sinkDone[i] = true
+					st.sinksLeft--
+				}
+			} else if r.hint != nil && r.hint.NeedsStep() {
+				// Read under both wake policies, so the quiescence rule in
+				// epilogue sees the same hints dense and event-driven.
+				hinted = true
+			} else if !s.dense {
+				st.awake[w] &^= 1 << b
+				st.asleepSince[i] = cur
 			}
-		} else if h := prep.hints[i]; h != nil && h.NeedsStep() {
-			// Read under both wake policies, so the quiescence rule in
-			// epilogue sees the same hints dense and event-driven.
-			hinted = true
-		} else if !s.dense {
-			st.awake[i] = false
-			st.asleepSince[i] = cur
+			if r.faulty != nil && erred < 0 && r.faulty.Err() != nil {
+				erred = i
+			}
 		}
 	}
 
 	loud := s.commitChannels(cur)
-	return s.epilogue(worked || hinted, loud)
+	return s.epilogue(worked || hinted, loud, erred)
 }
 
-// epilogue is the end-of-cycle bookkeeping: advance time, surface
-// element faults, detect completion, track quiescence and checkpoint.
-// The idle streak is updated before the checkpoint hook runs, so a
-// snapshot taken there holds the streak the next cycle starts from.
+// epilogue is the end-of-cycle bookkeeping: advance time, surface the
+// fault of erred, the first element in element order whose Err turned
+// non-nil in its step this cycle (-1 for none), detect completion,
+// track quiescence and checkpoint. The idle streak is updated before
+// the checkpoint hook runs, so a snapshot taken there holds the streak
+// the next cycle starts from.
 //
 // A cycle counts toward QuiescenceWindow when nothing is working (no
 // element worked or set its NeedsStep hint, as a PC PE draining a
@@ -189,13 +187,11 @@ func (s *Stepper) Step() bool {
 // repeat this one exactly, so waiting longer only burns the budget. A
 // fabric without sinks still needs every channel Idle: quiescence is
 // how it completes, and a stranded token is not a finished run.
-func (s *Stepper) epilogue(working, loud bool) bool {
+func (s *Stepper) epilogue(working, loud bool, erred int) bool {
 	f, st := s.f, s.st
 	f.cycle++
-	for _, fe := range f.prep.faulties {
-		if err := fe.f.Err(); err != nil {
-			return s.finish(Result{Cycles: f.cycle}, fmt.Errorf("cycle %d: element %s: %w", f.cycle, fe.e.Name(), err))
-		}
+	if erred >= 0 {
+		return s.finish(Result{Cycles: f.cycle}, fmt.Errorf("cycle %d: element %s: %w", f.cycle, f.elems[erred].Name(), f.prep.run[erred].faulty.Err()))
 	}
 	if len(f.sinks) > 0 && st.sinksLeft == 0 {
 		return s.finish(Result{Cycles: f.cycle, Completed: true}, nil)
@@ -231,8 +227,8 @@ func (s *Stepper) Finish() (Result, error) {
 	return s.res, s.err
 }
 
-// cancelCheck polls ctx every cfg.CancelCheckInterval calls. It returns
-// a non-nil error exactly when the run should stop.
+// cancelCheck polls ctx every Fabric.cancelEvery calls. It returns a
+// non-nil error exactly when the run should stop.
 type cancelCheck struct {
 	done     <-chan struct{}
 	ctx      context.Context
@@ -244,8 +240,8 @@ func (f *Fabric) newCancelCheck(ctx context.Context) cancelCheck {
 	return cancelCheck{
 		done:     ctx.Done(),
 		ctx:      ctx,
-		interval: f.cfg.CancelCheckInterval,
-		left:     f.cfg.CancelCheckInterval,
+		interval: f.cancelEvery,
+		left:     f.cancelEvery,
 	}
 }
 
@@ -269,11 +265,9 @@ func (c *cancelCheck) expired() error {
 // runState is the Stepper's per-run bookkeeping. It lives on the Fabric
 // and is re-initialized (capacity reused) each run.
 type runState struct {
-	awake       []bool
+	awake       []uint64 // bit i&63 of word i>>6: element i is awake
 	asleepSince []int64
-	active      []bool // channel is in the tick list
-	activeList  []int
-	spare       []int
+	ticks       channel.TickList
 	isBusy      []bool // channel is not Idle (for quiescence detection)
 	busyCount   int
 	sinkDone    []bool
@@ -305,41 +299,31 @@ func int64Scratch(s []int64, n int) []int64 {
 	return s
 }
 
-// intScratch returns s emptied with at least capacity n.
-func intScratch(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, 0, n)
-	}
-	return s[:0]
-}
-
 // initRunState readies the pooled scratch state for a fresh run: every
 // element awake, every channel in the tick list, sink completion
 // tallied. Reuses prior capacity so repeat runs allocate nothing.
 func (f *Fabric) initRunState() *runState {
 	st := &f.rs
 	ne, nc := len(f.elems), len(f.chans)
-	st.awake = boolScratch(st.awake, ne)
+	st.awake = st.awake[:0]
+	for i := 0; i < ne; i += 64 {
+		st.awake = append(st.awake, ^uint64(0)>>max(0, 64-(ne-i)))
+	}
 	st.asleepSince = int64Scratch(st.asleepSince, ne)
-	st.active = boolScratch(st.active, nc)
-	st.activeList = intScratch(st.activeList, nc)
-	st.spare = intScratch(st.spare, nc)
+	st.ticks.Reset(nc)
 	st.isBusy = boolScratch(st.isBusy, nc)
 	st.busyCount = 0
 	st.sinkDone = boolScratch(st.sinkDone, ne)
 	st.sinksLeft = 0
-	for i := range st.awake {
-		st.awake[i] = true
-	}
 	for ci, ch := range f.chans {
-		st.active[ci] = true
-		st.activeList = append(st.activeList, ci)
+		ch.Attach(&st.ticks, ci)
 		if !ch.Idle() {
 			st.isBusy[ci] = true
 			st.busyCount++
 		}
 	}
-	for i, s := range f.prep.sinkOf {
+	for i := range f.prep.run {
+		s := f.prep.run[i].sink
 		if s == nil {
 			continue
 		}
@@ -357,11 +341,11 @@ func (f *Fabric) initRunState() *runState {
 // every exit path.
 func (f *Fabric) backfillSleepers(st *runState) {
 	last := f.cycle - 1
-	for i := range st.awake {
-		if st.awake[i] {
+	for i := range f.elems {
+		if st.isAwake(i) {
 			continue
 		}
-		if sk := f.prep.skips[i]; sk != nil {
+		if sk := f.prep.run[i].skip; sk != nil {
 			sk.SkipCycles(last - st.asleepSince[i])
 		}
 	}
@@ -374,30 +358,31 @@ func (f *Fabric) backfillSleepers(st *runState) {
 // event-driven snapshots are bit-identical because of this rebase.
 func (f *Fabric) checkpointSleepers(st *runState) {
 	last := f.cycle - 1
-	for i := range st.awake {
-		if st.awake[i] {
+	for i := range f.elems {
+		if st.isAwake(i) {
 			continue
 		}
-		if sk := f.prep.skips[i]; sk != nil {
+		if sk := f.prep.run[i].skip; sk != nil {
 			sk.SkipCycles(last - st.asleepSince[i])
 		}
 		st.asleepSince[i] = last
 	}
 }
 
-// commitChannels runs the tick phase over the active list: commit every
-// active channel, wake the endpoints of channels that changed, maintain
+// commitChannels runs the tick phase over the tick list: commit every
+// listed channel, wake the endpoints of channels that changed, maintain
 // the busy census, and, under the event-driven policy, drop channels
 // that went quiet (known endpoints only — unknown-endpoint channels are
 // ticked forever, conservatively). Per-channel effects are independent,
-// so the order of the active list never influences results. It reports
-// whether any channel changed or still holds a staged or in-flight
-// token; a channel outside the tick list is quiet by the invariant.
+// so the list's order (channels rejoin in staging order) never
+// influences results. It reports whether any channel changed or still
+// holds a staged or in-flight token; a channel outside the tick list is
+// quiet by the invariant.
 func (s *Stepper) commitChannels(cur int64) (loud bool) {
 	f, st := s.f, s.st
 	chans, prep := f.chans, &f.prep
-	next := st.spare[:0]
-	for _, ci := range st.activeList {
+	next := st.ticks.Next()
+	for _, ci := range st.ticks.Current() {
 		ch := chans[ci]
 		ends := prep.ends[ci]
 		changed, busy, quiet := ch.Commit()
@@ -405,7 +390,7 @@ func (s *Stepper) commitChannels(cur int64) (loud bool) {
 		if changed {
 			if ends[0] < 0 || ends[1] < 0 {
 				// Unknown endpoint: wake everything attached anywhere.
-				for ei := range st.awake {
+				for ei := range f.elems {
 					f.wake(st, ei, cur)
 				}
 			} else {
@@ -422,24 +407,25 @@ func (s *Stepper) commitChannels(cur int64) (loud bool) {
 			}
 		}
 		if quiet && !s.dense && ends[0] >= 0 && ends[1] >= 0 {
-			st.active[ci] = false
+			ch.Unlist()
 		} else {
 			next = append(next, ci)
 		}
 	}
-	st.spare = st.activeList[:0]
-	st.activeList = next
+	st.ticks.Flip(len(next))
 	return loud
 }
 
 // wake marks an element runnable again, backfilling the cycles it slept
 // through.
 func (f *Fabric) wake(st *runState, ei int, cur int64) {
-	if st.awake[ei] {
+	if st.isAwake(ei) {
 		return
 	}
-	st.awake[ei] = true
-	if sk := f.prep.skips[ei]; sk != nil {
+	st.awake[ei>>6] |= 1 << (ei & 63)
+	if sk := f.prep.run[ei].skip; sk != nil {
 		sk.SkipCycles(cur - st.asleepSince[ei])
 	}
 }
+
+func (st *runState) isAwake(i int) bool { return st.awake[i>>6]&(1<<(i&63)) != 0 }

@@ -24,6 +24,7 @@ import (
 
 	"tia/internal/channel"
 	"tia/internal/isa"
+	"tia/internal/mem"
 	"tia/internal/pe"
 	"tia/internal/snapshot"
 )
@@ -220,12 +221,18 @@ func TestExitPaths(t *testing.T) {
 		eod       bool
 		heartbeat bool
 		broken    bool
-		budget    int64
-		cancel    bool
-		ckptErrAt int64
+		// scratchpads adds two scratchpads whose read streams reach an
+		// out-of-range address in the same cycle.
+		scratchpads bool
+		budget      int64
+		cancel      bool
+		ckptErrAt   int64
 		// want is a substring of the reference run's error ("" for
 		// completion).
 		want string
+		// pin, when set, is the reference run's exact error text, cycle
+		// count and sink tokens.
+		pin *exitPin
 	}{
 		{name: "completion", eod: true, budget: 10_000},
 		{name: "deadlock", budget: 10_000, want: ErrDeadlock.Error()},
@@ -233,6 +240,16 @@ func TestExitPaths(t *testing.T) {
 		{name: "cancellation", heartbeat: true, budget: 10_000, cancel: true, want: ErrCancelled.Error()},
 		{name: "element-fault", broken: true, budget: 10_000, want: "element broken: address out of range"},
 		{name: "checkpoint-error", heartbeat: true, budget: 10_000, ckptErrAt: 90, want: "checkpoint: disk full"},
+		{name: "two-element-faults", eod: true, scratchpads: true, budget: 10_000, want: "element sp1: read of address 9",
+			pin: &exitPin{
+				err:    "cycle 5: element sp1: read of address 9 in 8-word scratchpad (0 checkpoints)",
+				cycles: 5,
+				tokens: [][]channel.Token{
+					{channel.Data(10), channel.Data(20), channel.Data(30)},
+					{channel.Data(10), channel.Data(11), channel.Data(12)},
+					{channel.Data(13), channel.Data(14), channel.Data(15)},
+				},
+			}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -255,6 +272,27 @@ func TestExitPaths(t *testing.T) {
 				if tc.broken {
 					f.Add(&brokenElem{at: 70})
 				}
+				sinks := []*Sink{snk}
+				if tc.scratchpads {
+					// sp1 is added first, so it is the first erring
+					// element in element order although sp0 sorts first
+					// by name.
+					for _, sp := range []struct {
+						name  string
+						addrs []isa.Word
+					}{{"1", []isa.Word{0, 1, 2, 9}}, {"0", []isa.Word{3, 4, 5, 12}}} {
+						m := mem.New("sp"+sp.name, 8)
+						m.Load([]isa.Word{10, 11, 12, 13, 14, 15, 16, 17})
+						a := NewWordSource("addr"+sp.name, sp.addrs, true)
+						out := NewSink("out" + sp.name)
+						f.Add(m)
+						f.Add(a)
+						f.Add(out)
+						f.Wire(a, 0, m, mem.PortReadAddr)
+						f.Wire(m, mem.PortReadData, out, 0)
+						sinks = append(sinks, out)
+					}
+				}
 				ctx := context.Background()
 				if tc.cancel {
 					// A context cancelled up front stops the run at the
@@ -262,7 +300,7 @@ func TestExitPaths(t *testing.T) {
 					var cancel context.CancelFunc
 					ctx, cancel = context.WithCancel(ctx)
 					cancel()
-					f.cfg.CancelCheckInterval = 100
+					f.cancelEvery = 100
 				}
 				ckpts := 0
 				f.SetCheckpoint(30, func(cycle int64) error {
@@ -290,13 +328,19 @@ func TestExitPaths(t *testing.T) {
 				} else {
 					res, err = f.RunContext(ctx, tc.budget)
 				}
-				obs := observe(res, err, []*Sink{snk}, pes)
+				obs := observe(res, err, sinks, pes)
 				obs.Err += fmt.Sprintf(" (%d checkpoints)", ckpts)
 				return obs
 			}
 			ref := run(false, true, false)
 			if tc.want == "" && !ref.Result.Completed || !strings.Contains(ref.Err, tc.want) {
 				t.Fatalf("want error containing %q, got %+v", tc.want, ref)
+			}
+			if p := tc.pin; p != nil {
+				got := exitPin{err: ref.Err, cycles: ref.Result.Cycles, tokens: ref.Tokens}
+				if !reflect.DeepEqual(*p, got) {
+					t.Errorf("reference run moved:\nwant %+v\ngot  %+v", *p, got)
+				}
 			}
 			for _, dense := range []bool{false, true} {
 				for _, interpreted := range []bool{false, true} {
@@ -309,6 +353,13 @@ func TestExitPaths(t *testing.T) {
 			}
 		})
 	}
+}
+
+// exitPin is what TestExitPaths pins of a reference run.
+type exitPin struct {
+	err    string
+	cycles int64
+	tokens [][]channel.Token
 }
 
 // sinklessFabric is a source feeding a PE that sums its input into a
@@ -415,4 +466,169 @@ func asVersion1(t *testing.T, snap []byte) []byte {
 	out := append([]byte(snapshot.Magic), e.Data()...)
 	sum := sha256.Sum256(out)
 	return append(out, sum[:]...)
+}
+
+// wideFabric builds a fabric of exactly n elements: source → forwarder
+// chain → sink pipelines of random lengths, streams, channel capacities
+// and wire latencies. Sources, PEs and sinks are added in three groups,
+// so a pipeline's elements sit in different awake words once n passes
+// 64. With loose, the first pipeline with a PE feeds it through a
+// channel with unknown endpoints, which wakes every element when it
+// changes.
+func wideFabric(t *testing.T, n int, loose bool) (*Fabric, []*Sink, []*pe.PE) {
+	t.Helper()
+	r := rand.New(rand.NewSource(int64(n)))
+	f := New(DefaultConfig())
+	var srcs []*Source
+	var sinks []*Sink
+	var pes []*pe.PE
+	var chains [][]*pe.PE
+	for left, k := n, 0; left > 0; k++ {
+		p := r.Intn(6)
+		if p+2 > left {
+			p = left - 2
+		}
+		if left-(p+2) == 1 {
+			p++
+		}
+		left -= p + 2
+		words := make([]isa.Word, r.Intn(20))
+		for i := range words {
+			words[i] = isa.Word(r.Intn(1000))
+		}
+		srcs = append(srcs, NewWordSource(fmt.Sprintf("s%d", k), words, true))
+		sinks = append(sinks, NewSink(fmt.Sprintf("k%d", k)))
+		var chain []*pe.PE
+		for i := 0; i < p; i++ {
+			chain = append(chain, mustPE(t, fmt.Sprintf("p%d.%d", k, i), forwarderProg()))
+		}
+		chains = append(chains, chain)
+		pes = append(pes, chain...)
+	}
+	for _, e := range srcs {
+		f.Add(e)
+	}
+	for _, p := range pes {
+		f.Add(p)
+	}
+	for _, e := range sinks {
+		f.Add(e)
+	}
+	for k, chain := range chains {
+		var from OutPort = srcs[k]
+		for i, p := range chain {
+			if loose && i == 0 {
+				ch := f.NewChannel("loose", 2, 1)
+				srcs[k].ConnectOut(0, ch)
+				p.ConnectIn(0, ch)
+				loose = false
+			} else {
+				f.WireOpt(from, 0, p, 0, 1+r.Intn(4), r.Intn(3))
+			}
+			from = p
+		}
+		f.WireOpt(from, 0, sinks[k], 0, 1+r.Intn(4), r.Intn(3))
+	}
+	if got := len(f.Elements()); got != n || loose {
+		t.Fatalf("wideFabric(%d): %d elements, loose channel unplaced: %v", n, got, loose)
+	}
+	return f, sinks, pes
+}
+
+// TestSteppingModesWordBoundaries holds every stepping mode to the
+// dense interpreter on fabrics just under, at and over one 64-element
+// awake word, over two words, and with a wake-all channel in a
+// two-word fabric.
+func TestSteppingModesWordBoundaries(t *testing.T) {
+	for _, tc := range []struct {
+		n     int
+		loose bool
+	}{{63, false}, {64, false}, {65, false}, {130, false}, {100, true}} {
+		t.Run(fmt.Sprintf("%d-loose=%v", tc.n, tc.loose), func(t *testing.T) {
+			run := func(m stepMode) runObservation {
+				f, sinks, pes := wideFabric(t, tc.n, tc.loose)
+				f.SetDenseStepping(m.dense)
+				f.SetInterpreted(!m.compiled)
+				res, err := f.Run(100_000)
+				return observe(res, err, sinks, pes)
+			}
+			ref := run(stepModes[1])
+			if !ref.Result.Completed || ref.Err != "" {
+				t.Fatalf("dense reference did not complete: %+v", ref)
+			}
+			for _, m := range stepModes {
+				if got := run(m); !reflect.DeepEqual(ref, got) {
+					t.Errorf("%s diverged from dense:\ndense %+v\n%s %+v", m.label, ref, m.label, got)
+				}
+			}
+		})
+	}
+}
+
+// TestStagingOutsideRuns: a Send before BeginRun, after Finish or on a
+// standalone channel does not panic and does not leak into the next
+// run's tick list. BeginRun lists every channel exactly once after a
+// Reset and after a Restore, and the rerun matches the first run.
+func TestStagingOutsideRuns(t *testing.T) {
+	const fp = "cycle-fabric"
+	f := buildCycleFabric(t)
+	nc := len(f.Channels())
+	listsAll := func(step string) {
+		t.Helper()
+		got := append([]int(nil), f.rs.ticks.Current()...)
+		// A Send on a listed channel must not list it twice.
+		f.chans[nc-1].Send(channel.Data(1))
+		if got2 := f.rs.ticks.Current(); !reflect.DeepEqual(got, got2) {
+			t.Errorf("%s: send on a listed channel changed the tick list from %v to %v", step, got, got2)
+		}
+		f.chans[nc-1].Reset()
+		for ci := range got {
+			if got[ci] != ci || len(got) != nc {
+				t.Fatalf("%s: tick list %v, want every channel 0..%d once", step, got, nc-1)
+			}
+		}
+	}
+	channel.New("standalone", 1, 0).Send(channel.Data(1))
+	f.chans[0].Send(channel.Data(1)) // before any run
+	f.chans[0].Reset()
+	snap, err := f.Snapshot(fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := f.BeginRun(context.Background(), 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	listsAll("first run")
+	want, err := s.Finish()
+	if err != nil || !want.Completed {
+		t.Fatalf("first run: %+v, %v", want, err)
+	}
+	wantToks := append([]channel.Token(nil), f.sinks[0].Tokens()...)
+	for _, again := range []struct {
+		name string
+		redo func() error
+	}{
+		{"reset", func() error { f.Reset(); return nil }},
+		{"restore", func() error { return f.Restore(snap, fp) }},
+	} {
+		// Every channel of a finished run is quiet and off the list.
+		// Sending after Finish puts a channel back on it; the last one
+		// is left off, for listsAll to send on once BeginRun relists it.
+		for _, ch := range f.chans[:nc-1] {
+			ch.Send(channel.Data(2))
+		}
+		if err := again.redo(); err != nil {
+			t.Fatal(err)
+		}
+		s, err := f.BeginRun(context.Background(), 1<<30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		listsAll(again.name)
+		got, err := s.Finish()
+		if err != nil || got != want || !reflect.DeepEqual(f.sinks[0].Tokens(), wantToks) {
+			t.Errorf("%s rerun: %+v, %v, %d tokens; first run %+v, %d tokens", again.name, got, err, len(f.sinks[0].Tokens()), want, len(wantToks))
+		}
+	}
 }
