@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench-smoke perfbench-smoke alloc-gate fault-smoke batch-smoke snapshot-smoke fleet-smoke chaos-smoke chaos-soak fuzz-smoke check
+.PHONY: all build test race vet fmt bench-smoke perfbench-smoke alloc-gate fault-smoke batch-smoke snapshot-smoke fleet-smoke chaos-smoke chaos-soak fuzz-smoke check
 
 all: build
 
@@ -21,6 +21,13 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# CI's gofmt gate: fail on any Go file gofmt would rewrite. git lists the
+# files, tracked and new alike, so the gitignored .bench_build/ (which
+# perfbench-smoke fills with Go module sources) is skipped.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files --cached --others --exclude-standard '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
 
 # One iteration of every benchmark: catches bit-rot in bench harnesses
 # without paying for a real measurement run.
@@ -120,4 +127,4 @@ fuzz-smoke:
 # Each test runs once under -race: race covers the fault, batch,
 # snapshot, fleet and chaos smokes, so they are not prerequisites here.
 # chaos-soak repeats the soak without -race (see its comment).
-check: vet race bench-smoke perfbench-smoke alloc-gate chaos-soak fuzz-smoke
+check: fmt vet race bench-smoke perfbench-smoke alloc-gate chaos-soak fuzz-smoke

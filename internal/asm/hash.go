@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"tia/internal/isa"
-	"tia/internal/pcpe"
 )
 
 // Stable hashing of assembled programs and netlists. Hashes are computed
@@ -22,11 +21,6 @@ import (
 // HashTIAProgram returns a stable hex digest of a triggered program.
 func HashTIAProgram(prog []isa.Instruction) string {
 	return hashString(FormatTIA(prog))
-}
-
-// HashPCProgram returns a stable hex digest of a PC-style program.
-func HashPCProgram(prog []pcpe.Inst) string {
-	return hashString(FormatPC(prog))
 }
 
 // Fingerprint returns a stable hex digest of the assembled netlist:

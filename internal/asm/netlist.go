@@ -88,10 +88,11 @@ type wireDecl struct {
 // Structural size ceilings, enforced by the validate phase regardless
 // of any resource governor: both scratchpad words and channel buffers
 // are allocated eagerly at construction, so an absurd size in either is
-// a one-line memory bomb, not a plausible design.
+// a one-line memory bomb, not a plausible design. The service applies
+// MaxChannelCap to a workload job's channel_capacity as well.
 const (
 	maxScratchpadWords = 1 << 22
-	maxChannelCap      = 1 << 20
+	MaxChannelCap      = 1 << 20
 )
 
 type elemKind int
@@ -269,8 +270,8 @@ func (np *netParser) parseConfig(ln int, fields []string) {
 				np.diags.add(ln, "config cap %d < 1", v)
 				return
 			}
-			if v > maxChannelCap {
-				np.diags.add(ln, "config cap %d exceeds the %d-token fabric limit", v, maxChannelCap)
+			if v > MaxChannelCap {
+				np.diags.add(ln, "config cap %d exceeds the %d-token fabric limit", v, MaxChannelCap)
 				return
 			}
 			np.fabCfg.ChannelCapacity = v
@@ -649,10 +650,10 @@ func (np *netParser) validate() Census {
 			np.diags.add(w.line, "bad wire capacity %d (must be >= 1)", w.capacity)
 			continue
 		}
-		if w.capacity > maxChannelCap {
+		if w.capacity > MaxChannelCap {
 			// Channel buffers are allocated eagerly; an unbounded cap is a
 			// one-line memory bomb.
-			np.diags.add(w.line, "wire capacity %d exceeds the %d-token fabric limit", w.capacity, maxChannelCap)
+			np.diags.add(w.line, "wire capacity %d exceeds the %d-token fabric limit", w.capacity, MaxChannelCap)
 			continue
 		}
 		if w.lat != -1 && w.lat < 0 {

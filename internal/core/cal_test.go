@@ -1,13 +1,14 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"tia/internal/workloads"
 )
 
 func TestCalibrationDump(t *testing.T) {
-	rows, err := RunSuite(workloads.Params{Seed: 1, Size: 64})
+	rows, err := RunSuiteContext(context.Background(), workloads.Params{Seed: 1, Size: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

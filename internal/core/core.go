@@ -59,23 +59,20 @@ type Row struct {
 	TIAUtil []metrics.Utilization
 }
 
-// MaxWorkers bounds the concurrency of suite-level fan-out (RunSuite and
-// the sensitivity sweeps). Zero or negative means GOMAXPROCS. Results
-// are deterministic either way; only independent design points run
-// concurrently, and each simulation is itself serial.
+// MaxWorkers bounds the concurrency of suite-level fan-out
+// (RunSuiteContext, SuiteRequirements and the sensitivity sweeps). Zero
+// or negative means GOMAXPROCS. Results are deterministic either way;
+// only independent design points run concurrently, and each simulation
+// is itself serial.
 var MaxWorkers int
 
-// forEach runs fn(i) for every i in [0, n) on a bounded worker pool.
+// forEachCtx runs fn(i) for every i in [0, n) on a bounded worker pool.
 // Workers pull indices from a shared counter, so results land in
 // caller-owned slices at deterministic positions regardless of schedule.
-func forEach(n int, fn func(int)) {
-	forEachCtx(context.Background(), n, fn)
-}
-
-// forEachCtx is forEach under a context: once ctx is done, workers stop
-// pulling new indices (tasks already started run to completion — each
-// task is expected to watch ctx itself, e.g. via fabric.RunContext — and
-// unstarted indices are simply never visited).
+// Once ctx is done, workers stop pulling new indices (tasks already
+// started run to completion — each task is expected to watch ctx itself,
+// e.g. via fabric.RunContext — and unstarted indices are simply never
+// visited).
 func forEachCtx(ctx context.Context, n int, fn func(int)) {
 	w := MaxWorkers
 	if w <= 0 {
@@ -126,17 +123,12 @@ func firstErr(errs []error) error {
 	return nil
 }
 
-// RunWorkload measures one kernel at the given parameters. Verification
-// guards every measurement — outputs must match the golden reference
-// before cycles are trusted — and because simulations are deterministic,
-// the verified runs double as the measured runs (see workloads.Verified).
-func RunWorkload(spec *workloads.Spec, p workloads.Params) (*Row, error) {
-	return RunWorkloadContext(context.Background(), spec, p)
-}
-
-// RunWorkloadContext is RunWorkload under a context: cancellation or
-// deadline expiry aborts whichever simulation is in flight with an error
-// wrapping fabric.ErrCancelled.
+// RunWorkloadContext measures one kernel at the given parameters.
+// Verification guards every measurement — outputs must match the golden
+// reference before cycles are trusted — and because simulations are
+// deterministic, the verified runs double as the measured runs (see
+// workloads.Verified). Cancellation or deadline expiry aborts whichever
+// simulation is in flight with an error wrapping fabric.ErrCancelled.
 func RunWorkloadContext(ctx context.Context, spec *workloads.Spec, p workloads.Params) (*Row, error) {
 	p = spec.Normalize(p)
 	v, err := spec.VerifyFullContext(ctx, p)
@@ -206,19 +198,14 @@ func RunWorkloadContext(ctx context.Context, spec *workloads.Spec, p workloads.P
 	return row, nil
 }
 
-// RunSuite measures every kernel. Kernels are independent, so they run
-// concurrently on the bounded worker pool (each fabric simulation is
-// single-threaded and deterministic; only the suite-level fan-out is
-// parallel, and results land in canonical order).
-func RunSuite(p workloads.Params) ([]*Row, error) {
-	return RunSuiteContext(context.Background(), p)
-}
-
-// RunSuiteContext is RunSuite under a context. On cancellation it
-// returns the rows completed so far (unfinished kernels are nil entries,
-// canonical order preserved) together with an error wrapping
-// fabric.ErrCancelled, so callers can render partial results explicitly
-// labelled as such.
+// RunSuiteContext measures every kernel. Kernels are independent, so
+// they run concurrently on the bounded worker pool (each fabric
+// simulation is single-threaded and deterministic; only the suite-level
+// fan-out is parallel, and results land in canonical order). On
+// cancellation it returns the rows completed so far (unfinished kernels
+// are nil entries, canonical order preserved) together with an error
+// wrapping fabric.ErrCancelled, so callers can render partial results
+// explicitly labelled as such.
 func RunSuiteContext(ctx context.Context, p workloads.Params) ([]*Row, error) {
 	specs := workloads.All()
 	rows := make([]*Row, len(specs))
@@ -271,16 +258,11 @@ type SweepPoint struct {
 	Cycles int64
 }
 
-// DepthSweep measures one kernel across channel depths (E7). Design
-// points are independent simulations, so they run on the worker pool.
-func DepthSweep(spec *workloads.Spec, p workloads.Params, depths []int) ([]SweepPoint, error) {
-	return DepthSweepContext(context.Background(), spec, p, depths)
-}
-
-// DepthSweepContext is DepthSweep under a context. On cancellation the
-// worker pool stops scheduling new design points and the completed
-// points are returned (unfinished ones are zero-valued, empty Label)
-// with an error wrapping fabric.ErrCancelled.
+// DepthSweepContext measures one kernel across channel depths (E7).
+// Design points are independent simulations, so they run on the worker
+// pool. On cancellation the worker pool stops scheduling new design
+// points and the completed points are returned (unfinished ones are
+// zero-valued, empty Label) with an error wrapping fabric.ErrCancelled.
 func DepthSweepContext(ctx context.Context, spec *workloads.Spec, p workloads.Params, depths []int) ([]SweepPoint, error) {
 	out := make([]SweepPoint, len(depths))
 	errs := make([]error, len(depths))
@@ -309,13 +291,8 @@ func DepthSweepContext(ctx context.Context, spec *workloads.Spec, p workloads.Pa
 	return out, nil
 }
 
-// LatencySweep measures one kernel across extra link latencies (E8),
-// one worker-pool task per latency point.
-func LatencySweep(spec *workloads.Spec, p workloads.Params, lats []int) ([]SweepPoint, error) {
-	return LatencySweepContext(context.Background(), spec, p, lats)
-}
-
-// LatencySweepContext is LatencySweep under a context, with the same
+// LatencySweepContext measures one kernel across extra link latencies
+// (E8), one worker-pool task per latency point, with the same
 // partial-result contract as DepthSweepContext.
 func LatencySweepContext(ctx context.Context, spec *workloads.Spec, p workloads.Params, lats []int) ([]SweepPoint, error) {
 	out := make([]SweepPoint, len(lats))
@@ -352,18 +329,12 @@ type MemLatencyPoint struct {
 	PCCycles  int64
 }
 
-// MemLatencySweep measures one kernel on both control paradigms as
-// scratchpad read latency grows (E7). Triggered PEs keep reacting to
+// MemLatencySweepContext measures one kernel on both control paradigms
+// as scratchpad read latency grows (E7). Triggered PEs keep reacting to
 // whatever has arrived while requests are in flight, so their slowdown
 // curve is flatter than the PC baseline's — the paper's reactivity
-// argument made quantitative.
-func MemLatencySweep(spec *workloads.Spec, p workloads.Params, lats []int) ([]MemLatencyPoint, error) {
-	return MemLatencySweepContext(context.Background(), spec, p, lats)
-}
-
-// MemLatencySweepContext is MemLatencySweep under a context, with the
-// same partial-result contract as DepthSweepContext (unfinished points
-// have zero cycle counts).
+// argument made quantitative. It has the same partial-result contract as
+// DepthSweepContext (unfinished points have zero cycle counts).
 func MemLatencySweepContext(ctx context.Context, spec *workloads.Spec, p workloads.Params, lats []int) ([]MemLatencyPoint, error) {
 	out := make([]MemLatencyPoint, len(lats))
 	errs := make([]error, len(lats))
@@ -466,7 +437,7 @@ func SuiteRequirements(p workloads.Params) ([]Requirements, error) {
 	specs := workloads.All()
 	out := make([]Requirements, len(specs))
 	errs := make([]error, len(specs))
-	forEach(len(specs), func(i int) {
+	forEachCtx(context.Background(), len(specs), func(i int) {
 		spec := specs[i]
 		pp := spec.Normalize(p)
 		inst, err := spec.BuildTIA(pp)

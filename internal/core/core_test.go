@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -12,7 +14,7 @@ func TestRunWorkloadMergesort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row, err := RunWorkload(spec, workloads.Params{Seed: 3, Size: 64})
+	row, err := RunWorkloadContext(context.Background(), spec, workloads.Params{Seed: 3, Size: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +42,7 @@ func TestRunSuiteAndSummarize(t *testing.T) {
 	if testing.Short() {
 		t.Skip("suite run is slow")
 	}
-	rows, err := RunSuite(workloads.Params{Seed: 1, Size: 24})
+	rows, err := RunSuiteContext(context.Background(), workloads.Params{Seed: 1, Size: 24})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +67,7 @@ func TestDepthSweepMonotoneAtOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts, err := DepthSweep(spec, workloads.Params{Seed: 1, Size: 64}, []int{1, 2, 4, 8})
+	pts, err := DepthSweepContext(context.Background(), spec, workloads.Params{Seed: 1, Size: 64}, []int{1, 2, 4, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +86,7 @@ func TestLatencySweepSlowsDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts, err := LatencySweep(spec, workloads.Params{Seed: 1, Size: 64}, []int{0, 2})
+	pts, err := LatencySweepContext(context.Background(), spec, workloads.Params{Seed: 1, Size: 64}, []int{0, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +209,7 @@ func TestMemLatencySweepShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts, err := MemLatencySweep(spec, workloads.Params{Seed: 1, Size: 64}, []int{0, 8})
+	pts, err := MemLatencySweepContext(context.Background(), spec, workloads.Params{Seed: 1, Size: 64}, []int{0, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +229,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row, err := RunWorkload(spec, workloads.Params{Seed: 1, Size: 32})
+	row, err := RunWorkloadContext(context.Background(), spec, workloads.Params{Seed: 1, Size: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,8 +238,8 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err := WriteJSON(&sb, res); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadJSON(strings.NewReader(sb.String()))
-	if err != nil {
+	back := new(Results)
+	if err := json.Unmarshal([]byte(sb.String()), back); err != nil {
 		t.Fatal(err)
 	}
 	if len(back.Rows) != 1 || back.Rows[0].Name != "mergesort" ||
@@ -254,7 +256,7 @@ func TestAreaSensitivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row, err := RunWorkload(spec, workloads.Params{Seed: 1, Size: 32})
+	row, err := RunWorkloadContext(context.Background(), spec, workloads.Params{Seed: 1, Size: 32})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,12 +25,3 @@ func WriteJSON(w io.Writer, res *Results) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(res)
 }
-
-// ReadJSON parses results previously written by WriteJSON.
-func ReadJSON(r io.Reader) (*Results, error) {
-	var res Results
-	if err := json.NewDecoder(r).Decode(&res); err != nil {
-		return nil, err
-	}
-	return &res, nil
-}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"testing"
@@ -27,21 +28,21 @@ func TestWorkerPoolDeterminism(t *testing.T) {
 	lats := []int{0, 1, 3}
 
 	MaxWorkers = 1
-	serialRows, err := RunSuite(p)
+	serialRows, err := RunSuiteContext(context.Background(), p)
 	if err != nil {
-		t.Fatalf("serial RunSuite: %v", err)
+		t.Fatalf("serial RunSuiteContext: %v", err)
 	}
-	serialDepth, err := DepthSweep(spec, p, depths)
+	serialDepth, err := DepthSweepContext(context.Background(), spec, p, depths)
 	if err != nil {
-		t.Fatalf("serial DepthSweep: %v", err)
+		t.Fatalf("serial DepthSweepContext: %v", err)
 	}
-	serialLat, err := LatencySweep(spec, p, lats)
+	serialLat, err := LatencySweepContext(context.Background(), spec, p, lats)
 	if err != nil {
-		t.Fatalf("serial LatencySweep: %v", err)
+		t.Fatalf("serial LatencySweepContext: %v", err)
 	}
-	serialMem, err := MemLatencySweep(spec, p, lats)
+	serialMem, err := MemLatencySweepContext(context.Background(), spec, p, lats)
 	if err != nil {
-		t.Fatalf("serial MemLatencySweep: %v", err)
+		t.Fatalf("serial MemLatencySweepContext: %v", err)
 	}
 	serialReqs, err := SuiteRequirements(p)
 	if err != nil {
@@ -49,21 +50,21 @@ func TestWorkerPoolDeterminism(t *testing.T) {
 	}
 
 	MaxWorkers = 4
-	parRows, err := RunSuite(p)
+	parRows, err := RunSuiteContext(context.Background(), p)
 	if err != nil {
-		t.Fatalf("parallel RunSuite: %v", err)
+		t.Fatalf("parallel RunSuiteContext: %v", err)
 	}
-	parDepth, err := DepthSweep(spec, p, depths)
+	parDepth, err := DepthSweepContext(context.Background(), spec, p, depths)
 	if err != nil {
-		t.Fatalf("parallel DepthSweep: %v", err)
+		t.Fatalf("parallel DepthSweepContext: %v", err)
 	}
-	parLat, err := LatencySweep(spec, p, lats)
+	parLat, err := LatencySweepContext(context.Background(), spec, p, lats)
 	if err != nil {
-		t.Fatalf("parallel LatencySweep: %v", err)
+		t.Fatalf("parallel LatencySweepContext: %v", err)
 	}
-	parMem, err := MemLatencySweep(spec, p, lats)
+	parMem, err := MemLatencySweepContext(context.Background(), spec, p, lats)
 	if err != nil {
-		t.Fatalf("parallel MemLatencySweep: %v", err)
+		t.Fatalf("parallel MemLatencySweepContext: %v", err)
 	}
 	parReqs, err := SuiteRequirements(p)
 	if err != nil {
@@ -71,16 +72,16 @@ func TestWorkerPoolDeterminism(t *testing.T) {
 	}
 
 	if !reflect.DeepEqual(serialRows, parRows) {
-		t.Error("RunSuite rows differ between serial and parallel execution")
+		t.Error("RunSuiteContext rows differ between serial and parallel execution")
 	}
 	if !reflect.DeepEqual(serialDepth, parDepth) {
-		t.Errorf("DepthSweep differs: serial %+v parallel %+v", serialDepth, parDepth)
+		t.Errorf("DepthSweepContext differs: serial %+v parallel %+v", serialDepth, parDepth)
 	}
 	if !reflect.DeepEqual(serialLat, parLat) {
-		t.Errorf("LatencySweep differs: serial %+v parallel %+v", serialLat, parLat)
+		t.Errorf("LatencySweepContext differs: serial %+v parallel %+v", serialLat, parLat)
 	}
 	if !reflect.DeepEqual(serialMem, parMem) {
-		t.Errorf("MemLatencySweep differs: serial %+v parallel %+v", serialMem, parMem)
+		t.Errorf("MemLatencySweepContext differs: serial %+v parallel %+v", serialMem, parMem)
 	}
 	if !reflect.DeepEqual(serialReqs, parReqs) {
 		t.Errorf("SuiteRequirements differs: serial %+v parallel %+v", serialReqs, parReqs)
@@ -99,7 +100,7 @@ func TestForEachCoversAllIndices(t *testing.T) {
 		const n = 7
 		var hits [n]int32
 		done := make(chan int, n)
-		forEach(n, func(i int) { done <- i })
+		forEachCtx(context.Background(), n, func(i int) { done <- i })
 		close(done)
 		for i := range done {
 			hits[i]++

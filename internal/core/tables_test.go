@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -13,7 +14,7 @@ func TestTablesRender(t *testing.T) {
 	if testing.Short() {
 		t.Skip("suite run")
 	}
-	rows, err := RunSuite(workloads.Params{Seed: 1, Size: 16})
+	rows, err := RunSuiteContext(context.Background(), workloads.Params{Seed: 1, Size: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,13 +57,17 @@ type Element interface {
 }
 
 // InPort is implemented by elements with indexed input channels.
+// ConnectIn attaches ch as input idx; it returns an error, and attaches
+// nothing, when idx is out of range or the input is already connected.
 type InPort interface {
-	ConnectIn(idx int, ch *channel.Channel)
+	ConnectIn(idx int, ch *channel.Channel) error
 }
 
 // OutPort is implemented by elements with indexed output channels.
+// ConnectOut is ConnectIn's output-side counterpart, with the same
+// errors.
 type OutPort interface {
-	ConnectOut(idx int, ch *channel.Channel)
+	ConnectOut(idx int, ch *channel.Channel) error
 }
 
 // connectionChecker lets elements veto simulation when their program
@@ -337,43 +341,22 @@ func (f *Fabric) BindChannel(ch *channel.Channel, sender, receiver Element) {
 
 // Wire connects src's output port outIdx to dst's input port inIdx with a
 // channel using fabric defaults (and placement-derived latency if both
-// elements are placed). It returns the channel.
+// elements are placed). It returns the channel and panics where TryWire
+// would return an error: it is for trusted kernel construction code.
 func (f *Fabric) Wire(src OutPort, outIdx int, dst InPort, inIdx int) *channel.Channel {
-	lat := f.cfg.ChannelLatency
-	se, seOK := src.(Element)
-	de, deOK := dst.(Element)
-	if seOK && deOK {
-		if sp, ok1 := f.place[se]; ok1 {
-			if dp, ok2 := f.place[de]; ok2 {
-				d := abs(sp.x-dp.x) + abs(sp.y-dp.y)
-				if d > 0 {
-					lat = f.cfg.ChannelLatency + d - 1
-				}
-			}
-		}
-	}
-	return f.WireOpt(src, outIdx, dst, inIdx, f.cfg.ChannelCapacity, lat)
+	return mustWire(f.TryWire(src, outIdx, dst, inIdx))
 }
 
 // WireOpt is Wire with explicit channel capacity and latency.
 func (f *Fabric) WireOpt(src OutPort, outIdx int, dst InPort, inIdx int, capacity, latency int) *channel.Channel {
-	ch, err := f.TryWireOpt(src, outIdx, dst, inIdx, capacity, latency)
+	return mustWire(f.TryWireOpt(src, outIdx, dst, inIdx, capacity, latency))
+}
+
+func mustWire(ch *channel.Channel, err error) *channel.Channel {
 	if err != nil {
 		panic(err.Error())
 	}
 	return ch
-}
-
-// CheckedOutPort is implemented by elements whose output-port connection
-// reports invalid indices and double-connections as errors. TryWireOpt
-// prefers it over the panicking OutPort.ConnectOut.
-type CheckedOutPort interface {
-	TryConnectOut(idx int, ch *channel.Channel) error
-}
-
-// CheckedInPort is the input-side counterpart of CheckedOutPort.
-type CheckedInPort interface {
-	TryConnectIn(idx int, ch *channel.Channel) error
 }
 
 // TryWire is Wire with connection failures reported as errors instead of
@@ -406,10 +389,10 @@ func (f *Fabric) TryWireOpt(src OutPort, outIdx int, dst InPort, inIdx int, capa
 	if err != nil {
 		return nil, err
 	}
-	if err := connectOutChecked(src, outIdx, ch); err != nil {
+	if err := src.ConnectOut(outIdx, ch); err != nil {
 		return nil, err
 	}
-	if err := connectInChecked(dst, inIdx, ch); err != nil {
+	if err := dst.ConnectIn(inIdx, ch); err != nil {
 		return nil, err
 	}
 	f.chans = append(f.chans, ch)
@@ -418,35 +401,6 @@ func (f *Fabric) TryWireOpt(src OutPort, outIdx int, dst InPort, inIdx int, capa
 	f.binds = append(f.binds, bind{ch: ch, sender: se, receiver: de})
 	f.prep.valid = false
 	return ch, nil
-}
-
-// connectOutChecked routes through TryConnectOut when the element
-// implements it, falling back to recovering the legacy panic so exotic
-// elements still fail as errors rather than crashing the worker.
-func connectOutChecked(src OutPort, idx int, ch *channel.Channel) (err error) {
-	if c, ok := src.(CheckedOutPort); ok {
-		return c.TryConnectOut(idx, ch)
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("%v", r)
-		}
-	}()
-	src.ConnectOut(idx, ch)
-	return nil
-}
-
-func connectInChecked(dst InPort, idx int, ch *channel.Channel) (err error) {
-	if c, ok := dst.(CheckedInPort); ok {
-		return c.TryConnectIn(idx, ch)
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("%v", r)
-		}
-	}()
-	dst.ConnectIn(idx, ch)
-	return nil
 }
 
 func elemName(v any) string {

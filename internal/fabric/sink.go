@@ -39,14 +39,7 @@ func NewMultiEODSink(name string, n int) *Sink {
 func (s *Sink) Name() string { return s.name }
 
 // ConnectIn implements InPort; only index 0 exists.
-func (s *Sink) ConnectIn(idx int, ch *channel.Channel) {
-	if err := s.TryConnectIn(idx, ch); err != nil {
-		panic(err.Error())
-	}
-}
-
-// TryConnectIn implements CheckedInPort.
-func (s *Sink) TryConnectIn(idx int, ch *channel.Channel) error {
+func (s *Sink) ConnectIn(idx int, ch *channel.Channel) error {
 	if idx != 0 {
 		return fmt.Errorf("sink %s: input index %d out of range", s.name, idx)
 	}

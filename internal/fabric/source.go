@@ -39,14 +39,7 @@ func NewWordSource(name string, words []isa.Word, eod bool) *Source {
 func (s *Source) Name() string { return s.name }
 
 // ConnectOut implements OutPort; only index 0 exists.
-func (s *Source) ConnectOut(idx int, ch *channel.Channel) {
-	if err := s.TryConnectOut(idx, ch); err != nil {
-		panic(err.Error())
-	}
-}
-
-// TryConnectOut implements CheckedOutPort.
-func (s *Source) TryConnectOut(idx int, ch *channel.Channel) error {
+func (s *Source) ConnectOut(idx int, ch *channel.Channel) error {
 	if idx != 0 {
 		return fmt.Errorf("source %s: output index %d out of range", s.name, idx)
 	}

@@ -350,8 +350,8 @@ func Attach(f *fabric.Fabric, plan Plan) (*Injector, error) {
 // wiring, name hashes and window storage are reused, so a batch lane
 // arms the next seed without allocating or re-scanning the fabric. The
 // caller must Reset the fabric between runs as usual; outcomes are then
-// bit-identical to Detach + fresh Attach (the differential test in this
-// package asserts it).
+// bit-identical to a fresh Attach on a freshly built fabric (the
+// differential test in this package asserts it).
 //
 // The new plan must keep the site population of the attached one: the
 // same Sites filter, and element freezes planned (Freezes > 0) in both
@@ -388,15 +388,6 @@ func (inj *Injector) Rearm(plan Plan) error {
 	}
 	inj.rewind()
 	return nil
-}
-
-// Detach removes the injector's hooks from the fabric, restoring the
-// unwrapped fast paths.
-func (inj *Injector) Detach(f *fabric.Fabric) {
-	for _, s := range inj.chans {
-		s.ch.SetFaultHook(nil)
-	}
-	f.SetFaultInjector(nil)
 }
 
 func (inj *Injector) matches(name string) bool {

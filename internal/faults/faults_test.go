@@ -315,22 +315,3 @@ func TestFaultsIdenticalAcrossSteppers(t *testing.T) {
 		}
 	}
 }
-
-func TestDetachRestoresFastPath(t *testing.T) {
-	words := []isa.Word{1, 2, 3}
-	f, snk := buildLine(words, true, 0, 4)
-	inj, err := Attach(f, Plan{Seed: 8, FlipRate: 1})
-	if err != nil {
-		t.Fatalf("Attach: %v", err)
-	}
-	inj.Detach(f)
-	if _, err := f.Run(10_000); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	got := snk.Words()
-	for i, w := range []isa.Word{1, 2, 3} {
-		if got[i] != w {
-			t.Fatalf("detached run corrupted output: %v", got)
-		}
-	}
-}

@@ -138,7 +138,7 @@ func TestFleetE2E(t *testing.T) {
 	}
 	owner := -1
 	for i, w := range workers {
-		st, err := service.NewClient(w.url).Status(context.Background(), "mig-1")
+		st, err := (&service.Client{BaseURL: w.url}).Status(context.Background(), "mig-1")
 		if err == nil && st.State == service.JobStateRunning {
 			owner = i
 			break

@@ -121,16 +121,9 @@ func (m *Scratchpad) Size() int { return len(m.data) }
 // Word returns the current contents of address a (for tests and debug).
 func (m *Scratchpad) Word(a int) isa.Word { return m.data[a] }
 
-// ConnectIn implements fabric.InPort, panicking on a bad index or
-// double-connection (use TryConnectIn on untrusted paths).
-func (m *Scratchpad) ConnectIn(idx int, ch *channel.Channel) {
-	if err := m.TryConnectIn(idx, ch); err != nil {
-		panic(err.Error())
-	}
-}
-
-// TryConnectIn implements fabric.CheckedInPort.
-func (m *Scratchpad) TryConnectIn(idx int, ch *channel.Channel) error {
+// ConnectIn implements fabric.InPort: it reports a bad index or a
+// double connection as an error.
+func (m *Scratchpad) ConnectIn(idx int, ch *channel.Channel) error {
 	switch idx {
 	case PortReadAddr:
 		return m.connect(&m.rdAddr, ch)
@@ -143,16 +136,9 @@ func (m *Scratchpad) TryConnectIn(idx int, ch *channel.Channel) error {
 	}
 }
 
-// ConnectOut implements fabric.OutPort, panicking on a bad index or
-// double-connection (use TryConnectOut on untrusted paths).
-func (m *Scratchpad) ConnectOut(idx int, ch *channel.Channel) {
-	if err := m.TryConnectOut(idx, ch); err != nil {
-		panic(err.Error())
-	}
-}
-
-// TryConnectOut implements fabric.CheckedOutPort.
-func (m *Scratchpad) TryConnectOut(idx int, ch *channel.Channel) error {
+// ConnectOut implements fabric.OutPort: it reports a bad index or a
+// double connection as an error.
+func (m *Scratchpad) ConnectOut(idx int, ch *channel.Channel) error {
 	switch idx {
 	case PortReadData:
 		return m.connect(&m.rdResp, ch)

@@ -124,14 +124,20 @@ func (m *Mesh) checkNode(x, y int) {
 // WireOver routes a logical connection over the mesh: src's output port
 // feeds the injection channel at (sx,sy); the delivery channel at (dx,dy)
 // feeds dst's input port. Both channels are registered with the fabric.
+// Like an out-of-mesh node, a bad port index or a port connected twice
+// panics: the mesh is wired by trusted kernel code.
 func (m *Mesh) WireOver(f *fabric.Fabric, name string,
 	src fabric.OutPort, outIdx, sx, sy int,
 	dst fabric.InPort, inIdx, dx, dy int, capacity int) {
 	from, to := m.Bridge(name, sx, sy, dx, dy, capacity)
 	f.AdoptChannel(from)
 	f.AdoptChannel(to)
-	src.ConnectOut(outIdx, from)
-	dst.ConnectIn(inIdx, to)
+	if err := src.ConnectOut(outIdx, from); err != nil {
+		panic(err.Error())
+	}
+	if err := dst.ConnectIn(inIdx, to); err != nil {
+		panic(err.Error())
+	}
 	// Declare endpoints so the event-driven stepper wakes exactly the
 	// producer, the mesh, and the consumer instead of everything.
 	se, _ := src.(fabric.Element)

@@ -449,16 +449,9 @@ func (p *PE) validate(i int, in *Inst) error {
 // Name implements fabric.Element.
 func (p *PE) Name() string { return p.name }
 
-// ConnectIn implements fabric.InPort, panicking on a bad index or
-// double-connection (use TryConnectIn on untrusted paths).
-func (p *PE) ConnectIn(idx int, ch *channel.Channel) {
-	if err := p.TryConnectIn(idx, ch); err != nil {
-		panic(err.Error())
-	}
-}
-
-// TryConnectIn implements fabric.CheckedInPort.
-func (p *PE) TryConnectIn(idx int, ch *channel.Channel) error {
+// ConnectIn implements fabric.InPort: it reports a bad index or a
+// double connection as an error.
+func (p *PE) ConnectIn(idx int, ch *channel.Channel) error {
 	if idx < 0 || idx >= len(p.in) {
 		return fmt.Errorf("pcpe %s: input index %d out of range", p.name, idx)
 	}
@@ -469,16 +462,9 @@ func (p *PE) TryConnectIn(idx int, ch *channel.Channel) error {
 	return nil
 }
 
-// ConnectOut implements fabric.OutPort, panicking on a bad index or
-// double-connection (use TryConnectOut on untrusted paths).
-func (p *PE) ConnectOut(idx int, ch *channel.Channel) {
-	if err := p.TryConnectOut(idx, ch); err != nil {
-		panic(err.Error())
-	}
-}
-
-// TryConnectOut implements fabric.CheckedOutPort.
-func (p *PE) TryConnectOut(idx int, ch *channel.Channel) error {
+// ConnectOut implements fabric.OutPort: it reports a bad index or a
+// double connection as an error.
+func (p *PE) ConnectOut(idx int, ch *channel.Channel) error {
 	if idx < 0 || idx >= len(p.out) {
 		return fmt.Errorf("pcpe %s: output index %d out of range", p.name, idx)
 	}

@@ -224,16 +224,9 @@ func (p *PE) Pred(i int) bool {
 	return p.predBits&(1<<uint(i)) != 0
 }
 
-// ConnectIn attaches ch as input channel idx, panicking on a bad index
-// or double-connection (use TryConnectIn on untrusted paths).
-func (p *PE) ConnectIn(idx int, ch *channel.Channel) {
-	if err := p.TryConnectIn(idx, ch); err != nil {
-		panic(err.Error())
-	}
-}
-
-// TryConnectIn implements fabric.CheckedInPort.
-func (p *PE) TryConnectIn(idx int, ch *channel.Channel) error {
+// ConnectIn implements fabric.InPort: it reports a bad index or a
+// double connection as an error.
+func (p *PE) ConnectIn(idx int, ch *channel.Channel) error {
 	if idx < 0 || idx >= len(p.in) {
 		return fmt.Errorf("pe %s: input index %d out of range", p.name, idx)
 	}
@@ -245,16 +238,9 @@ func (p *PE) TryConnectIn(idx int, ch *channel.Channel) error {
 	return nil
 }
 
-// ConnectOut attaches ch as output channel idx, panicking on a bad index
-// or double-connection (use TryConnectOut on untrusted paths).
-func (p *PE) ConnectOut(idx int, ch *channel.Channel) {
-	if err := p.TryConnectOut(idx, ch); err != nil {
-		panic(err.Error())
-	}
-}
-
-// TryConnectOut implements fabric.CheckedOutPort.
-func (p *PE) TryConnectOut(idx int, ch *channel.Channel) error {
+// ConnectOut implements fabric.OutPort: it reports a bad index or a
+// double connection as an error.
+func (p *PE) ConnectOut(idx int, ch *channel.Channel) error {
 	if idx < 0 || idx >= len(p.out) {
 		return fmt.Errorf("pe %s: output index %d out of range", p.name, idx)
 	}

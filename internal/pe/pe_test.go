@@ -682,25 +682,28 @@ func TestAccessorsAndDumpState(t *testing.T) {
 }
 
 func TestConnectPanics(t *testing.T) {
-	expectPanic := func(name string, f func()) {
+	// A bad connection is an error here; fabric.Wire turns it into a
+	// panic with the same text.
+	expectErr := func(name, want string, err error) {
 		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: expected panic", name)
-			}
-		}()
-		f()
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: error %v, want %q", name, err, want)
+		}
 	}
 	p, err := New("p", isa.DefaultConfig(), MergeProgram())
 	if err != nil {
 		t.Fatal(err)
 	}
-	expectPanic("in range", func() { p.ConnectIn(99, channel.New("x", 1, 0)) })
-	expectPanic("out range", func() { p.ConnectOut(99, channel.New("x", 1, 0)) })
-	p.ConnectIn(0, channel.New("a", 1, 0))
-	expectPanic("in twice", func() { p.ConnectIn(0, channel.New("b", 1, 0)) })
-	p.ConnectOut(0, channel.New("o", 1, 0))
-	expectPanic("out twice", func() { p.ConnectOut(0, channel.New("o2", 1, 0)) })
+	expectErr("in range", "pe p: input index 99 out of range", p.ConnectIn(99, channel.New("x", 1, 0)))
+	expectErr("out range", "pe p: output index 99 out of range", p.ConnectOut(99, channel.New("x", 1, 0)))
+	if err := p.ConnectIn(0, channel.New("a", 1, 0)); err != nil {
+		t.Fatal(err)
+	}
+	expectErr("in twice", "pe p: input 0 connected twice", p.ConnectIn(0, channel.New("b", 1, 0)))
+	if err := p.ConnectOut(0, channel.New("o", 1, 0)); err != nil {
+		t.Fatal(err)
+	}
+	expectErr("out twice", "pe p: output 0 connected twice", p.ConnectOut(0, channel.New("o2", 1, 0)))
 	p.SetIssueWidth(0) // clamps to 1; stepping requires full connection
 	if err := p.CheckConnections(); err == nil {
 		t.Fatal("partially connected PE accepted")

@@ -23,11 +23,6 @@ type Client struct {
 	HTTP *http.Client
 }
 
-// NewClient returns a Client for the server at baseURL.
-func NewClient(baseURL string) *Client {
-	return &Client{BaseURL: baseURL}
-}
-
 // Submit performs one POST /v1/jobs round trip, decoding typed job
 // errors out of non-200 responses along with any Retry-After hint.
 func (c *Client) Submit(ctx context.Context, req *JobRequest) (*JobResult, error) {

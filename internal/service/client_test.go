@@ -79,7 +79,7 @@ func TestClientSubmitIsOneRoundTrip(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	_, err := NewClient(ts.URL).Submit(context.Background(), &JobRequest{Workload: "dmm"})
+	_, err := (&Client{BaseURL: ts.URL}).Submit(context.Background(), &JobRequest{Workload: "dmm"})
 	je, ok := err.(*JobError)
 	if !ok || je.Kind != ErrBusy {
 		t.Fatalf("Submit error = %v, want a typed busy error", err)
@@ -103,7 +103,7 @@ func TestClientDeadlineHeader(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	cl := NewClient(ts.URL)
+	cl := &Client{BaseURL: ts.URL}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if _, err := cl.Submit(ctx, &JobRequest{Workload: "dmm"}); err != nil {

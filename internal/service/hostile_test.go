@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"tia/internal/asm"
 	"tia/internal/limits"
 	"tia/internal/service"
 )
@@ -132,5 +133,46 @@ func TestGovernorCacheHitReadmission(t *testing.T) {
 	}
 	if got := svc.Metrics().JobsRejectedResource.Load(); got != 2 {
 		t.Errorf("JobsRejectedResource = %d, want 2", got)
+	}
+}
+
+// TestWorkloadChannelKnobsRejected pins the boundary rules on a workload
+// job's channel knobs, the same ones the netlist assembler applies to
+// its own cap and lat: a negative latency or a capacity above the
+// fabric limit is a typed bad_request (HTTP 400), never a worker panic
+// surfacing as an internal error.
+func TestWorkloadChannelKnobsRejected(t *testing.T) {
+	svc := newServer(t, testConfig())
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	for _, c := range []struct {
+		name string
+		req  service.JobRequest
+	}{
+		{"negative-latency", service.JobRequest{Workload: "dmm", ChannelCapacity: 2, ChannelLatency: -1}},
+		{"negative-latency-default-capacity", service.JobRequest{Workload: "dmm", ChannelLatency: -1}},
+		{"capacity-over-limit", service.JobRequest{Workload: "dmm", ChannelCapacity: asm.MaxChannelCap + 1}},
+		{"campaign-negative-latency", service.JobRequest{Workload: "mergesort", Size: 12, ChannelLatency: -1,
+			Faults: &service.FaultCampaignRequest{Runs: 2, Seed: 1, FlipRate: 0.02}}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			status, res, jerr := postJob(t, ts.Client(), ts.URL, &c.req)
+			if jerr == nil {
+				t.Fatalf("accepted: %+v", res)
+			}
+			if status != 400 || jerr.Kind != service.ErrBadRequest {
+				t.Errorf("HTTP %d kind %q, want 400 bad_request (message: %s)", status, jerr.Kind, jerr.Message)
+			}
+			if strings.Contains(jerr.Message, "panicked") {
+				t.Errorf("worker panic leaked: %s", jerr.Message)
+			}
+		})
+	}
+
+	// The knobs at their limits' safe side still run.
+	status, res, jerr := postJob(t, ts.Client(), ts.URL, &service.JobRequest{Workload: "dmm", ChannelCapacity: 2, ChannelLatency: 0})
+	if jerr != nil || status != 200 || !res.Verified {
+		t.Fatalf("valid knobs: status %d res %+v err %v", status, res, jerr)
 	}
 }

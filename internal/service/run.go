@@ -15,8 +15,10 @@ import (
 	"tia/internal/fabric"
 	"tia/internal/isa"
 	"tia/internal/limits"
+	"tia/internal/mem"
 	"tia/internal/metrics"
 	"tia/internal/pcpe"
+	"tia/internal/pe"
 	"tia/internal/trace"
 	"tia/internal/workloads"
 )
@@ -54,10 +56,11 @@ func (k resultKey) hash() string {
 // loop; id is the journaled job identity (checkpoints and resume
 // snapshots are keyed by it).
 func (s *Server) runJob(ctx context.Context, id string, req *JobRequest) (*JobResult, error) {
-	if req.MaxCycles < 0 {
-		// Submit rejects this at the boundary; guard replayed or embedded
-		// requests too rather than silently running the server default.
-		return nil, jobErrorf(ErrBadRequest, "max_cycles %d: must be non-negative (0 means the server default)", req.MaxCycles)
+	// Submit rejects bad knobs at the boundary; guard replayed or
+	// embedded requests too rather than silently running the server
+	// default or panicking in a kernel builder.
+	if err := checkKnobs(req); err != nil {
+		return nil, err
 	}
 	switch {
 	case req.Workload != "" && req.Netlist != "":
@@ -122,6 +125,33 @@ func simError(ctx context.Context, err error, cycles int64) *JobError {
 	return je
 }
 
+// checkKnobs applies the request rules that hold for every job before
+// it is queued or run. The channel knobs follow the rules the netlist
+// assembler applies to its own cap and lat: a workload's kernel builder
+// wires with them and would panic on a negative latency, and a huge
+// capacity allocates that many slots for every channel.
+func checkKnobs(req *JobRequest) error {
+	if req.MaxCycles < 0 {
+		return jobErrorf(ErrBadRequest, "max_cycles %d: must be non-negative (0 means the server default)", req.MaxCycles)
+	}
+	if req.ChannelLatency < 0 {
+		return jobErrorf(ErrBadRequest, "channel_latency %d: must be non-negative", req.ChannelLatency)
+	}
+	if req.ChannelCapacity > asm.MaxChannelCap {
+		return jobErrorf(ErrBadRequest, "channel_capacity %d exceeds the %d-token fabric limit", req.ChannelCapacity, asm.MaxChannelCap)
+	}
+	return nil
+}
+
+// cycleBudget is a job's cycle budget: the request's max_cycles, or def
+// when it names none, capped by the server's ceiling.
+func (s *Server) cycleBudget(req *JobRequest, def int64) int64 {
+	if req.MaxCycles > 0 {
+		def = req.MaxCycles
+	}
+	return min(def, s.cfg.MaxCyclesCap)
+}
+
 // workloadParams maps a request's workload knobs onto kernel parameters.
 func workloadParams(req *JobRequest) workloads.Params {
 	p := workloads.Params{
@@ -150,13 +180,6 @@ func (s *Server) runWorkloadJob(ctx context.Context, id string, req *JobRequest)
 		return nil, jobErrorf(ErrBadRequest, "%v", err)
 	}
 	p := spec.Normalize(workloadParams(req))
-
-	budget := spec.MaxCycles(p)
-	if req.MaxCycles > 0 {
-		budget = req.MaxCycles
-	}
-	budget = min(budget, s.cfg.MaxCyclesCap)
-
 	inst, err := spec.BuildTIA(p)
 	if err != nil {
 		return nil, jobErrorf(ErrCompile, "build %s: %v", spec.Name, err)
@@ -165,68 +188,25 @@ func (s *Server) runWorkloadJob(ctx context.Context, id string, req *JobRequest)
 	for _, pr := range inst.PEs {
 		fp += asm.HashTIAProgram(pr.Program())
 	}
-	key := resultKey{
-		Kind: "workload", Name: spec.Name, Fingerprint: hashString(fp),
-		Size: p.Size, Seed: p.Seed, Policy: req.Policy, IssueWidth: p.IssueWidth,
-		MemLatency: p.MemLatency, ChanCap: p.FabricCfg.ChannelCapacity,
-		ChanLat: p.FabricCfg.ChannelLatency, MaxCycles: budget, Trace: req.Trace,
-	}
-	keyHash := key.hash()
-	if res, ok := s.lookupResult(keyHash, req.NoCache); ok {
-		return res, nil
-	}
-
-	var rec *trace.Recorder
-	if req.Trace {
-		rec = trace.New(traceEventLimit)
-		for _, pr := range inst.PEs {
-			rec.Attach(pr)
-		}
-	}
-	// Resume staging is independent of checkpointing: a migrated job
-	// carries its snapshot inline (ResumeSnapshot) and restores even on
-	// a server without a journal; only writing new checkpoints needs
-	// durability configured.
-	budget = s.restoreOrRestart(id, key.Fingerprint, inst.Fabric, budget)
-	if s.checkpointsOn(req) {
-		inst.Fabric.SetCheckpoint(s.cfg.CheckpointEvery, func(cycle int64) error {
-			return s.writeCheckpoint(id, key.Fingerprint, inst.Fabric, cycle)
-		})
-	}
-	start, startCycle := time.Now(), inst.Fabric.Cycle()
-	runRes, err := inst.Fabric.RunContext(ctx, budget)
-	s.accountSim(runRes.Cycles-startCycle, time.Since(start))
-	if err != nil {
-		return nil, simError(ctx, err, runRes.Cycles)
-	}
-	if got, want := inst.Sink.Words(), spec.Reference(p); !wordsEqual(got, want) {
-		return nil, jobErrorf(ErrVerify, "%s: output mismatch vs golden reference (%d vs %d words)",
-			spec.Name, len(got), len(want))
-	}
-
-	res := &JobResult{
-		ID:          id,
-		Key:         keyHash,
-		Fingerprint: key.Fingerprint,
-		Cycles:      runRes.Cycles,
-		Completed:   runRes.Completed,
-		Verified:    true,
-		Sinks:       map[string][]string{inst.Sink.Name(): renderTokens(inst.Sink)},
-	}
-	for _, pr := range inst.PEs {
-		u := metrics.TIAUtilization(pr)
-		res.Elements = append(res.Elements, ElementStats{
-			Name: u.Name, Kind: "pe", Fired: u.Fired, Occupancy: u.Occupancy,
-			InputStall: u.InputStall, OutputStall: u.OutputStall, Idle: u.Idle,
-		})
-	}
-	if rec != nil {
-		if res.Trace, err = chromeJSON(rec); err != nil {
-			return nil, jobErrorf(ErrInternal, "encode trace: %v", err)
-		}
-	}
-	s.results.put(keyHash, res)
-	return res, nil
+	return s.simulate(ctx, id, req, simJob{
+		key: resultKey{
+			Kind: "workload", Name: spec.Name, Fingerprint: hashString(fp),
+			Size: p.Size, Seed: p.Seed, Policy: req.Policy, IssueWidth: p.IssueWidth,
+			MemLatency: p.MemLatency, ChanCap: p.FabricCfg.ChannelCapacity,
+			ChanLat: p.FabricCfg.ChannelLatency, MaxCycles: s.cycleBudget(req, spec.MaxCycles(p)),
+			Trace: req.Trace,
+		},
+		fabric: inst.Fabric,
+		pes:    inst.PEs,
+		sinks:  map[string]*fabric.Sink{inst.Sink.Name(): inst.Sink},
+		verify: func() error {
+			if got, want := inst.Sink.Words(), spec.Reference(p); !wordsEqual(got, want) {
+				return jobErrorf(ErrVerify, "%s: output mismatch vs golden reference (%d vs %d words)",
+					spec.Name, len(got), len(want))
+			}
+			return nil
+		},
+	})
 }
 
 // CheckNetlist parses and validates netlist source against the PE
@@ -263,16 +243,38 @@ func (s *Server) runNetlistJob(ctx context.Context, id string, req *JobRequest) 
 		return nil, jobErrorf(ErrBadRequest, "%v", err)
 	}
 	defer release()
+	return s.simulate(ctx, id, req, simJob{
+		key: resultKey{Kind: "netlist", Fingerprint: nl.Fingerprint(),
+			MaxCycles: s.cycleBudget(req, defaultMaxCycles), Trace: req.Trace},
+		fabric: nl.Fabric,
+		pes:    byName(nl.PEs),
+		pcpes:  byName(nl.PCPEs),
+		mems:   byName(nl.Mems),
+		sinks:  nl.Sinks,
+	})
+}
 
-	budget := defaultMaxCycles
-	if req.MaxCycles > 0 {
-		budget = req.MaxCycles
-	}
-	budget = min(budget, s.cfg.MaxCyclesCap)
+// simJob is a built workload or netlist job, ready to simulate.
+type simJob struct {
+	// key content-addresses the result; key.MaxCycles is the budget.
+	key    resultKey
+	fabric *fabric.Fabric
+	// The result's Elements list the triggered PEs (traced on request),
+	// then the PC PEs, then the scratchpads, each in slice order.
+	pes   []*pe.PE
+	pcpes []*pcpe.PE
+	mems  []*mem.Scratchpad
+	sinks map[string]*fabric.Sink
+	// verify, when set, checks the outputs against a golden reference
+	// before the result is trusted; the result is then Verified.
+	verify func() error
+}
 
-	fp := nl.Fingerprint()
-	key := resultKey{Kind: "netlist", Fingerprint: fp, MaxCycles: budget, Trace: req.Trace}
-	keyHash := key.hash()
+// simulate is the one simulate path of workload and netlist jobs:
+// result-cache lookup, trace attach, resume or restart, checkpoint
+// hook, run, verification, result assembly and caching.
+func (s *Server) simulate(ctx context.Context, id string, req *JobRequest, j simJob) (*JobResult, error) {
+	keyHash := j.key.hash()
 	if res, ok := s.lookupResult(keyHash, req.NoCache); ok {
 		return res, nil
 	}
@@ -280,21 +282,31 @@ func (s *Server) runNetlistJob(ctx context.Context, id string, req *JobRequest) 
 	var rec *trace.Recorder
 	if req.Trace {
 		rec = trace.New(traceEventLimit)
-		for _, pr := range nl.PEs {
+		for _, pr := range j.pes {
 			rec.Attach(pr)
 		}
 	}
-	budget = s.restoreOrRestart(id, fp, nl.Fabric, budget)
+	// Resume staging is independent of checkpointing: a migrated job
+	// carries its snapshot inline (ResumeSnapshot) and restores even on
+	// a server without a journal; only writing new checkpoints needs
+	// durability configured.
+	fp, f := j.key.Fingerprint, j.fabric
+	budget := s.restoreOrRestart(id, fp, f, j.key.MaxCycles)
 	if s.checkpointsOn(req) {
-		nl.Fabric.SetCheckpoint(s.cfg.CheckpointEvery, func(cycle int64) error {
-			return s.writeCheckpoint(id, fp, nl.Fabric, cycle)
+		f.SetCheckpoint(s.cfg.CheckpointEvery, func(cycle int64) error {
+			return s.writeCheckpoint(id, fp, f, cycle)
 		})
 	}
-	start, startCycle := time.Now(), nl.Fabric.Cycle()
-	runRes, err := nl.Fabric.RunContext(ctx, budget)
+	start, startCycle := time.Now(), f.Cycle()
+	runRes, err := f.RunContext(ctx, budget)
 	s.accountSim(runRes.Cycles-startCycle, time.Since(start))
 	if err != nil {
 		return nil, simError(ctx, err, runRes.Cycles)
+	}
+	if j.verify != nil {
+		if err := j.verify(); err != nil {
+			return nil, err
+		}
 	}
 
 	res := &JobResult{
@@ -303,29 +315,29 @@ func (s *Server) runNetlistJob(ctx context.Context, id string, req *JobRequest) 
 		Fingerprint: fp,
 		Cycles:      runRes.Cycles,
 		Completed:   runRes.Completed,
-		Sinks:       map[string][]string{},
+		Verified:    j.verify != nil,
+		Sinks:       make(map[string][]string, len(j.sinks)),
 	}
-	for name, snk := range nl.Sinks {
+	for name, snk := range j.sinks {
 		res.Sinks[name] = renderTokens(snk)
 	}
-	for _, name := range sortedKeys(nl.PEs) {
-		u := metrics.TIAUtilization(nl.PEs[name])
+	for _, pr := range j.pes {
+		u := metrics.TIAUtilization(pr)
 		res.Elements = append(res.Elements, ElementStats{
 			Name: u.Name, Kind: "pe", Fired: u.Fired, Occupancy: u.Occupancy,
 			InputStall: u.InputStall, OutputStall: u.OutputStall, Idle: u.Idle,
 		})
 	}
-	for _, name := range sortedKeys(nl.PCPEs) {
-		u := metrics.PCUtilization(nl.PCPEs[name])
+	for _, pr := range j.pcpes {
+		u := metrics.PCUtilization(pr)
 		res.Elements = append(res.Elements, ElementStats{
 			Name: u.Name, Kind: "pcpe", Fired: u.Fired, Occupancy: u.Occupancy,
 			InputStall: u.InputStall, OutputStall: u.OutputStall, Penalty: u.Penalty,
 		})
 	}
-	for _, name := range sortedKeys(nl.Mems) {
-		m := nl.Mems[name]
+	for _, m := range j.mems {
 		res.Elements = append(res.Elements, ElementStats{
-			Name: name, Kind: "scratchpad", Reads: m.Reads(), Writes: m.Writes(),
+			Name: m.Name(), Kind: "scratchpad", Reads: m.Reads(), Writes: m.Writes(),
 		})
 	}
 	if rec != nil {
@@ -368,13 +380,18 @@ func wordsEqual(a, b []isa.Word) bool {
 	return true
 }
 
-func sortedKeys[V any](m map[string]V) []string {
+// byName returns m's values in the order of their sorted keys.
+func byName[V any](m map[string]V) []V {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	return keys
+	out := make([]V, len(keys))
+	for i, k := range keys {
+		out[i] = m[k]
+	}
+	return out
 }
 
 func hashString(s string) string {

@@ -185,8 +185,8 @@ func (s *Server) Submit(ctx context.Context, req *JobRequest) (*JobResult, error
 	if len(req.ResumeSnapshot) > 0 && (req.Trace || req.Faults != nil) {
 		return nil, jobErrorf(ErrBadRequest, "resume_snapshot is incompatible with trace and fault-campaign jobs")
 	}
-	if req.MaxCycles < 0 {
-		return nil, jobErrorf(ErrBadRequest, "max_cycles %d: must be non-negative (0 means the server default)", req.MaxCycles)
+	if err := checkKnobs(req); err != nil {
+		return nil, err
 	}
 	id := req.JobID
 	if id == "" {

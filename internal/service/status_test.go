@@ -45,7 +45,7 @@ func TestJobStatusLookup(t *testing.T) {
 	svc := newServer(t, testConfig())
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
-	cl := service.NewClient(ts.URL)
+	cl := &service.Client{BaseURL: ts.URL}
 
 	if _, err := svc.Submit(context.Background(), &service.JobRequest{Workload: "dmm", JobID: "st-1"}); err != nil {
 		t.Fatalf("submit: %v", err)
@@ -125,7 +125,7 @@ func TestDrainingRetryAfter(t *testing.T) {
 		t.Error("503 draining response has no Retry-After header")
 	}
 
-	h, err := service.NewClient(ts.URL).Healthz(context.Background())
+	h, err := (&service.Client{BaseURL: ts.URL}).Healthz(context.Background())
 	if err != nil {
 		t.Fatalf("healthz during drain: %v", err)
 	}
@@ -148,7 +148,7 @@ func TestResumeSnapshotImport(t *testing.T) {
 	svcA := newServer(t, cfgA)
 	tsA := httptest.NewServer(svcA.Handler())
 	defer tsA.Close()
-	clA := service.NewClient(tsA.URL)
+	clA := &service.Client{BaseURL: tsA.URL}
 
 	type outcome struct {
 		res *service.JobResult

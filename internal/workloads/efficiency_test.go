@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"context"
 	"testing"
 )
 
@@ -99,7 +100,7 @@ func TestLargeInputs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := spec.Verify(Params{Seed: 13, Size: size}); err != nil {
+		if _, err := spec.VerifyFullContext(context.Background(), Params{Seed: 13, Size: size}); err != nil {
 			t.Errorf("%s @ %d: %v", name, size, err)
 		}
 	}

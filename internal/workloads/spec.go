@@ -210,20 +210,10 @@ type Verified struct {
 	GPP *GPPResult
 }
 
-// Verify runs every form of the kernel and checks that all outputs match
-// the reference. It returns a descriptive error on the first mismatch.
-func (s *Spec) Verify(p Params) error {
-	_, err := s.VerifyFull(p)
-	return err
-}
-
-// VerifyFull is Verify returning the run artifacts for reuse.
-func (s *Spec) VerifyFull(p Params) (*Verified, error) {
-	return s.VerifyFullContext(context.Background(), p)
-}
-
-// VerifyFullContext is VerifyFull under a context: cancellation or
-// deadline expiry stops whichever fabric simulation is in flight (see
+// VerifyFullContext runs every form of the kernel, checks that all
+// outputs match the reference and returns the run artifacts for reuse;
+// the first mismatch is a descriptive error. Cancellation or deadline
+// expiry stops whichever fabric simulation is in flight (see
 // fabric.RunContext) and is reported as an error wrapping
 // fabric.ErrCancelled.
 func (s *Spec) VerifyFullContext(ctx context.Context, p Params) (*Verified, error) {

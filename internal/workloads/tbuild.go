@@ -174,12 +174,6 @@ func (r *Rule) OnTag(ch string, t isa.Tag) *Rule {
 	return r
 }
 
-// OnTagNe requires ch non-empty with head tag != t.
-func (r *Rule) OnTagNe(ch string, t isa.Tag) *Rule {
-	r.inst.Trigger.Inputs = append(r.inst.Trigger.Inputs, isa.InTagNe(r.b.InIdx(ch), t))
-	return r
-}
-
 // Op sets the ALU operation.
 func (r *Rule) Op(op isa.Opcode) *Rule {
 	r.inst.Op = op
@@ -202,7 +196,7 @@ func (r *Rule) DstPred(name string) *Rule {
 	return r
 }
 
-// Srcs sets the source operands; use SReg/SImm/SIn/SInTag helpers.
+// Srcs sets the source operands; use the SReg/SImm/SIn helpers.
 func (r *Rule) Srcs(srcs ...TSrc) *Rule {
 	if len(srcs) > 2 {
 		r.b.fail("rule %s: more than two sources", r.inst.Label)
@@ -249,11 +243,10 @@ type TSrc struct {
 	imm  isa.Word
 }
 
-// SReg, SImm, SIn and SInTag build named source operands.
+// SReg, SImm and SIn build named source operands.
 func SReg(name string) TSrc { return TSrc{kind: isa.SrcReg, name: name} }
 func SImm(v isa.Word) TSrc  { return TSrc{kind: isa.SrcImm, imm: v} }
 func SIn(ch string) TSrc    { return TSrc{kind: isa.SrcIn, name: ch} }
-func SInTag(ch string) TSrc { return TSrc{kind: isa.SrcInTag, name: ch} }
 
 func (s TSrc) lower(b *TB) isa.Src {
 	switch s.kind {
@@ -263,8 +256,6 @@ func (s TSrc) lower(b *TB) isa.Src {
 		return isa.Imm(s.imm)
 	case isa.SrcIn:
 		return isa.In(b.InIdx(s.name))
-	case isa.SrcInTag:
-		return isa.InTag(b.InIdx(s.name))
 	default:
 		b.fail("invalid source kind %d", s.kind)
 		return isa.Src{}

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"context"
 	"testing"
 )
 
@@ -14,7 +15,7 @@ func TestVerifyAll(t *testing.T) {
 			for _, size := range []int{0 /* default */, 17, 40} {
 				for seed := int64(1); seed <= 3; seed++ {
 					p := Params{Size: size, Seed: seed}
-					if err := spec.Verify(p); err != nil {
+					if _, err := spec.VerifyFullContext(context.Background(), p); err != nil {
 						t.Fatalf("size=%d seed=%d: %v", size, seed, err)
 					}
 				}
@@ -113,7 +114,7 @@ func TestVerifyAllWideIssue(t *testing.T) {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			p := Params{Seed: 2, Size: 20, IssueWidth: 2}
-			if err := spec.Verify(p); err != nil {
+			if _, err := spec.VerifyFullContext(context.Background(), p); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -126,7 +127,7 @@ func TestVerifyAllMemLatency(t *testing.T) {
 	for _, spec := range All() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			if err := spec.Verify(Params{Seed: 3, Size: 24, MemLatency: 4}); err != nil {
+			if _, err := spec.VerifyFullContext(context.Background(), Params{Seed: 3, Size: 24, MemLatency: 4}); err != nil {
 				t.Fatal(err)
 			}
 		})
