@@ -59,10 +59,13 @@ perfbench-smoke:
 # classifyRef, channel reset/restore reuse, a reused instance's Reset +
 # Rearm + run under stall and freeze windows): any regression to >0
 # allocs/op fails these tests, not just a benchmark number. One-time
-# compilation cost is gated separately as a bounded constant. Run with
-# -count=1 outside the race detector, whose instrumentation allocates.
+# compilation cost is gated separately as a bounded constant, and so is
+# the service's result-cache hit path: a repeated workload or netlist
+# job must allocate far less than the kernel build or netlist parse it
+# skips. Run with -count=1 outside the race detector, whose
+# instrumentation allocates.
 alloc-gate:
-	$(GO) test -run 'AllocationFree|AllocationBounded|ReusesCapacity' -count=1 ./internal/fabric ./internal/pe ./internal/channel ./internal/batchrun ./internal/faults
+	$(GO) test -run 'AllocationFree|AllocationBounded|ReusesCapacity' -count=1 ./internal/fabric ./internal/pe ./internal/channel ./internal/batchrun ./internal/faults ./internal/service
 
 # Seeded fault-campaign smoke: one kernel, fixed seed, exact expected
 # masked/detected/sdc/hang taxonomy (see internal/core/resilience_test.go).

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unicode"
 
 	"tia/internal/isa"
 )
@@ -36,21 +37,50 @@ func (n *Netlist) Fingerprint() string {
 }
 
 // TokenHash returns a stable hex digest of netlist source text at the
-// lexer level: each line loses its // comment, its tokens are rejoined
-// with single spaces, and blank lines are dropped. Comments, blank lines
-// and indentation therefore do not affect it; anything else does,
-// including label renames and declaration order, which Fingerprint
-// ignores. It needs no parse, so it also hashes sources that do not
-// assemble. The fleet routes netlist jobs on it.
+// lexer level: each line loses its // comment, its tokens (split as
+// strings.Fields splits) are rejoined with single spaces, and blank
+// lines are dropped. Comments, blank lines and indentation therefore do
+// not affect it; anything else does, including label renames and
+// declaration order, which Fingerprint ignores. It needs no parse, so it
+// also hashes sources that do not assemble. The fleet routes netlist
+// jobs on it, and a worker looks a netlist job's result up by it before
+// the parse.
 func TokenHash(src string) string {
-	h := sha256.New()
-	for _, line := range strings.Split(src, "\n") {
-		if toks := strings.Fields(stripComment(line)); len(toks) > 0 {
-			h.Write([]byte(strings.Join(toks, " ")))
-			h.Write([]byte{'\n'})
+	buf := make([]byte, 0, len(src))
+	for rest := src; rest != ""; {
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
+		line = stripComment(line)
+		lineStart, tokStart := len(buf), -1
+		for i, r := range line {
+			switch {
+			case !unicode.IsSpace(r):
+				if tokStart < 0 {
+					tokStart = i
+				}
+			case tokStart >= 0:
+				buf = appendToken(buf, lineStart, line[tokStart:i])
+				tokStart = -1
+			}
+		}
+		if tokStart >= 0 {
+			buf = appendToken(buf, lineStart, line[tokStart:])
+		}
+		if len(buf) > lineStart {
+			buf = append(buf, '\n')
 		}
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
+}
+
+// appendToken appends tok to a line of tokens that began at lineStart,
+// after a single space unless it is the line's first.
+func appendToken(buf []byte, lineStart int, tok string) []byte {
+	if len(buf) > lineStart {
+		buf = append(buf, ' ')
+	}
+	return append(buf, tok...)
 }
 
 func hashString(s string) string {

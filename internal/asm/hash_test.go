@@ -155,3 +155,40 @@ func TestTokenHash(t *testing.T) {
 		}
 	}
 }
+
+// TestEqualTokenHashParsesAlike: the triggered dialect finds "when" at
+// the first token it ends, whatever blank follows it, so sources with
+// equal TokenHash split label and trigger alike. It once searched for
+// "when " with a space: after a label ending in "when" and a tab, it
+// skipped to a later "when ", and both spellings parsed, to different
+// programs under one token hash.
+func TestEqualTokenHashParsesAlike(t *testing.T) {
+	for name, mk := range map[string]func(blank string) string{
+		"label ending in when": func(b string) string {
+			return "source s : 1 eod\nsink k\npe p\nin i\nout o\npred when\nxwhen" + b +
+				"when : mov o, i ; deq i\nend\nwire s.0 -> p.i\nwire p.o -> k.0\n"
+		},
+		"blank after when": func(b string) string {
+			return "source s : 1 eod\nsink k\npe p\nin i\nout o\nfwd: when" + b +
+				"i.tag==0 : mov o, i ; deq i\nend\nwire s.0 -> p.i\nwire p.o -> k.0\n"
+		},
+	} {
+		space := mk(" ")
+		want, err := ParseNetlist(space, isa.DefaultConfig(), pcpe.DefaultConfig())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, blank := range []string{"\t", "  ", "\v", "\u00a0"} {
+			src := mk(blank)
+			if TokenHash(src) != TokenHash(space) {
+				t.Fatalf("%s %q: token hash differs", name, blank)
+			}
+			got, err := ParseNetlist(src, isa.DefaultConfig(), pcpe.DefaultConfig())
+			if err != nil {
+				t.Errorf("%s %q: %v", name, blank, err)
+			} else if got.Fingerprint() != want.Fingerprint() {
+				t.Errorf("%s %q: fingerprint differs from the spaced source's", name, blank)
+			}
+		}
+	}
+}

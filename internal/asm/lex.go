@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"tia/internal/isa"
 )
@@ -70,6 +72,24 @@ func parseTag(s string) (isa.Tag, error) {
 		return 0, fmt.Errorf("bad tag %q", s)
 	}
 	return isa.Tag(v), nil
+}
+
+// indexWord returns the index of the first kw in s that a blank (any
+// Unicode space, as strings.Fields splits on) follows, or -1. A keyword
+// ends at any blank, so sources equal under TokenHash find it at the
+// same token.
+func indexWord(s, kw string) int {
+	for off := 0; ; {
+		i := strings.Index(s[off:], kw)
+		if i < 0 {
+			return -1
+		}
+		i += off
+		if r, _ := utf8.DecodeRuneInString(s[i+len(kw):]); unicode.IsSpace(r) {
+			return i
+		}
+		off = i + 1
+	}
 }
 
 // splitOperands splits a comma-separated operand list, tolerating empty

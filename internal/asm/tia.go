@@ -236,7 +236,7 @@ func (tp *tiaParser) pred(s string) (int, bool) {
 }
 
 func (tp *tiaParser) parseInst(ln int, line string) error {
-	whenIdx := strings.Index(line, "when ")
+	whenIdx := indexWord(line, "when")
 	if whenIdx < 0 {
 		return srcError(ln, "expected declaration or instruction, got %q", line)
 	}
@@ -245,7 +245,7 @@ func (tp *tiaParser) parseInst(ln int, line string) error {
 	if label != "" && !ident(label) {
 		return srcError(ln, "bad label %q", label)
 	}
-	rest := line[whenIdx+len("when "):]
+	rest := line[whenIdx+len("when"):]
 	colon := strings.Index(rest, ":")
 	if colon < 0 {
 		return srcError(ln, "missing ':' after trigger")

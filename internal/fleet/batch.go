@@ -216,8 +216,14 @@ func (c *Coordinator) runBatch(ctx context.Context, runs []service.JobRequest, e
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			row := BatchRow{Index: i, Seed: runs[i].Seed}
-			res, workerURL, err := c.routeJob(ctx, &runs[i])
+			body, workerURL, err := c.routeJob(ctx, &runs[i])
 			row.Worker = workerURL
+			var res service.JobResult
+			if err == nil {
+				if derr := json.Unmarshal(body, &res); derr != nil {
+					err = &service.JobError{Kind: service.ErrInternal, Message: fmt.Sprintf("decode result: %v", derr)}
+				}
+			}
 			if err != nil {
 				if je, ok := asJobError(err); ok {
 					row.Error = je
@@ -225,7 +231,7 @@ func (c *Coordinator) runBatch(ctx context.Context, runs []service.JobRequest, e
 					row.Error = &service.JobError{Kind: service.ErrUnavailable, Message: err.Error()}
 				}
 			} else {
-				row.Result = res
+				row.Result = &res
 				row.Cached = res.Cached
 			}
 			rows[i] = row

@@ -283,7 +283,7 @@ func TestBatchProvenanceRows(t *testing.T) {
 			t.Errorf("repeated plain row %d not marked cached", i)
 		}
 	}
-	if !bytes.Contains(body, []byte(`"cached": true`)) {
+	if !bytes.Contains(body, []byte(`"cached":true`)) {
 		t.Errorf("repeated plain batch body carries no cached provenance: %s", body)
 	}
 }

@@ -304,7 +304,10 @@ func (c *Coordinator) handleJobs(w http.ResponseWriter, r *http.Request) {
 		service.WriteError(w, err)
 		return
 	}
-	service.WriteJSON(w, http.StatusOK, res)
+	// Relay the worker's bytes: the result is already in wire shape.
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(res)
 }
 
 // FleetInfo is the GET /v1/fleet payload.

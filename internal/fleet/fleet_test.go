@@ -579,3 +579,107 @@ func TestFleetDrainAndHealth(t *testing.T) {
 		t.Errorf("draining healthz status %d, want 503", hresp.StatusCode)
 	}
 }
+
+// relayBody is a worker result whose bytes a decode and re-encode would
+// change: its keys are out of declaration order, it is spaced, and it
+// carries a field JobResult does not declare.
+const relayBody = `{"cycles": 7, "id": "w-1", "key": "k", "fingerprint": "f", "cached": false, "completed": true, "sinks": {"out": ["7"]}, "note": "kept"}` + "\n"
+
+// scriptedWorkers starts n fake workers that answer health probes, 404
+// every status and snapshot lookup, and answer the i-th job submission
+// (counted across all of them, from 0) with reply(i).
+func scriptedWorkers(t *testing.T, n int, reply func(i int64) string) (urls []string, posts *atomic.Int64) {
+	t.Helper()
+	posts = new(atomic.Int64)
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.URL.Path == "/healthz":
+			service.WriteJSON(w, http.StatusOK, service.Health{Status: "ok"})
+		case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs":
+			i := posts.Add(1) - 1
+			w.Header().Set("Content-Type", "application/json")
+			_, _ = io.WriteString(w, reply(i))
+		default:
+			service.WriteError(w, &service.JobError{Kind: service.ErrNotFound, Message: "unknown job"})
+		}
+	})
+	for i := 0; i < n; i++ {
+		ws := httptest.NewServer(h)
+		t.Cleanup(ws.Close)
+		urls = append(urls, ws.URL)
+	}
+	return urls, posts
+}
+
+// TestFleetRelaysWorkerBytes: the coordinator answers a job with the
+// worker's body byte for byte, and names the worker in X-Tia-Worker.
+func TestFleetRelaysWorkerBytes(t *testing.T) {
+	urls, posts := scriptedWorkers(t, 2, func(int64) string { return relayBody })
+	coord, err := New(Config{Workers: urls, HeartbeatEvery: time.Hour})
+	if err != nil {
+		t.Fatalf("fleet.New: %v", err)
+	}
+	t.Cleanup(coord.Close)
+	ts := httptest.NewServer(coord.Handler())
+	defer ts.Close()
+
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader([]byte(`{"workload":"dmm"}`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || string(got) != relayBody {
+		t.Fatalf("HTTP %d body %q, want 200 and the worker's %q", resp.StatusCode, got, relayBody)
+	}
+	if w := resp.Header.Get("X-Tia-Worker"); w != urls[0] && w != urls[1] {
+		t.Errorf("X-Tia-Worker = %q, want one of %v", w, urls)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("Content-Type = %q", ct)
+	}
+	if n := posts.Load(); n != 1 {
+		t.Errorf("workers saw %d submissions, want 1", n)
+	}
+}
+
+// TestFleetFailsOverOnMalformedResult: a 200 whose body is not JSON is
+// a transport failure, not a result. The job fails over to the next
+// worker, and the caller gets that worker's body.
+func TestFleetFailsOverOnMalformedResult(t *testing.T) {
+	urls, posts := scriptedWorkers(t, 2, func(i int64) string {
+		if i == 0 {
+			return relayBody[:len(relayBody)/2] // cut mid-object
+		}
+		return relayBody
+	})
+	coord, err := New(Config{Workers: urls, HeartbeatEvery: time.Hour, PollEvery: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatalf("fleet.New: %v", err)
+	}
+	t.Cleanup(coord.Close)
+	ts := httptest.NewServer(coord.Handler())
+	defer ts.Close()
+
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader([]byte(`{"workload":"dmm"}`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || string(got) != relayBody {
+		t.Fatalf("HTTP %d body %q, want 200 and the second worker's %q", resp.StatusCode, got, relayBody)
+	}
+	if n := posts.Load(); n != 2 {
+		t.Errorf("workers saw %d submissions, want 2 (the garbled one, then the failover)", n)
+	}
+	if f := coord.metrics.Failovers.Load(); f != 1 {
+		t.Errorf("Failovers = %d, want 1", f)
+	}
+}

@@ -105,9 +105,10 @@ func ctxJobError(ctx context.Context) *service.JobError {
 
 // routeJob places one job on the ring and runs it to a terminal state,
 // journaling acceptance and termination when the coordinator journal is
-// configured. It returns the result, the worker URL that served it (or
-// the last one tried), and the terminal error.
-func (c *Coordinator) routeJob(ctx context.Context, req *service.JobRequest) (*service.JobResult, string, error) {
+// configured. It returns the worker's JobResult body, undecoded, the
+// worker URL that served it (or the last one tried), and the terminal
+// error.
+func (c *Coordinator) routeJob(ctx context.Context, req *service.JobRequest) ([]byte, string, error) {
 	// One identity for the job's whole fleet lifetime: journal records,
 	// status lookups and checkpoint snapshots on every worker it touches
 	// are keyed by it.
@@ -134,7 +135,7 @@ func (c *Coordinator) routeJob(ctx context.Context, req *service.JobRequest) (*s
 // submission attempt or is itself charged against the retry budget, so
 // no job can ring-walk forever — it completes, fails on its own merits,
 // or exhausts the budget with a typed, retryable error.
-func (c *Coordinator) routeJobAs(ctx context.Context, id string, req *service.JobRequest) (*service.JobResult, string, error) {
+func (c *Coordinator) routeJobAs(ctx context.Context, id string, req *service.JobRequest) ([]byte, string, error) {
 	key := affinityKey(req)
 	seq := c.ring.sequence(key, c.cfg.MaxFailover)
 	if len(seq) == 0 {
@@ -281,8 +282,8 @@ func (c *Coordinator) routeJobAs(ctx context.Context, id string, req *service.Jo
 // submission is in flight the worker's checkpoint snapshot is polled
 // into the migration stash, and if the connection dies while the worker
 // survives, the outcome is recovered through the status API instead of
-// re-running the job.
-func (c *Coordinator) runOn(ctx context.Context, w *worker, id string, req *service.JobRequest, snap []byte) (*service.JobResult, error) {
+// re-running the job. The result is the worker's JobResult body.
+func (c *Coordinator) runOn(ctx context.Context, w *worker, id string, req *service.JobRequest, snap []byte) ([]byte, error) {
 	r := *req
 	r.JobID = id
 	r.ResumeSnapshot = snap
@@ -297,7 +298,7 @@ func (c *Coordinator) runOn(ctx context.Context, w *worker, id string, req *serv
 	}
 
 	type outcome struct {
-		res *service.JobResult
+		res []byte
 		err error
 	}
 	done := make(chan outcome, 1)
@@ -339,7 +340,9 @@ func (c *Coordinator) runOn(ctx context.Context, w *worker, id string, req *serv
 // while our own context is live means the job's previous incarnation
 // was severed, and determinism makes re-running it safe, so the caller
 // falls back to failover instead of delivering the stale cancellation.
-func (c *Coordinator) reattach(ctx context.Context, w *worker, id string) (res *service.JobResult, jobErr *service.JobError, ok bool) {
+// A completed job's result is encoded in the wire shape a submission
+// returns.
+func (c *Coordinator) reattach(ctx context.Context, w *worker, id string) (res []byte, jobErr *service.JobError, ok bool) {
 	for {
 		pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 		st, err := w.client.Status(pctx, id)
@@ -349,7 +352,11 @@ func (c *Coordinator) reattach(ctx context.Context, w *worker, id string) (res *
 		}
 		switch st.State {
 		case service.JobStateCompleted:
-			return st.Result, nil, true
+			b, err := json.Marshal(st.Result)
+			if err != nil {
+				return nil, nil, false
+			}
+			return append(b, '\n'), nil, true
 		case service.JobStateFailed:
 			if st.Error != nil && st.Error.Kind == service.ErrCancelled {
 				return nil, nil, false

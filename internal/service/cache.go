@@ -6,7 +6,11 @@ import (
 )
 
 // cache is a bounded LRU keyed by content hash: the completed-result
-// cache. Hit and miss counters are reported by the caller.
+// cache. Each entry holds one result under its content key and at most
+// one second key, an alias a job can compute before it builds anything
+// (see Server.simulate). The bound counts entries, not keys, and
+// evicting an entry drops both of its keys. Hit and miss counters are
+// reported by the caller.
 type cache struct {
 	mu    sync.Mutex
 	max   int
@@ -15,8 +19,9 @@ type cache struct {
 }
 
 type cacheEntry struct {
-	key string
-	val any
+	key   string
+	alias string // "" when the entry has no second key
+	val   any
 }
 
 // newCache returns an LRU bounded to max entries (max < 1 means 1).
@@ -27,7 +32,8 @@ func newCache(max int) *cache {
 	return &cache{max: max, order: list.New(), items: map[string]*list.Element{}}
 }
 
-// get returns the cached value and marks it most recently used.
+// get returns the value under key (content key or alias) and marks its
+// entry most recently used.
 func (c *cache) get(key string) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -39,8 +45,8 @@ func (c *cache) get(key string) (any, bool) {
 	return el.Value.(*cacheEntry).val, true
 }
 
-// put inserts or refreshes a value, evicting the least recently used
-// entry past the bound.
+// put inserts or refreshes a value under its content key, evicting the
+// least recently used entry past the bound.
 func (c *cache) put(key string, val any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -50,9 +56,30 @@ func (c *cache) put(key string, val any) {
 		return
 	}
 	c.items[key] = c.order.PushFront(&cacheEntry{key: key, val: val})
-	for len(c.items) > c.max {
+	for c.order.Len() > c.max {
 		last := c.order.Back()
 		c.order.Remove(last)
-		delete(c.items, last.Value.(*cacheEntry).key)
+		e := last.Value.(*cacheEntry)
+		delete(c.items, e.key)
+		if e.alias != "" {
+			delete(c.items, e.alias)
+		}
 	}
+}
+
+// alias makes alias a second key of the entry under key, replacing the
+// entry's previous alias. It does nothing when key is not cached.
+func (c *cache) alias(alias, key string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok {
+		return
+	}
+	e := el.Value.(*cacheEntry)
+	if e.alias != "" {
+		delete(c.items, e.alias)
+	}
+	e.alias = alias
+	c.items[alias] = el
 }

@@ -24,8 +24,12 @@ type Client struct {
 }
 
 // Submit performs one POST /v1/jobs round trip, decoding typed job
-// errors out of non-200 responses along with any Retry-After hint.
-func (c *Client) Submit(ctx context.Context, req *JobRequest) (*JobResult, error) {
+// errors out of non-200 responses along with any Retry-After hint. A
+// 200 returns the server's JobResult body as it came off the wire,
+// checked to be well-formed JSON but not decoded, so a coordinator can
+// relay it without encoding it again; a malformed body is an untyped
+// (transport) error.
+func (c *Client) Submit(ctx context.Context, req *JobRequest) ([]byte, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, fmt.Errorf("encode request: %w", err)
@@ -57,11 +61,10 @@ func (c *Client) Submit(ctx context.Context, req *JobRequest) (*JobResult, error
 		}
 		return nil, err
 	}
-	var res JobResult
-	if err := json.Unmarshal(payload, &res); err != nil {
-		return nil, fmt.Errorf("decode result: %w", err)
+	if !json.Valid(payload) {
+		return nil, fmt.Errorf("decode result: malformed JSON body (%d bytes)", len(payload))
 	}
-	return &res, nil
+	return payload, nil
 }
 
 // maxRetryAfterHint caps how large a server Retry-After hint the client

@@ -1,11 +1,12 @@
 package service
 
 // Client tests: Retry-After parsing under hostile header values
-// (negative, overflow, garbage), one round trip per Submit, and
-// deadline-header propagation.
+// (negative, overflow, garbage), one round trip per Submit,
+// deadline-header propagation, and a result body returned as sent.
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -135,5 +136,35 @@ func TestClientDeadlineHeader(t *testing.T) {
 		if req.DeadlineMs != tc.wantMs {
 			t.Errorf("%s: DeadlineMs = %d, want %d", tc.comment, req.DeadlineMs, tc.wantMs)
 		}
+	}
+}
+
+// TestClientSubmitReturnsBody: a 200 comes back as the server's bytes,
+// undecoded, and a 200 whose body is not JSON is an untyped (transport)
+// error, never a result.
+func TestClientSubmitReturnsBody(t *testing.T) {
+	const body = `{"cycles": 7, "id": "x", "extra": true}` + "\n"
+	var calls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		if calls.Add(1) == 1 {
+			_, _ = io.WriteString(w, body)
+		} else {
+			_, _ = io.WriteString(w, body[:len(body)/2])
+		}
+	}))
+	defer ts.Close()
+
+	cl := &Client{BaseURL: ts.URL}
+	got, err := cl.Submit(context.Background(), &JobRequest{Workload: "dmm"})
+	if err != nil || string(got) != body {
+		t.Fatalf("Submit = %q, %v; want the server's bytes %q", got, err, body)
+	}
+	got, err = cl.Submit(context.Background(), &JobRequest{Workload: "dmm"})
+	if err == nil {
+		t.Fatalf("Submit accepted a truncated body: %q", got)
+	}
+	if _, typed := err.(*JobError); typed {
+		t.Errorf("truncated body gave typed error %v, want a transport error", err)
 	}
 }

@@ -138,9 +138,10 @@ func TestGovernorCacheHitReadmission(t *testing.T) {
 
 // TestWorkloadChannelKnobsRejected pins the boundary rules on a workload
 // job's channel knobs, the same ones the netlist assembler applies to
-// its own cap and lat: a negative latency or a capacity above the
-// fabric limit is a typed bad_request (HTTP 400), never a worker panic
-// surfacing as an internal error.
+// its own cap and lat: a negative latency, a negative capacity or a
+// capacity above the fabric limit is a typed bad_request (HTTP 400),
+// never a worker panic surfacing as an internal error nor a silent run
+// at the default capacity.
 func TestWorkloadChannelKnobsRejected(t *testing.T) {
 	svc := newServer(t, testConfig())
 	ts := httptest.NewServer(svc.Handler())
@@ -153,6 +154,7 @@ func TestWorkloadChannelKnobsRejected(t *testing.T) {
 		{"negative-latency", service.JobRequest{Workload: "dmm", ChannelCapacity: 2, ChannelLatency: -1}},
 		{"negative-latency-default-capacity", service.JobRequest{Workload: "dmm", ChannelLatency: -1}},
 		{"capacity-over-limit", service.JobRequest{Workload: "dmm", ChannelCapacity: asm.MaxChannelCap + 1}},
+		{"negative-capacity", service.JobRequest{Workload: "dmm", ChannelCapacity: -5}},
 		{"campaign-negative-latency", service.JobRequest{Workload: "mergesort", Size: 12, ChannelLatency: -1,
 			Faults: &service.FaultCampaignRequest{Runs: 2, Seed: 1, FlipRate: 0.02}}},
 	} {

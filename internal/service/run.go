@@ -30,15 +30,18 @@ type resultKey struct {
 	Kind        string `json:"kind"` // "workload" or "netlist"
 	Name        string `json:"name,omitempty"`
 	Fingerprint string `json:"fingerprint"`
-	Size        int    `json:"size,omitempty"`
-	Seed        int64  `json:"seed,omitempty"`
-	Policy      int    `json:"policy,omitempty"`
-	IssueWidth  int    `json:"issue_width,omitempty"`
-	MemLatency  int    `json:"mem_latency,omitempty"`
-	ChanCap     int    `json:"chan_cap,omitempty"`
-	ChanLat     int    `json:"chan_lat,omitempty"`
-	MaxCycles   int64  `json:"max_cycles"`
-	Trace       bool   `json:"trace,omitempty"`
+	// Tokens is set, with Fingerprint empty, only in a netlist job's
+	// pre-parse key (see Server.simulate).
+	Tokens     string `json:"tokens,omitempty"`
+	Size       int    `json:"size,omitempty"`
+	Seed       int64  `json:"seed,omitempty"`
+	Policy     int    `json:"policy,omitempty"`
+	IssueWidth int    `json:"issue_width,omitempty"`
+	MemLatency int    `json:"mem_latency,omitempty"`
+	ChanCap    int    `json:"chan_cap,omitempty"`
+	ChanLat    int    `json:"chan_lat,omitempty"`
+	MaxCycles  int64  `json:"max_cycles"`
+	Trace      bool   `json:"trace,omitempty"`
 }
 
 func (k resultKey) hash() string {
@@ -80,15 +83,17 @@ func (s *Server) runJob(ctx context.Context, id string, req *JobRequest) (*JobRe
 	}
 }
 
-// lookupResult consults the result cache; hits are returned as shallow
-// copies flagged Cached (the cached entry is never mutated afterwards).
-func (s *Server) lookupResult(key string, noCache bool) (*JobResult, bool) {
+// cachedResult consults the result cache under key, a content key or
+// a pre-build key; hits are counted and returned as shallow copies
+// flagged Cached (the cached entry is never mutated afterwards). A miss
+// is not counted here: a job that misses its pre-build key looks up its
+// content key next, and Server.simulate counts one miss per job.
+func (s *Server) cachedResult(key string, noCache bool) (*JobResult, bool) {
 	if noCache {
 		return nil, false
 	}
 	v, ok := s.results.get(key)
 	if !ok {
-		s.metrics.ResultMisses.Add(1)
 		return nil, false
 	}
 	s.metrics.ResultHits.Add(1)
@@ -137,6 +142,9 @@ func checkKnobs(req *JobRequest) error {
 	if req.ChannelLatency < 0 {
 		return jobErrorf(ErrBadRequest, "channel_latency %d: must be non-negative", req.ChannelLatency)
 	}
+	if req.ChannelCapacity < 0 {
+		return jobErrorf(ErrBadRequest, "channel_capacity %d: must be non-negative (0 means the fabric default)", req.ChannelCapacity)
+	}
 	if req.ChannelCapacity > asm.MaxChannelCap {
 		return jobErrorf(ErrBadRequest, "channel_capacity %d exceeds the %d-token fabric limit", req.ChannelCapacity, asm.MaxChannelCap)
 	}
@@ -180,6 +188,19 @@ func (s *Server) runWorkloadJob(ctx context.Context, id string, req *JobRequest)
 		return nil, jobErrorf(ErrBadRequest, "%v", err)
 	}
 	p := spec.Normalize(workloadParams(req))
+	key := resultKey{
+		Kind: "workload", Name: spec.Name,
+		Size: p.Size, Seed: p.Seed, Policy: req.Policy, IssueWidth: p.IssueWidth,
+		MemLatency: p.MemLatency, ChanCap: p.FabricCfg.ChannelCapacity,
+		ChanLat: p.FabricCfg.ChannelLatency, MaxCycles: s.cycleBudget(req, spec.MaxCycles(p)),
+		Trace: req.Trace,
+	}
+	// The kernel is a pure function of the key's other fields, so the
+	// key without its fingerprint finds a result before any build.
+	preKey := key.hash()
+	if res, ok := s.cachedResult(preKey, req.NoCache); ok {
+		return res, nil
+	}
 	inst, err := spec.BuildTIA(p)
 	if err != nil {
 		return nil, jobErrorf(ErrCompile, "build %s: %v", spec.Name, err)
@@ -188,14 +209,10 @@ func (s *Server) runWorkloadJob(ctx context.Context, id string, req *JobRequest)
 	for _, pr := range inst.PEs {
 		fp += asm.HashTIAProgram(pr.Program())
 	}
+	key.Fingerprint = hashString(fp)
 	return s.simulate(ctx, id, req, simJob{
-		key: resultKey{
-			Kind: "workload", Name: spec.Name, Fingerprint: hashString(fp),
-			Size: p.Size, Seed: p.Seed, Policy: req.Policy, IssueWidth: p.IssueWidth,
-			MemLatency: p.MemLatency, ChanCap: p.FabricCfg.ChannelCapacity,
-			ChanLat: p.FabricCfg.ChannelLatency, MaxCycles: s.cycleBudget(req, spec.MaxCycles(p)),
-			Trace: req.Trace,
-		},
+		key:    key,
+		preKey: preKey,
 		fabric: inst.Fabric,
 		pes:    inst.PEs,
 		sinks:  map[string]*fabric.Sink{inst.Sink.Name(): inst.Sink},
@@ -220,8 +237,15 @@ func CheckNetlist(src string) error {
 
 // runNetlistJob parses a netlist and simulates it. Every job parses its
 // own fabric, so no simulator state is shared between jobs; the parse
-// passes governor admission before any element is built.
+// passes governor admission before any element is built. A source whose
+// tokens match a cached job's is answered before the parse.
 func (s *Server) runNetlistJob(ctx context.Context, id string, req *JobRequest) (*JobResult, error) {
+	key := resultKey{Kind: "netlist", Tokens: asm.TokenHash(req.Netlist),
+		MaxCycles: s.cycleBudget(req, defaultMaxCycles), Trace: req.Trace}
+	preKey := key.hash()
+	if res, ok := s.cachedResult(preKey, req.NoCache); ok {
+		return res, nil
+	}
 	s.metrics.ProgramMisses.Add(1)
 	var release func()
 	nl, err := asm.ParseNetlistAdmit(req.Netlist, isa.DefaultConfig(), pcpe.DefaultConfig(),
@@ -243,9 +267,10 @@ func (s *Server) runNetlistJob(ctx context.Context, id string, req *JobRequest) 
 		return nil, jobErrorf(ErrBadRequest, "%v", err)
 	}
 	defer release()
+	key.Tokens, key.Fingerprint = "", nl.Fingerprint()
 	return s.simulate(ctx, id, req, simJob{
-		key: resultKey{Kind: "netlist", Fingerprint: nl.Fingerprint(),
-			MaxCycles: s.cycleBudget(req, defaultMaxCycles), Trace: req.Trace},
+		key:    key,
+		preKey: preKey,
 		fabric: nl.Fabric,
 		pes:    byName(nl.PEs),
 		pcpes:  byName(nl.PCPEs),
@@ -257,7 +282,11 @@ func (s *Server) runNetlistJob(ctx context.Context, id string, req *JobRequest) 
 // simJob is a built workload or netlist job, ready to simulate.
 type simJob struct {
 	// key content-addresses the result; key.MaxCycles is the budget.
-	key    resultKey
+	key resultKey
+	// preKey is the hash of the key the job computed before it built
+	// anything: the workload key without its fingerprint, or the
+	// netlist's token key. It becomes the result's second cache key.
+	preKey string
 	fabric *fabric.Fabric
 	// The result's Elements list the triggered PEs (traced on request),
 	// then the PC PEs, then the scratchpads, each in slice order.
@@ -273,10 +302,20 @@ type simJob struct {
 // simulate is the one simulate path of workload and netlist jobs:
 // result-cache lookup, trace attach, resume or restart, checkpoint
 // hook, run, verification, result assembly and caching.
+//
+// A result is cached under its content key with j.preKey as a second
+// key, so the next identical job skips the build or parse. The second
+// key is only ever valid in this process: the journal records the
+// content key alone, and a restarted daemon finds a replayed result
+// after one build, which registers the second key again.
 func (s *Server) simulate(ctx context.Context, id string, req *JobRequest, j simJob) (*JobResult, error) {
 	keyHash := j.key.hash()
-	if res, ok := s.lookupResult(keyHash, req.NoCache); ok {
+	if res, ok := s.cachedResult(keyHash, req.NoCache); ok {
+		s.results.alias(j.preKey, keyHash)
 		return res, nil
+	}
+	if !req.NoCache {
+		s.metrics.ResultMisses.Add(1)
 	}
 
 	var rec *trace.Recorder
@@ -346,6 +385,7 @@ func (s *Server) simulate(ctx context.Context, id string, req *JobRequest, j sim
 		}
 	}
 	s.results.put(keyHash, res)
+	s.results.alias(j.preKey, keyHash)
 	return res, nil
 }
 

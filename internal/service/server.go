@@ -415,9 +415,7 @@ func writeError(w http.ResponseWriter, err error) {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // WriteError renders err in the service's wire shape — typed JobErrors
@@ -426,8 +424,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // endpoints speak the same error protocol as the workers they front.
 func WriteError(w http.ResponseWriter, err error) { writeError(w, err) }
 
-// WriteJSON renders v as the service's indented JSON. Exported for the
-// fleet coordinator.
+// WriteJSON renders v as the service's compact JSON, one value and a
+// newline. Exported for the fleet coordinator.
 func WriteJSON(w http.ResponseWriter, status int, v any) { writeJSON(w, status, v) }
 
 // DrainingError returns the typed draining rejection (503 + Retry-After

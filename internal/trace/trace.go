@@ -25,8 +25,11 @@ type Event struct {
 // Recorder collects events from any number of PEs, keeping at most the
 // configured limit (oldest dropped first; 0 means unlimited).
 type Recorder struct {
-	limit   int
+	limit int
+	// events is a ring once it holds limit events: the oldest is
+	// events[head], and a new event overwrites it.
 	events  []Event
+	head    int
 	dropped int64
 	pes     []string
 }
@@ -40,31 +43,51 @@ func (r *Recorder) Attach(p *pe.PE) {
 	name := p.Name()
 	r.pes = append(r.pes, name)
 	prog := p.Program()
+	labels := make([]string, len(prog))
+	for i, in := range prog {
+		labels[i] = in.Label
+		if labels[i] == "" {
+			labels[i] = fmt.Sprintf("#%d", i)
+		}
+	}
 	prev := p.Trace
 	p.Trace = func(cycle int64, instIdx int, result isa.Word) {
 		if prev != nil {
 			prev(cycle, instIdx, result)
 		}
-		label := fmt.Sprintf("#%d", instIdx)
-		if instIdx < len(prog) && prog[instIdx].Label != "" {
-			label = prog[instIdx].Label
+		var label string
+		if instIdx < len(labels) {
+			label = labels[instIdx]
+		} else {
+			label = fmt.Sprintf("#%d", instIdx)
 		}
 		r.add(Event{Cycle: cycle, PE: name, Inst: instIdx, Label: label, Result: result})
 	}
 }
 
+// add records one event in O(1): past the limit it overwrites the
+// oldest event.
 func (r *Recorder) add(e Event) {
 	if r.limit > 0 && len(r.events) >= r.limit {
-		copy(r.events, r.events[1:])
-		r.events[len(r.events)-1] = e
+		r.events[r.head] = e
+		if r.head++; r.head == len(r.events) {
+			r.head = 0
+		}
 		r.dropped++
 		return
 	}
 	r.events = append(r.events, e)
 }
 
-// Events returns the recorded events in order.
-func (r *Recorder) Events() []Event { return r.events }
+// Events returns the recorded events in order. Once the ring has
+// wrapped, the first call after an add copies the window out in order.
+func (r *Recorder) Events() []Event {
+	if r.head > 0 {
+		r.events = append(append(make([]Event, 0, len(r.events)), r.events[r.head:]...), r.events[:r.head]...)
+		r.head = 0
+	}
+	return r.events
+}
 
 // Dropped reports how many events fell out of the bounded window.
 func (r *Recorder) Dropped() int64 { return r.dropped }
@@ -74,7 +97,7 @@ func (r *Recorder) WriteLog(w io.Writer) {
 	if r.dropped > 0 {
 		fmt.Fprintf(w, "... %d earlier events dropped ...\n", r.dropped)
 	}
-	for _, e := range r.events {
+	for _, e := range r.Events() {
 		fmt.Fprintf(w, "cycle %6d  %-12s %-12s = %d\n", e.Cycle, e.PE, e.Label, e.Result)
 	}
 }
@@ -95,7 +118,7 @@ func (r *Recorder) WriteTimeline(w io.Writer, from, to int64) {
 	}
 	// Bucket events by cycle.
 	byCycle := map[int64][]Event{}
-	for _, e := range r.events {
+	for _, e := range r.Events() {
 		if e.Cycle >= from && e.Cycle < to {
 			byCycle[e.Cycle] = append(byCycle[e.Cycle], e)
 		}
@@ -140,7 +163,7 @@ func (r *Recorder) WriteChromeJSON(w io.Writer) error {
 		TID      string `json:"tid"`
 	}
 	events := make([]chromeEvent, 0, len(r.events))
-	for _, e := range r.events {
+	for _, e := range r.Events() {
 		events = append(events, chromeEvent{
 			Name:     e.Label,
 			Phase:    "X",
@@ -164,7 +187,7 @@ type FireCount struct {
 // Histogram returns per-instruction fire counts.
 func (r *Recorder) Histogram() []FireCount {
 	m := map[[2]string]int64{}
-	for _, e := range r.events {
+	for _, e := range r.Events() {
 		m[[2]string{e.PE, e.Label}]++
 	}
 	out := make([]FireCount, 0, len(m))

@@ -32,6 +32,9 @@ type Log struct {
 	mu   sync.Mutex
 	f    *os.File
 	path string
+	// maxRecord is the bound the log was opened with: Append refuses
+	// what a later Open would drop as a torn tail.
+	maxRecord int
 }
 
 // Open opens (creating if absent) a log at path, replays every intact
@@ -61,7 +64,7 @@ func Open(path string, maxRecord int) (*Log, [][]byte, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("wal %s: %w", path, err)
 	}
-	return &Log{f: f, path: path}, recs, nil
+	return &Log{f: f, path: path, maxRecord: maxRecord}, recs, nil
 }
 
 // readAll scans records from the start of the file, returning the
@@ -99,7 +102,13 @@ func readAll(f *os.File, maxRecord int) ([][]byte, int64, error) {
 }
 
 // Append frames one payload, writes it, and fsyncs before returning.
+// An empty payload, or one above the bound the log was opened with, is
+// refused and nothing is written: Open reads either length as a torn
+// tail, so the record and every one appended after it would be lost.
 func (l *Log) Append(payload []byte) error {
+	if len(payload) == 0 || len(payload) > l.maxRecord {
+		return fmt.Errorf("wal: append: %d-byte record outside 1..%d", len(payload), l.maxRecord)
+	}
 	buf := make([]byte, 8+len(payload))
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))

@@ -138,3 +138,45 @@ func TestMaxRecord(t *testing.T) {
 		t.Fatalf("replay = %q, want just %q", recs, "ok")
 	}
 }
+
+// TestAppendRefusesWhatOpenDrops: Append refuses an empty record and one
+// above the bound the log was opened with, and writes nothing for
+// either, so the records appended after them survive a reopen. Open
+// would read either length as a torn tail and truncate there.
+func TestAppendRefusesWhatOpenDrops(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.wal")
+	log, _, err := Open(path, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Append([]byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Append(bytes.Repeat([]byte{'x'}, 17)); err == nil {
+		t.Error("Append accepted a 17-byte record in a log bounded to 16")
+	}
+	if err := log.Append(nil); err == nil {
+		t.Error("Append accepted an empty record")
+	}
+	if err := log.Append(bytes.Repeat([]byte{'y'}, 16)); err != nil {
+		t.Fatalf("Append of a record at the bound: %v", err)
+	}
+	if err := log.Append([]byte("last")); err != nil {
+		t.Fatal(err)
+	}
+	log.Close()
+	log, recs, err := Open(path, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	want := []string{"first", "yyyyyyyyyyyyyyyy", "last"}
+	if len(recs) != len(want) {
+		t.Fatalf("replay = %q, want %q", recs, want)
+	}
+	for i := range want {
+		if string(recs[i]) != want[i] {
+			t.Errorf("record %d = %q, want %q", i, recs[i], want[i])
+		}
+	}
+}
