@@ -56,16 +56,17 @@ perfbench-smoke:
 # Zero-allocation gates on the per-cycle hot paths (the fabric cycle
 # loop — compiled dispatch and the interpreted oracle, under the dense
 # and event wake policies — the interpreter's trigger classifier
-# classifyRef, channel reset/restore reuse, a reused instance's Reset +
-# Rearm + run under stall and freeze windows): any regression to >0
-# allocs/op fails these tests, not just a benchmark number. One-time
+# classifyRef, channel restore reuse, every kernel's Reset + run in
+# both its triggered and PC forms, a reused instance's Reset + Rearm +
+# run under stall and freeze windows): any regression to >0 allocs/op
+# fails these tests, not just a benchmark number. One-time
 # compilation cost is gated separately as a bounded constant, and so is
 # the service's result-cache hit path: a repeated workload or netlist
 # job must allocate far less than the kernel build or netlist parse it
 # skips. Run with -count=1 outside the race detector, whose
 # instrumentation allocates.
 alloc-gate:
-	$(GO) test -run 'AllocationFree|AllocationBounded|ReusesCapacity' -count=1 ./internal/fabric ./internal/pe ./internal/channel ./internal/batchrun ./internal/faults ./internal/service
+	$(GO) test -run 'AllocationFree|AllocationBounded|ReusesCapacity' -count=1 ./internal/fabric ./internal/pe ./internal/channel ./internal/workloads ./internal/batchrun ./internal/faults ./internal/service
 
 # Seeded fault-campaign smoke: one kernel, fixed seed, exact expected
 # masked/detected/sdc/hang taxonomy (see internal/core/resilience_test.go).

@@ -9,10 +9,9 @@
 // tables, trigger classification, compiled step closures, fault-site
 // scanning and PRNG seeding — for a few thousand simulated cycles of
 // dynamic work. A batch pays it once per lane; between runs only the
-// dynamic state (register files, predicate words, channel ring buffers,
-// scratchpad contents, PRNG positions, window schedules) is re-armed
-// via Fabric.Reset + faults.Rearm, both of which are proven
-// bit-identical to a fresh build by differential tests.
+// dynamic state is re-armed: Fabric.Reset restores the state each
+// element and channel was built with, and faults.Rearm the PRNGs and
+// window schedules. Differential tests prove both equal a fresh build.
 //
 // Runs execute one at a time, in order, each to completion through the
 // fabric's own RunContext (BeginRun + Finish), so a run's outcome is the
@@ -99,10 +98,10 @@ func New(cfg Config, build func(lane int) (*fabric.Fabric, any, error)) (*Batch,
 func (b *Batch) Lanes() int { return len(b.lanes) }
 
 // Run executes runs runs in order, run r on lane r mod K. For each run
-// it calls arm(lane, run) to re-arm the lane's dynamic state (Reset +
-// Rearm, or a first-run Attach), runs the lane's fabric with RunContext,
-// and calls done(lane, run, result, err) with that run's Result and
-// error.
+// it calls arm(lane, run) to re-arm the lane's dynamic state (Reset to
+// the build-time state + Rearm, or a first-run Attach), runs the lane's
+// fabric with RunContext, and calls done(lane, run, result, err) with
+// that run's Result and error.
 //
 // An error from arm or done stops the batch at that run; done's error
 // is returned unwrapped, so a runner that rejects a run's outcome

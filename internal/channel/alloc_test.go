@@ -1,12 +1,12 @@
 package channel
 
-// Regression gates for channel buffer reuse: Reset and RestoreState
-// must keep the capacity of every ring and staging buffer allocated by
-// New. A channel that regrew stagedSend (or the rings) per reset would
-// put an allocation inside every fabric reset loop — core's
-// verification reuse, campaign sweeps, the service's job loop — and
-// break the fabric-level zero-allocation gates (see
-// internal/fabric/alloc_test.go).
+// Regression gates for channel buffer reuse: RestoreState must keep the
+// capacity of every ring and staging buffer allocated by New. Fabric.Reset
+// is a RestoreState of each channel's build-time state, so a channel that
+// regrew stagedSend (or the rings) per restore would put an allocation
+// inside every fabric reset loop — campaign sweeps, benchmarks, the
+// service's fallback restart — and break the fabric-level
+// zero-allocation gates (see internal/fabric/alloc_test.go).
 
 import (
 	"testing"
@@ -27,17 +27,25 @@ func churn(c *Channel) {
 	}
 }
 
-// TestResetReusesCapacity: steady-state Reset+refill allocates nothing.
+// TestResetReusesCapacity: restoring the fresh state through a reused
+// decoder and refilling, as Fabric.Reset and the next run do, allocates
+// nothing in steady state.
 func TestResetReusesCapacity(t *testing.T) {
 	for _, latency := range []int{0, 2} {
 		c := New("c", 4, latency)
+		var fresh snapshot.Encoder
+		c.SnapshotState(&fresh)
+		var d snapshot.Decoder
 		churn(c) // warm
 		avg := testing.AllocsPerRun(100, func() {
-			c.Reset()
+			d.Reset(fresh.Data())
+			if err := c.RestoreState(&d); err != nil {
+				t.Fatal(err)
+			}
 			churn(c)
 		})
 		if avg != 0 {
-			t.Errorf("latency %d: Reset+refill allocates %.1f times per run, want 0", latency, avg)
+			t.Errorf("latency %d: restore+refill allocates %.1f times per run, want 0", latency, avg)
 		}
 	}
 }

@@ -471,13 +471,3 @@ type Stats struct {
 func (c *Channel) Stats() Stats {
 	return Stats{Sent: c.sent, Delivered: c.delivered, Consumed: c.consumed, MaxOccupancy: c.maxOcc}
 }
-
-// Reset empties the channel and zeroes its statistics, keeping the
-// configuration. Used when re-running a program on the same fabric.
-func (c *Channel) Reset() {
-	c.qHead, c.qLen = 0, 0
-	c.ifHead, c.ifLen = 0, 0
-	c.stagedSend = c.stagedSend[:0]
-	c.stagedDeq = false
-	c.sent, c.delivered, c.consumed, c.maxOcc = 0, 0, 0, 0
-}

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"tia/internal/isa"
+	"tia/internal/snapshot"
 )
 
 func TestSendVisibleNextCycle(t *testing.T) {
@@ -130,11 +131,15 @@ func TestPanicsOnProtocolViolations(t *testing.T) {
 	expectPanic("negative latency", func() { New("c", 1, -1) })
 }
 
+// TestIdleAndReset: a channel restored to its fresh state (what
+// Fabric.Reset does) is empty again and has zeroed statistics.
 func TestIdleAndReset(t *testing.T) {
 	c := New("c", 4, 1)
 	if !c.Idle() {
 		t.Fatal("fresh channel not idle")
 	}
+	var fresh snapshot.Encoder
+	c.SnapshotState(&fresh)
 	c.Send(Data(9))
 	if c.Idle() {
 		t.Fatal("idle with staged send")
@@ -147,12 +152,14 @@ func TestIdleAndReset(t *testing.T) {
 	if c.Idle() {
 		t.Fatal("idle with queued token")
 	}
-	c.Reset()
-	if !c.Idle() || c.Len() != 0 {
-		t.Fatal("Reset did not empty channel")
+	if err := c.RestoreState(snapshot.NewDecoder(fresh.Data())); err != nil {
+		t.Fatal(err)
 	}
-	if s := c.Stats(); s.Sent != 0 || s.Delivered != 0 {
-		t.Fatalf("Reset kept stats: %+v", s)
+	if !c.Idle() || c.Len() != 0 {
+		t.Fatal("restore of the fresh state did not empty channel")
+	}
+	if s := c.Stats(); s != (Stats{}) {
+		t.Fatalf("restore of the fresh state kept stats: %+v", s)
 	}
 }
 

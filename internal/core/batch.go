@@ -19,8 +19,9 @@ import (
 
 // runReused executes the campaign's runs in order on one instance. The
 // first run Attaches the plan; every later one re-arms the instance
-// with Reset+Rearm, differentially proven equal to a fresh build and
-// Attach. Each run steps on the fabric's own cycle loop under the
+// with Reset, a restore of the state the instance was built in, and
+// Rearm, differentially proven equal to a fresh build and Attach down
+// to every element's statistics. Each run steps on the fabric's own cycle loop under the
 // campaign's stepping, and is classified and recorded as it finishes,
 // so a timing campaign stops at its first violating run exactly as
 // runFresh does.
@@ -49,6 +50,9 @@ func (c *campaign) runReused(ctx context.Context, runs int) (*CampaignReport, er
 	}
 	done := func(l *batchrun.Lane, run int, res fabric.Result, err error) error {
 		inst := l.Payload.(*workloads.Instance)
+		if c.after != nil {
+			c.after(run, inst)
+		}
 		rec, err := classifyRun(c.runPlan(run).Seed, res, err, inj.Counts().Total(), inst.Sink.Tokens(), c.golden)
 		if err != nil {
 			return err // cancelled: abort the campaign, not an outcome

@@ -2,10 +2,17 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
+	"tia/internal/channel"
+	"tia/internal/fabric"
 	"tia/internal/faults"
+	"tia/internal/isa"
+	"tia/internal/mem"
+	"tia/internal/pcpe"
+	"tia/internal/pe"
 	"tia/internal/workloads"
 )
 
@@ -18,47 +25,151 @@ import (
 // compiled serial runs, so instance reuse and dispatch answer to one
 // reference. Run under -race in `make batch-smoke` this also shakes out
 // any state one run leaks into the next.
+//
+// After every run it also compares the state of every element and
+// channel with the fresh build's: PE and PC PE statistics, registers
+// and predicates, scratchpad counters and image, source positions, sink
+// tokens and channel statistics. Fabric.Reset restores what each
+// element's snapshot encodes, so a field a snapshot leaves out shows
+// here as a divergence. The round-robin, issue-width-2 configuration
+// makes the scheduler's rotation offset matter.
 func TestBatchedCampaignDifferential(t *testing.T) {
 	ctx := context.Background()
 	for _, spec := range workloads.All() {
-		spec := spec
-		t.Run(spec.Name, func(t *testing.T) {
-			p := workloads.Params{Seed: 11, Size: 8}
-			data := faults.Plan{Seed: 9100, FlipRate: 0.01, DropRate: 0.005, DupRate: 0.005}
-			const runs, lanes = 12, 5 // lanes is ignored: every run re-arms one instance
+		for _, cfg := range []struct {
+			name string
+			p    workloads.Params
+		}{
+			{"", workloads.Params{Seed: 11, Size: 8}},
+			{"/rr-w2", workloads.Params{Seed: 11, Size: 8, Policy: pe.SchedRoundRobin, IssueWidth: 2}},
+		} {
+			spec, p := spec, cfg.p
+			t.Run(spec.Name+cfg.name, func(t *testing.T) {
+				data := faults.Plan{Seed: 9100, FlipRate: 0.01, DropRate: 0.005, DupRate: 0.005}
+				const runs = 12
 
-			serial, err := RunDataCampaign(ctx, spec, p, data, runs)
-			if err != nil {
-				t.Fatalf("serial data campaign: %v", err)
-			}
-			batched, err := RunDataCampaignBatch(ctx, spec, p, data, runs, lanes)
-			if err != nil {
-				t.Fatalf("batched data campaign: %v", err)
-			}
-			if !reflect.DeepEqual(serial, batched) {
-				t.Errorf("data campaign reports diverge:\nserial:  %+v\nbatched: %+v", serial, batched)
-			}
+				serial, serialSt, err := observedCampaign(ctx, spec, p, data, runs, false, false, false)
+				if err != nil {
+					t.Fatalf("serial data campaign: %v", err)
+				}
+				batched, batchedSt, err := observedCampaign(ctx, spec, p, data, runs, false, false, true)
+				if err != nil {
+					t.Fatalf("batched data campaign: %v", err)
+				}
+				if !reflect.DeepEqual(serial, batched) {
+					t.Errorf("data campaign reports diverge:\nserial:  %+v\nbatched: %+v", serial, batched)
+				}
+				compareStates(t, "batched data", serialSt, batchedSt)
 
-			timing := DefaultTimingPlan(9200)
-			serialT, err := RunTimingCampaign(ctx, spec, p, timing, 6, false)
-			if err != nil {
-				t.Fatalf("serial timing campaign: %v", err)
+				timing := DefaultTimingPlan(9200)
+				serialT, serialTSt, err := observedCampaign(ctx, spec, p, timing, 6, true, false, false)
+				if err != nil {
+					t.Fatalf("serial timing campaign: %v", err)
+				}
+				batchedT, batchedTSt, err := observedCampaign(ctx, spec, p, timing, 6, true, false, true)
+				if err != nil {
+					t.Fatalf("batched timing campaign: %v", err)
+				}
+				if !reflect.DeepEqual(serialT, batchedT) {
+					t.Errorf("timing campaign reports diverge:\nserial:  %+v\nbatched: %+v", serialT, batchedT)
+				}
+				compareStates(t, "batched timing", serialTSt, batchedTSt)
+				oracleT, oracleTSt, err := observedCampaign(ctx, spec, p, timing, 6, true, true, true)
+				if err != nil {
+					t.Fatalf("batched oracle timing campaign: %v", err)
+				}
+				if !reflect.DeepEqual(serialT, oracleT) {
+					t.Errorf("oracle batched timing campaign diverges:\nserial: %+v\noracle: %+v", serialT, oracleT)
+				}
+				compareStates(t, "oracle batched timing", serialTSt, oracleTSt)
+			})
+		}
+	}
+}
+
+// observedCampaign runs a campaign the way the public runners do:
+// fresh builds (RunDataCampaign, RunTimingCampaign) or one reused
+// instance (RunDataCampaignBatch, RunTimingCampaignBatch). It returns
+// the report and, for each run, the state of every element and channel
+// once the run finished.
+func observedCampaign(ctx context.Context, spec *workloads.Spec, p workloads.Params, plan faults.Plan, runs int, timing, oracle, reused bool) (*CampaignReport, [][]elemState, error) {
+	c, err := beginCampaign(ctx, spec, p, plan, timing, oracle)
+	if err != nil {
+		return nil, nil, err
+	}
+	var states [][]elemState
+	c.after = func(run int, inst *workloads.Instance) {
+		states = append(states, fabricState(inst.Fabric))
+	}
+	run := c.runFresh
+	if reused {
+		run = c.runReused
+	}
+	rep, err := run(ctx, runs)
+	return rep, states, err
+}
+
+// elemState is one element's or channel's observable state after a run.
+type elemState struct {
+	Name  string
+	State any
+}
+
+// fabricState reads every element's and channel's observable state.
+func fabricState(f *fabric.Fabric) []elemState {
+	var out []elemState
+	for _, e := range f.Elements() {
+		var st any
+		switch e := e.(type) {
+		case *pe.PE:
+			cfg := e.Config()
+			regs := make([]isa.Word, cfg.NumRegs)
+			for i := range regs {
+				regs[i] = e.Reg(i)
 			}
-			batchedT, err := RunTimingCampaignBatch(ctx, spec, p, timing, 6, 3, false)
-			if err != nil {
-				t.Fatalf("batched timing campaign: %v", err)
+			preds := make([]bool, cfg.NumPreds)
+			for i := range preds {
+				preds[i] = e.Pred(i)
 			}
-			if !reflect.DeepEqual(serialT, batchedT) {
-				t.Errorf("timing campaign reports diverge:\nserial:  %+v\nbatched: %+v", serialT, batchedT)
+			st = []any{e.Stats(), regs, preds, e.Done()}
+		case *pcpe.PE:
+			st = []any{e.Stats(), e.PC(), e.Done()}
+		case *mem.Scratchpad:
+			image := make([]isa.Word, e.Size())
+			for i := range image {
+				image[i] = e.Word(i)
 			}
-			oracleT, err := RunTimingCampaignBatch(ctx, spec, p, timing, 6, 3, true)
-			if err != nil {
-				t.Fatalf("batched oracle timing campaign: %v", err)
+			st = []any{e.Reads(), e.Writes(), image}
+		case *fabric.Source:
+			st = e.Remaining()
+		case *fabric.Sink:
+			st = []any{append([]channel.Token(nil), e.Tokens()...), e.Completed()}
+		default:
+			st = fmt.Sprintf("unobserved %T", e)
+		}
+		out = append(out, elemState{e.Name(), st})
+	}
+	for _, ch := range f.Channels() {
+		out = append(out, elemState{ch.Name(), []any{ch.Stats(), ch.Len()}})
+	}
+	return out
+}
+
+// compareStates reports the first element or channel, per run, whose
+// state after a run differs from the fresh build's.
+func compareStates(t *testing.T, label string, want, got [][]elemState) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Errorf("%s: %d runs observed, fresh build %d", label, len(got), len(want))
+		return
+	}
+	for r := range want {
+		for i := range want[r] {
+			if !reflect.DeepEqual(want[r][i], got[r][i]) {
+				t.Errorf("%s run %d: %s is %+v after the run, fresh build %+v", label, r, got[r][i].Name, got[r][i].State, want[r][i].State)
+				break
 			}
-			if !reflect.DeepEqual(serialT, oracleT) {
-				t.Errorf("oracle batched timing campaign diverges:\nserial: %+v\noracle: %+v", serialT, oracleT)
-			}
-		})
+		}
 	}
 }
 

@@ -129,21 +129,25 @@ func campaignBudget(golden, max int64) int64 {
 	return b
 }
 
-// faultyRun builds a fresh instance, attaches the plan, runs it, and
-// classifies the outcome against the golden token stream.
-func faultyRun(ctx context.Context, spec *workloads.Spec, p workloads.Params, plan faults.Plan, oracle bool, budget int64, golden []channel.Token) (FaultRun, error) {
+// faultyRun builds a fresh instance, attaches the run-th plan, runs it,
+// and classifies the outcome against the golden token stream.
+func (c *campaign) faultyRun(ctx context.Context, r int) (FaultRun, error) {
+	plan := c.runPlan(r)
 	run := FaultRun{Seed: plan.Seed}
-	inst, err := spec.BuildTIA(p)
+	inst, err := c.spec.BuildTIA(c.p)
 	if err != nil {
-		return run, fmt.Errorf("%s: build: %w", spec.Name, err)
+		return run, fmt.Errorf("%s: build: %w", c.spec.Name, err)
 	}
-	setOracle(inst.Fabric, oracle)
+	setOracle(inst.Fabric, c.oracle)
 	inj, err := faults.Attach(inst.Fabric, plan)
 	if err != nil {
 		return run, err
 	}
-	res, err := inst.Fabric.RunContext(ctx, budget)
-	return classifyRun(plan.Seed, res, err, inj.Counts().Total(), inst.Sink.Tokens(), golden)
+	res, err := inst.Fabric.RunContext(ctx, c.budget)
+	if c.after != nil {
+		c.after(r, inst)
+	}
+	return classifyRun(plan.Seed, res, err, inj.Counts().Total(), inst.Sink.Tokens(), c.golden)
 }
 
 // classifyRun turns one finished faulty run's raw outcome into a
@@ -204,6 +208,9 @@ type campaign struct {
 	budget int64
 	golden []channel.Token
 	rep    *CampaignReport
+	// after, when set, sees each finished run's instance; the
+	// differential tests compare element state with it.
+	after func(run int, inst *workloads.Instance)
 }
 
 // beginCampaign is the prologue of every campaign runner: normalize the
@@ -255,7 +262,7 @@ func (c *campaign) record(run FaultRun) error {
 // held to.
 func (c *campaign) runFresh(ctx context.Context, runs int) (*CampaignReport, error) {
 	for r := 0; r < runs; r++ {
-		run, err := faultyRun(ctx, c.spec, c.p, c.runPlan(r), c.oracle, c.budget, c.golden)
+		run, err := c.faultyRun(ctx, r)
 		if err != nil {
 			return nil, err
 		}

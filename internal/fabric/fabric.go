@@ -34,6 +34,7 @@ import (
 	"strings"
 
 	"tia/internal/channel"
+	"tia/internal/snapshot"
 )
 
 // Element is anything the fabric steps once per cycle: triggered PEs,
@@ -82,11 +83,6 @@ type connectionChecker interface {
 // in a Step call.
 type faulty interface {
 	Err() error
-}
-
-// resettable lets the fabric restore elements for a fresh run.
-type resettable interface {
-	Reset()
 }
 
 // skipAware elements are told how many cycles the event-driven stepper
@@ -174,6 +170,15 @@ type Fabric struct {
 	ckptFn    func(cycle int64) error
 
 	prep prepared
+	// built is every element's and channel's SnapshotState, which Reset
+	// restores; builtEnds holds each one's end offset, and builtErr why
+	// there is nothing to restore. prepare captures them until the first
+	// BeginRun or Restore sets touched.
+	built     []byte
+	builtEnds []int
+	builtErr  error
+	touched   bool
+	dec       snapshot.Decoder
 	// rs is the stepper's per-run scratch state, reused across Runs so a
 	// reset-and-rerun loop (core's verification reuse, campaign sweeps,
 	// the service) allocates nothing per run after the first.
@@ -199,7 +204,6 @@ type prepared struct {
 	valid bool
 
 	dumpers []dumperElem
-	resets  []resettable
 	ends    [][2]int // per channel: sender/receiver element index, -1 unknown
 
 	// run is the dispatch table, indexed by element; refreshSteps sets
@@ -449,7 +453,6 @@ func (f *Fabric) prepare() {
 	}
 
 	p.dumpers = p.dumpers[:0]
-	p.resets = p.resets[:0]
 	p.run = make([]elemRun, n)
 	p.compilers = make([]stepCompiler, n)
 	p.bound = make([]func(cycle int64) bool, n)
@@ -465,9 +468,6 @@ func (f *Fabric) prepare() {
 		r.sink, _ = e.(*Sink)
 		if d, ok := e.(stateDumper); ok {
 			p.dumpers = append(p.dumpers, dumperElem{d: d, name: e.Name()})
-		}
-		if r, ok := e.(resettable); ok {
-			p.resets = append(p.resets, r)
 		}
 	}
 
@@ -492,6 +492,33 @@ func (f *Fabric) prepare() {
 		}
 	}
 	p.valid = true
+	f.captureBuildState()
+}
+
+// captureBuildState encodes the state Reset restores. prepare calls it
+// until the fabric first runs or restores, so the capture matches the
+// structure and precedes any change to the state.
+func (f *Fabric) captureBuildState() {
+	f.built, f.builtEnds, f.builtErr = nil, f.builtEnds[:0], nil
+	if f.touched {
+		f.builtErr = errors.New("fabric reset: the structure changed after the fabric ran, so its build-time state is gone")
+		return
+	}
+	var enc snapshot.Encoder
+	for _, e := range f.elems {
+		sn, ok := e.(Snapshotter)
+		if !ok {
+			f.builtErr = fmt.Errorf("fabric reset: element %s (%T) does not support checkpointing", e.Name(), e)
+			return
+		}
+		sn.SnapshotState(&enc)
+		f.builtEnds = append(f.builtEnds, enc.Len())
+	}
+	for _, ch := range f.chans {
+		ch.SnapshotState(&enc)
+		f.builtEnds = append(f.builtEnds, enc.Len())
+	}
+	f.built = enc.Data()
 }
 
 // Result summarizes a simulation run.
@@ -601,15 +628,31 @@ func (f *Fabric) describeStall() string {
 // Cycle returns the current simulation time.
 func (f *Fabric) Cycle() int64 { return f.cycle }
 
-// Reset restores every resettable element and empties every channel so
-// the same fabric can run again from cycle zero with no idle history.
+// Reset restores the state every element and channel had when the
+// fabric was first prepared (by its first run, Snapshot, Restore or
+// Reset), so the fabric runs again from cycle zero with no idle
+// history. Each decodes its own section through RestoreState: Reset
+// puts back exactly what a snapshot encodes. The fault injector is not part of that state;
+// Rearm re-arms it. Reset panics if an element cannot be checkpointed
+// or the structure changed after the fabric ran.
 func (f *Fabric) Reset() {
 	f.prepare()
-	for _, r := range f.prep.resets {
-		r.Reset()
+	if f.builtErr != nil {
+		panic(f.builtErr.Error())
+	}
+	k, start := 0, 0
+	restore := func(name string, sn Snapshotter) {
+		end := f.builtEnds[k]
+		if err := f.restoreSection(name, sn, f.built[start:end]); err != nil {
+			panic("fabric reset: " + err.Error())
+		}
+		k, start = k+1, end
+	}
+	for _, e := range f.elems {
+		restore(e.Name(), e.(Snapshotter))
 	}
 	for _, ch := range f.chans {
-		ch.Reset()
+		restore(ch.Name(), ch)
 	}
 	f.cycle = 0
 	f.stepper.idleStreak = 0

@@ -87,7 +87,8 @@ func (s *Sink) Done() bool { return s.completed }
 func (s *Sink) Completed() bool { return s.completed }
 
 // Tokens returns every token received, including EODs. The slice
-// aliases the sink's record and is valid until the next Reset.
+// aliases the sink's record and is valid until the fabric's next Reset
+// or Restore, which refill the record in place.
 func (s *Sink) Tokens() []channel.Token { return s.toks }
 
 // Words returns the data payloads of the non-EOD tokens received.
@@ -99,13 +100,4 @@ func (s *Sink) Words() []isa.Word {
 		}
 	}
 	return out
-}
-
-// Reset discards received tokens so the fabric can run again. The
-// record's capacity is kept, so a rerun on the same fabric appends
-// without allocating (see the zero-alloc gates in alloc_test.go).
-func (s *Sink) Reset() {
-	s.toks = s.toks[:0]
-	s.seenEODs = 0
-	s.completed = false
 }

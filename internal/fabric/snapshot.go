@@ -50,7 +50,9 @@ func (s *Sink) SnapshotState(e *snapshot.Encoder) {
 	e.Bool(s.completed)
 }
 
-// RestoreState rebuilds the sink's received-token record.
+// RestoreState rebuilds the sink's received-token record in place: the
+// record keeps its capacity, so a rerun after Fabric.Reset appends
+// without allocating.
 func (s *Sink) RestoreState(d *snapshot.Decoder) error {
 	n := d.Count()
 	s.toks = s.toks[:0]
@@ -129,7 +131,10 @@ func (f *Fabric) Restore(data []byte, fingerprint string) error {
 	if h.Fingerprint != fingerprint {
 		return fmt.Errorf("fabric restore: snapshot is for program %s, not %s", h.Fingerprint, fingerprint)
 	}
+	// The build state is captured before the first section changes
+	// anything, so Reset can undo a Restore that fails part way.
 	f.prepare()
+	f.touched = true
 	restore := func(name string, sn Snapshotter) error {
 		got := d.String()
 		blob := d.Bytes()
@@ -139,14 +144,7 @@ func (f *Fabric) Restore(data []byte, fingerprint string) error {
 		if got != name {
 			return fmt.Errorf("section %q where %q expected (element order drift)", got, name)
 		}
-		sd := snapshot.NewDecoder(blob)
-		if err := sn.RestoreState(sd); err != nil {
-			return err
-		}
-		if sd.Remaining() != 0 {
-			return fmt.Errorf("section %q: %d trailing bytes (format drift)", name, sd.Remaining())
-		}
-		return nil
+		return f.restoreSection(name, sn, blob)
 	}
 	ne := d.Count()
 	if d.Err() == nil && ne != len(f.elems) {
@@ -203,6 +201,19 @@ func (f *Fabric) Restore(data []byte, fingerprint string) error {
 	}
 	f.cycle = h.Cycle
 	f.stepper.idleStreak = streak
+	return nil
+}
+
+// restoreSection decodes one element's or channel's section through the
+// fabric's reused decoder.
+func (f *Fabric) restoreSection(name string, sn Snapshotter, section []byte) error {
+	f.dec.Reset(section)
+	if err := sn.RestoreState(&f.dec); err != nil {
+		return err
+	}
+	if f.dec.Remaining() != 0 {
+		return fmt.Errorf("section %q: %d trailing bytes (format drift)", name, f.dec.Remaining())
+	}
 	return nil
 }
 

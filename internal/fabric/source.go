@@ -73,6 +73,3 @@ func (s *Source) Done() bool { return s.pos >= len(s.toks) }
 
 // Remaining returns how many tokens have not yet been emitted.
 func (s *Source) Remaining() int { return len(s.toks) - s.pos }
-
-// Reset rewinds the source to the start of its stream.
-func (s *Source) Reset() { s.pos = 0 }

@@ -71,6 +71,7 @@ func (f *Fabric) BeginRun(ctx context.Context, maxCycles int64) (*Stepper, error
 		return nil, err
 	}
 	f.prepare()
+	f.touched = true
 	f.refreshSteps()
 	s := &f.stepper
 	*s = Stepper{

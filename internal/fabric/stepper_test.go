@@ -576,12 +576,18 @@ func TestStagingOutsideRuns(t *testing.T) {
 	listsAll := func(step string) {
 		t.Helper()
 		got := append([]int(nil), f.rs.ticks.Current()...)
-		// A Send on a listed channel must not list it twice.
-		f.chans[nc-1].Send(channel.Data(1))
+		// A Send on a listed channel must not list it twice. Restoring
+		// the channel's state from before the Send unstages it again.
+		last := f.chans[nc-1]
+		var before snapshot.Encoder
+		last.SnapshotState(&before)
+		last.Send(channel.Data(1))
 		if got2 := f.rs.ticks.Current(); !reflect.DeepEqual(got, got2) {
 			t.Errorf("%s: send on a listed channel changed the tick list from %v to %v", step, got, got2)
 		}
-		f.chans[nc-1].Reset()
+		if err := last.RestoreState(snapshot.NewDecoder(before.Data())); err != nil {
+			t.Fatal(err)
+		}
 		for ci := range got {
 			if got[ci] != ci || len(got) != nc {
 				t.Fatalf("%s: tick list %v, want every channel 0..%d once", step, got, nc-1)
@@ -589,12 +595,12 @@ func TestStagingOutsideRuns(t *testing.T) {
 		}
 	}
 	channel.New("standalone", 1, 0).Send(channel.Data(1))
-	f.chans[0].Send(channel.Data(1)) // before any run
-	f.chans[0].Reset()
 	snap, err := f.Snapshot(fp)
 	if err != nil {
 		t.Fatal(err)
 	}
+	f.chans[0].Send(channel.Data(1)) // before any run
+	f.Reset()
 	s, err := f.BeginRun(context.Background(), 1<<30)
 	if err != nil {
 		t.Fatal(err)

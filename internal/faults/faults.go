@@ -270,10 +270,10 @@ type elemSite struct {
 
 // Injector is a compiled, attached fault plan. It implements
 // fabric.FaultInjector; channel hooks are installed by Attach. An
-// Injector is single-run state: build a fresh fabric (or Reset it) and a
-// fresh Injector per campaign run — or, on a batch lane that reuses the
+// Injector is single-run state: build a fresh fabric and a fresh
+// Injector per campaign run — or, on a batch lane that reuses the
 // instance, Reset the fabric and Rearm the same injector for the next
-// seed.
+// seed; Fabric.Reset leaves the injector alone.
 type Injector struct {
 	plan   Plan
 	cycle  int64
@@ -349,9 +349,9 @@ func Attach(f *fabric.Fabric, plan Plan) (*Injector, error) {
 // redrawn exactly as a fresh Attach of the new plan would, but the site
 // wiring, name hashes and window storage are reused, so a batch lane
 // arms the next seed without allocating or re-scanning the fabric. The
-// caller must Reset the fabric between runs as usual; outcomes are then
-// bit-identical to a fresh Attach on a freshly built fabric (the
-// differential test in this package asserts it).
+// caller must Reset the fabric (its elements and channels) between runs;
+// outcomes are then bit-identical to a fresh Attach on a freshly built
+// fabric (the differential test in this package asserts it).
 //
 // The new plan must keep the site population of the attached one: the
 // same Sites filter, and element freezes planned (Freezes > 0) in both

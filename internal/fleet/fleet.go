@@ -49,6 +49,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -306,6 +307,7 @@ func (c *Coordinator) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 	// Relay the worker's bytes: the result is already in wire shape.
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(res)))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(res)
 }

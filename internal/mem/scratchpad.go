@@ -76,8 +76,9 @@ func NewChecked(name string, words int) (*Scratchpad, error) {
 }
 
 // Load copies contents into the scratchpad starting at address 0 and
-// records it as the initial image restored by Reset. It panics on an
-// oversize image (use TryLoad on untrusted paths).
+// records it as the initial image, which snapshots encode their memory
+// as a delta against (see SnapshotState). It panics on an oversize
+// image (use TryLoad on untrusted paths).
 func (m *Scratchpad) Load(contents []isa.Word) {
 	if err := m.TryLoad(contents); err != nil {
 		panic(err.Error())
@@ -252,12 +253,3 @@ func (m *Scratchpad) Err() error { return m.err }
 // Reads and Writes return the cumulative serviced request counts.
 func (m *Scratchpad) Reads() int64  { return m.reads }
 func (m *Scratchpad) Writes() int64 { return m.writes }
-
-// Reset restores the initial memory image and clears counters. The read
-// pipeline's capacity is kept for the next run.
-func (m *Scratchpad) Reset() {
-	copy(m.data, m.init)
-	m.reads, m.writes = 0, 0
-	m.rdPipe = m.rdPipe[:0]
-	m.err = nil
-}

@@ -7,6 +7,7 @@ import (
 	"tia/internal/channel"
 	"tia/internal/fabric"
 	"tia/internal/isa"
+	"tia/internal/snapshot"
 )
 
 // tick steps the scratchpad and commits its channels.
@@ -126,9 +127,13 @@ func TestCheckConnections(t *testing.T) {
 	}
 }
 
+// TestResetRestoresImage: restoring the state captured after Load, as
+// Fabric.Reset does, puts the loaded image back and zeroes the counters.
 func TestResetRestoresImage(t *testing.T) {
 	m, ra, wa, wd, rd := wiredScratchpad(4)
 	m.Load([]isa.Word{1, 2, 3, 4})
+	var loaded snapshot.Encoder
+	m.SnapshotState(&loaded)
 	wa.Send(channel.Data(0))
 	wd.Send(channel.Data(99))
 	tick(m, ra, wa, wd, rd)
@@ -136,9 +141,11 @@ func TestResetRestoresImage(t *testing.T) {
 	if m.Word(0) != 99 {
 		t.Fatal("write missing")
 	}
-	m.Reset()
+	if err := m.RestoreState(snapshot.NewDecoder(loaded.Data())); err != nil {
+		t.Fatal(err)
+	}
 	if m.Word(0) != 1 || m.Reads() != 0 || m.Writes() != 0 {
-		t.Fatal("Reset did not restore image/counters")
+		t.Fatal("restore did not put back the loaded image and counters")
 	}
 }
 

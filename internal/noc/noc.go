@@ -331,17 +331,3 @@ func (m *Mesh) InFlight() int {
 	}
 	return n
 }
-
-// Reset empties all router buffers (keeping their capacity for the next
-// run) and zeroes statistics.
-func (m *Mesh) Reset() {
-	for x := range m.routers {
-		for _, r := range m.routers[x] {
-			for d := 0; d < numDirs; d++ {
-				r.inBuf[d] = r.inBuf[d][:0]
-				r.rrNext[d] = 0
-			}
-		}
-	}
-	m.injected, m.delivered, m.hops = 0, 0, 0
-}

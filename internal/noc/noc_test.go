@@ -158,21 +158,6 @@ func TestBadNodePanics(t *testing.T) {
 	m.Bridge("bad", 0, 0, 5, 5, 2)
 }
 
-func TestReset(t *testing.T) {
-	m := New("mesh", DefaultConfig())
-	from, _ := m.Bridge("f", 0, 0, 3, 3, 2)
-	from.Send(channel.Data(1))
-	from.Tick()
-	tickAll(m)
-	if m.InFlight() == 0 {
-		t.Fatal("no flit in flight after injection")
-	}
-	m.Reset()
-	if m.InFlight() != 0 || m.Stats().Injected != 0 {
-		t.Fatal("Reset incomplete")
-	}
-}
-
 // TestMergeOverMesh runs the paper's merge kernel with every connection
 // routed over the NoC and checks the output is unchanged (the
 // latency-insensitivity property) while cycles increase.

@@ -314,7 +314,6 @@ type PE struct {
 
 	stats     Stats
 	lastStall stallKind
-	initRegs  []isa.Word
 }
 
 // New compiles and validates a sequential program.
@@ -333,12 +332,11 @@ func New(name string, cfg Config, prog []Inst) (*PE, error) {
 		labels[in.Label] = i
 	}
 	p := &PE{
-		name:     name,
-		cfg:      cfg,
-		regs:     make([]isa.Word, cfg.NumRegs),
-		in:       make([]*channel.Channel, cfg.NumIn),
-		out:      make([]*channel.Channel, cfg.NumOut),
-		initRegs: make([]isa.Word, cfg.NumRegs),
+		name: name,
+		cfg:  cfg,
+		regs: make([]isa.Word, cfg.NumRegs),
+		in:   make([]*channel.Channel, cfg.NumIn),
+		out:  make([]*channel.Channel, cfg.NumOut),
 	}
 	p.stats.PerInst = make([]int64, len(prog))
 	for i, in := range prog {
@@ -496,11 +494,8 @@ func (p *PE) CheckConnections() error {
 	return nil
 }
 
-// SetReg establishes an initial register value (restored by Reset).
-func (p *PE) SetReg(i int, v isa.Word) {
-	p.regs[i] = v
-	p.initRegs[i] = v
-}
+// SetReg establishes an initial register value.
+func (p *PE) SetReg(i int, v isa.Word) { p.regs[i] = v }
 
 // Reg returns the current value of register i.
 func (p *PE) Reg(i int) isa.Word { return p.regs[i] }
@@ -556,21 +551,6 @@ func (p *PE) Program() []Inst {
 		out[i] = p.prog[i].inst
 	}
 	return out
-}
-
-// Reset restores initial architectural state and zeroes statistics.
-func (p *PE) Reset() {
-	copy(p.regs, p.initRegs)
-	p.pc = 0
-	p.halted = false
-	p.penalty = 0
-	p.penaltyHot = false
-	p.lastStall = stallInput
-	per := p.stats.PerInst
-	for i := range per {
-		per[i] = 0
-	}
-	p.stats = Stats{PerInst: per}
 }
 
 // Step implements fabric.Element: attempt to execute the instruction at

@@ -2,14 +2,15 @@ package pe
 
 // Allocation gates for the trigger-resolution and step hot paths: once
 // constructed, a PE must never allocate while classifying or stepping,
-// and Reset must reuse the per-instruction statistics buffer instead of
-// regrowing it (see internal/fabric/alloc_test.go for the fabric-level
-// gates these feed).
+// and RestoreState, which Fabric.Reset calls, must refill the
+// per-instruction statistics buffer instead of regrowing it (see
+// internal/fabric/alloc_test.go for the fabric-level gates these feed).
 
 import (
 	"testing"
 
 	"tia/internal/channel"
+	"tia/internal/snapshot"
 )
 
 // TestClassifyAllocationFree gates the interpreter's trigger classifier,
@@ -29,9 +30,22 @@ func TestClassifyAllocationFree(t *testing.T) {
 }
 
 // TestStepResetAllocationFree gates the steady-state step loop and the
-// Reset path (PerInst must be zeroed in place, not re-made).
+// reset path, a restore of the PE's and its channels' fresh state
+// through one reused decoder (PerInst must be refilled in place, not
+// re-made).
 func TestStepResetAllocationFree(t *testing.T) {
 	p, a, bb, o := benchMergeSetup(t)
+	parts := []interface {
+		SnapshotState(*snapshot.Encoder)
+		RestoreState(*snapshot.Decoder) error
+	}{p, a, bb, o}
+	fresh := make([][]byte, len(parts))
+	for i, s := range parts {
+		var e snapshot.Encoder
+		s.SnapshotState(&e)
+		fresh[i] = e.Data()
+	}
+	var d snapshot.Decoder
 	step := func() {
 		var cyc int64
 		for cyc = 0; cyc < 64; cyc++ {
@@ -52,10 +66,12 @@ func TestStepResetAllocationFree(t *testing.T) {
 	}
 	step() // warm
 	avg := testing.AllocsPerRun(20, func() {
-		p.Reset()
-		a.Reset()
-		bb.Reset()
-		o.Reset()
+		for i, s := range parts {
+			d.Reset(fresh[i])
+			if err := s.RestoreState(&d); err != nil {
+				t.Fatal(err)
+			}
+		}
 		step()
 	})
 	if avg != 0 {

@@ -36,11 +36,12 @@ package pe
 //
 // Staleness: closures capture register/predicate constants and channel
 // pointers, so anything that could invalidate them (SetReg, SetPred,
-// scheduler knobs, port wiring, snapshot restore) bumps a generation
-// counter; CompileStep reuses the cached closure only while the
-// generation matches. The fabric re-queries CompileStep at the top of
-// every run (fabric.BeginRun refreshes its dispatch table), so a stale
-// closure is never entered.
+// scheduler knobs, port wiring, a snapshot restore to other registers or
+// predicates than it was compiled against) bumps a generation counter;
+// CompileStep reuses the cached closure only while the generation
+// matches. The fabric re-queries CompileStep at the top of every run
+// (fabric.BeginRun refreshes its dispatch table), so a stale closure is
+// never entered.
 
 import (
 	"fmt"
@@ -66,6 +67,8 @@ func (p *PE) CompileStep() func(cycle int64) bool {
 	if p.compiledStep == nil || p.compiledFor != p.compileGen {
 		p.compiledStep = p.buildCompiledStep()
 		p.compiledFor = p.compileGen
+		p.compiledRegs = append(p.compiledRegs[:0], p.regs...)
+		p.compiledPreds = p.predBits
 	}
 	return p.compiledStep
 }

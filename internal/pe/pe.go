@@ -103,16 +103,15 @@ type PE struct {
 
 	stats Stats
 
-	// initial state, kept for Reset
-	initRegs  []isa.Word
-	initPreds uint64
-
 	// Compiled-stepping cache (see compiled.go): compileGen advances on
 	// any mutation that could invalidate a specialized step closure;
-	// compiledStep is reused while compiledFor matches it.
-	compileGen   uint64
-	compiledFor  uint64
-	compiledStep func(cycle int64) bool
+	// compiledStep is reused while compiledFor matches it; it was
+	// compiled against compiledRegs and compiledPreds.
+	compileGen    uint64
+	compiledFor   uint64
+	compiledStep  func(cycle int64) bool
+	compiledRegs  []isa.Word
+	compiledPreds uint64
 
 	// Trace, when non-nil, is called once per fire with the cycle, the
 	// instruction index, and the ALU result.
@@ -132,7 +131,6 @@ func New(name string, cfg isa.Config, prog []isa.Instruction) (*PE, error) {
 		in:         make([]*channel.Channel, cfg.NumIn),
 		out:        make([]*channel.Channel, cfg.NumOut),
 		issueWidth: 1,
-		initRegs:   make([]isa.Word, cfg.NumRegs),
 	}
 	p.stats.PerInst = make([]int64, len(prog))
 	for _, inst := range prog {
@@ -188,23 +186,20 @@ func (p *PE) SetIssueWidth(w int) {
 	p.invalidateCompiled()
 }
 
-// SetReg establishes an initial register value (also restored by Reset).
+// SetReg establishes an initial register value.
 func (p *PE) SetReg(i int, v isa.Word) {
 	p.regs[i] = v
-	p.initRegs[i] = v
 	p.invalidateCompiled()
 }
 
-// SetPred establishes an initial predicate value (also restored by Reset).
+// SetPred establishes an initial predicate value.
 func (p *PE) SetPred(i int, v bool) {
 	p.checkPred(i)
 	bit := uint64(1) << uint(i)
 	if v {
 		p.predBits |= bit
-		p.initPreds |= bit
 	} else {
 		p.predBits &^= bit
-		p.initPreds &^= bit
 	}
 	p.invalidateCompiled()
 }
@@ -371,21 +366,6 @@ func labelOrIdx(in *isa.Instruction, i int) string {
 		return in.Label
 	}
 	return fmt.Sprintf("#%d", i)
-}
-
-// Reset restores initial architectural state and zeroes statistics.
-// Attached channels are not reset; the fabric owns them.
-func (p *PE) Reset() {
-	copy(p.regs, p.initRegs)
-	p.predBits = p.initPreds
-	p.halted = false
-	p.rrOffset = 0
-	p.lastStall = stallIdle
-	per := p.stats.PerInst
-	for i := range per {
-		per[i] = 0
-	}
-	p.stats = Stats{PerInst: per}
 }
 
 // readiness classifies an instruction's readiness this cycle.

@@ -7,6 +7,7 @@ import (
 
 	"tia/internal/channel"
 	"tia/internal/isa"
+	"tia/internal/snapshot"
 )
 
 // harness builds a PE with nIn/nOut connected channels and steps it with
@@ -319,27 +320,59 @@ func TestHaltStopsStepping(t *testing.T) {
 	}
 }
 
+// TestReset: restoring the state captured after SetReg and SetPred, as
+// Fabric.Reset does, puts back the initial registers and predicates and
+// zeroes the statistics. The compiled closure survives a restore to the
+// values it was compiled against, and is rebuilt after a restore that
+// changes a register it folded.
 func TestReset(t *testing.T) {
 	prog := []isa.Instruction{{
 		Label: "inc",
 		Op:    isa.OpAdd,
-		Srcs:  [2]isa.Src{isa.Reg(0), isa.Imm(1)},
+		Srcs:  [2]isa.Src{isa.Reg(0), isa.Reg(1)},
 		Dsts:  []isa.Dst{isa.DReg(0)},
 	}}
 	h := newHarness(t, prog, 0, 0)
 	h.pe.SetReg(0, 10)
+	h.pe.SetReg(1, 1) // never written: the closure folds it
 	h.pe.SetPred(3, true)
-	h.step()
-	h.step()
+	var initial snapshot.Encoder
+	h.pe.SnapshotState(&initial)
+	step := h.pe.CompileStep()
+	gen := h.pe.compileGen
+	for cyc := int64(0); cyc < 2; cyc++ {
+		step(cyc)
+	}
 	if h.pe.Reg(0) != 12 {
 		t.Fatalf("r0 = %d, want 12", h.pe.Reg(0))
 	}
-	h.pe.Reset()
+	if err := h.pe.RestoreState(snapshot.NewDecoder(initial.Data())); err != nil {
+		t.Fatal(err)
+	}
 	if h.pe.Reg(0) != 10 || !h.pe.Pred(3) {
-		t.Fatal("Reset did not restore initial state")
+		t.Fatal("restore did not put back the initial state")
 	}
 	if h.pe.Stats().Fired != 0 {
-		t.Fatal("Reset did not zero stats")
+		t.Fatal("restore did not zero stats")
+	}
+	if h.pe.compileGen != gen {
+		t.Fatal("restore to the compiled-against state invalidated the closure")
+	}
+
+	other := newHarness(t, prog, 0, 0)
+	other.pe.SetReg(0, 10)
+	other.pe.SetReg(1, 5)
+	var changed snapshot.Encoder
+	other.pe.SnapshotState(&changed)
+	if err := h.pe.RestoreState(snapshot.NewDecoder(changed.Data())); err != nil {
+		t.Fatal(err)
+	}
+	if h.pe.compileGen == gen {
+		t.Fatal("restore of a different folded register kept the closure")
+	}
+	h.pe.CompileStep()(0)
+	if h.pe.Reg(0) != 15 {
+		t.Fatalf("recompiled closure: r0 = %d, want 15", h.pe.Reg(0))
 	}
 }
 

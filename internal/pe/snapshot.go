@@ -2,6 +2,7 @@ package pe
 
 import (
 	"fmt"
+	"slices"
 
 	"tia/internal/isa"
 	"tia/internal/snapshot"
@@ -11,8 +12,8 @@ import (
 // register file, predicate bitmap, halt flag, round-robin offset, the
 // last stall classification (needed so SkipCycles backfills identically
 // after restore), and cumulative statistics. Compiled step closures are
-// derived from this state and rebuilt after restore, so they are not
-// state.
+// derived from this state, and rebuilt after a restore that changes
+// what they were compiled against, so they are not state.
 func (p *PE) SnapshotState(e *snapshot.Encoder) {
 	e.Int(len(p.regs))
 	for _, r := range p.regs {
@@ -70,8 +71,11 @@ func (p *PE) RestoreState(d *snapshot.Decoder) error {
 	if err := d.Err(); err != nil {
 		return fmt.Errorf("pe %s: %w", p.name, err)
 	}
-	// Restored values may differ from the state a compiled step closure
-	// folded constants against; force recompilation before the next run.
-	p.invalidateCompiled()
+	// The compiled closure folds only never-written registers and
+	// predicates, so it stays valid if they are restored unchanged, as
+	// every Fabric.Reset restores them.
+	if p.predBits != p.compiledPreds || !slices.Equal(p.regs, p.compiledRegs) {
+		p.invalidateCompiled()
+	}
 	return nil
 }

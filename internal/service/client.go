@@ -123,8 +123,13 @@ func (c *Client) get(ctx context.Context, path string) ([]byte, int, error) {
 	return payload, resp.StatusCode, nil
 }
 
+// maxBody bounds the response body the client reads.
+const maxBody = 64 << 20
+
 // do sends one request and reads its whole (bounded) body; the response
-// is returned for its status and headers, its body already closed.
+// is returned for its status and headers, its body already closed. A
+// body of known length is read into one buffer of that size; one cut
+// short of it is an error.
 func (c *Client) do(hreq *http.Request) (*http.Response, []byte, error) {
 	hc := c.HTTP
 	if hc == nil {
@@ -135,7 +140,13 @@ func (c *Client) do(hreq *http.Request) (*http.Response, []byte, error) {
 		return nil, nil, err
 	}
 	defer resp.Body.Close()
-	payload, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	var payload []byte
+	if n := resp.ContentLength; n >= 0 && n <= maxBody {
+		payload = make([]byte, n)
+		_, err = io.ReadFull(resp.Body, payload)
+	} else {
+		payload, err = io.ReadAll(io.LimitReader(resp.Body, maxBody))
+	}
 	if err != nil {
 		return nil, nil, err
 	}

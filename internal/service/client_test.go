@@ -2,14 +2,17 @@ package service
 
 // Client tests: Retry-After parsing under hostile header values
 // (negative, overflow, garbage), one round trip per Submit,
-// deadline-header propagation, and a result body returned as sent.
+// deadline-header propagation, and a result body returned as sent,
+// whole when it is large.
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -166,5 +169,38 @@ func TestClientSubmitReturnsBody(t *testing.T) {
 	}
 	if _, typed := err.(*JobError); typed {
 		t.Errorf("truncated body gave typed error %v, want a transport error", err)
+	}
+}
+
+// TestClientReadsLargeBodyWhole: a body past net/http's 2 KB chunking
+// threshold still carries its Content-Length, because writeJSON
+// marshals before it writes, and the client returns it byte-equal. A
+// body cut short of its declared length is an error.
+func TestClientReadsLargeBodyWhole(t *testing.T) {
+	big := map[string]string{"sinks": strings.Repeat("7,", 4096)}
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, big)
+	want := rec.Body.Bytes()
+	if len(want) <= 2048 || rec.Header().Get("Content-Length") != strconv.Itoa(len(want)) {
+		t.Fatalf("writeJSON: %d bytes with Content-Length %q", len(want), rec.Header().Get("Content-Length"))
+	}
+	var calls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1) == 1 {
+			writeJSON(w, http.StatusOK, big)
+			return
+		}
+		w.Header().Set("Content-Length", strconv.Itoa(len(want)))
+		_, _ = w.Write(want[:len(want)/2])
+	}))
+	defer ts.Close()
+
+	cl := &Client{BaseURL: ts.URL}
+	got, err := cl.Submit(context.Background(), &JobRequest{Workload: "dmm"})
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("Submit = %d bytes, %v; want the server's %d bytes", len(got), err, len(want))
+	}
+	if got, err := cl.Submit(context.Background(), &JobRequest{Workload: "dmm"}); err == nil {
+		t.Fatalf("Submit accepted a body cut short of its Content-Length: %d bytes", len(got))
 	}
 }

@@ -304,9 +304,7 @@ func (s *Server) handleJobSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.SnapshotExports.Add(1)
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(snap)
+	writeBody(w, http.StatusOK, "application/octet-stream", snap)
 }
 
 func (s *Server) handleWorkloads(w http.ResponseWriter, _ *http.Request) {
@@ -412,10 +410,24 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, httpStatus(je.Kind), map[string]*JobError{"error": je})
 }
 
+// writeJSON renders v as compact JSON and a newline, with its
+// Content-Length, so a client reads it into one right-sized buffer.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	b, err := json.Marshal(v)
+	if err != nil {
+		http.Error(w, fmt.Sprintf("encode response: %v", err), http.StatusInternalServerError)
+		return
+	}
+	writeBody(w, status, "application/json", append(b, '\n'))
+}
+
+// writeBody writes b as the whole response body, with its length.
+func writeBody(w http.ResponseWriter, status int, contentType string, b []byte) {
+	h := w.Header()
+	h.Set("Content-Type", contentType)
+	h.Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(b)
 }
 
 // WriteError renders err in the service's wire shape — typed JobErrors

@@ -108,6 +108,11 @@ type Decoder struct {
 // NewDecoder wraps raw encoded bytes.
 func NewDecoder(data []byte) *Decoder { return &Decoder{data: data} }
 
+// Reset points the decoder at new bytes and clears its error, so a
+// caller that decodes repeatedly (fabric.Reset) reuses one decoder
+// instead of allocating one per decode.
+func (d *Decoder) Reset(data []byte) { *d = Decoder{data: data} }
+
 // Err returns the first decode failure, or nil.
 func (d *Decoder) Err() error { return d.err }
 
