@@ -9,6 +9,7 @@ import (
 	"text/tabwriter"
 
 	"tia/internal/core"
+	"tia/internal/wal"
 	"tia/internal/workloads"
 )
 
@@ -64,21 +65,13 @@ func loadCampaignState(path string, p workloads.Params, runs int, seed int64) (*
 	return st, nil
 }
 
-// save writes the state atomically (temp + rename).
+// save writes the state atomically and durably (wal.WriteFile).
 func (st *campaignState) save(path string) error {
 	raw, err := json.MarshalIndent(st, "", "  ")
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	return wal.WriteFile(path, raw)
 }
 
 // runFaultCampaigns drives the resilience campaigns (-faults): per

@@ -84,6 +84,12 @@ func TestFaultCampaignStateResume(t *testing.T) {
 	if err := runFaultCampaigns(context.Background(), &first, p, 3, 4242, state); err != nil {
 		t.Fatal(err)
 	}
+	// The state is written by wal.WriteFile (fsync'd, renamed into place;
+	// wal's TestOnlyWriteFileRenames keeps it so), which leaves no
+	// temporary behind.
+	if _, err := os.Stat(state + ".tmp"); !os.IsNotExist(err) {
+		t.Errorf("state write left %s.tmp behind (%v)", state, err)
+	}
 
 	var second bytes.Buffer
 	if err := runFaultCampaigns(context.Background(), &second, p, 3, 4242, state); err != nil {

@@ -38,6 +38,7 @@ import (
 	"tia/internal/metrics"
 	"tia/internal/pcpe"
 	"tia/internal/trace"
+	"tia/internal/wal"
 )
 
 // options bundles one invocation's knobs (the flag set, testable).
@@ -76,32 +77,14 @@ func main() {
 	}
 }
 
-// writeSnapshot persists a snapshot atomically: a crash mid-write leaves
-// the previous checkpoint intact, never a torn file.
+// writeSnapshot persists a snapshot with wal.WriteFile: a crash
+// mid-write leaves the previous checkpoint intact, never a torn file.
 func writeSnapshot(path string, f *fabric.Fabric, fingerprint string) error {
 	snap, err := f.Snapshot(fingerprint)
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	file, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := file.Write(snap); err == nil {
-		err = file.Sync()
-	}
-	if cerr := file.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	return wal.WriteFile(path, snap)
 }
 
 func run(path string, opt options) error {

@@ -33,8 +33,8 @@
 // walking), snapshots are digest-verified before they are stashed or
 // resubmitted (corruption is quarantined, the job falls back to a
 // fresh run), deadlines propagate coordinator → worker, and an
-// optional write-ahead journal (the PR 4 WAL framing via internal/wal)
-// plus an on-disk stash mirror let a restarted coordinator re-drive
+// optional write-ahead journal (the workers' own, service.Journal) plus
+// an on-disk stash mirror let a restarted coordinator re-drive
 // every accepted-but-unfinished job to exactly one terminal state.
 //
 // Campaign traffic fans out with POST /v1/batches: one request times
@@ -80,7 +80,8 @@ type Config struct {
 	RetryBudget int
 	// RetryBackoff is the pause between failover passes over the ring
 	// (a transiently fully-partitioned fleet deserves a beat before the
-	// next sweep, not a hot loop); 0 means 100ms.
+	// next sweep, not a hot loop); 0 means 100ms. A longer Retry-After
+	// hint from a worker in the pass replaces it.
 	RetryBackoff time.Duration
 	// BreakerThreshold is the consecutive-failure count that opens a
 	// worker's circuit breaker; 0 means 3, negative disables breakers.
@@ -89,8 +90,8 @@ type Config struct {
 	// 0 means 4 per worker.
 	BatchConcurrency int
 	// JournalPath, when set, makes accepted jobs durable: every job is
-	// journaled (internal/wal framing) before routing and marked
-	// terminal after, and a restarted coordinator re-drives the
+	// journaled (service.Journal, as on the workers) before routing and
+	// marked terminal after, and a restarted coordinator re-drives the
 	// difference to exactly one terminal state each. The migration
 	// stash is then mirrored to JournalPath+".stash", so recovered jobs
 	// resume from their last checkpoint instead of cycle 0.
@@ -128,7 +129,7 @@ type Coordinator struct {
 	ring    *ring
 	reg     *Registry
 	stash   *snapStash
-	journal *coordJournal
+	journal *service.Journal
 	mux     *http.ServeMux
 
 	jobSeq   atomic.Int64
@@ -204,14 +205,16 @@ func New(cfg Config) (*Coordinator, error) {
 	c.mux.HandleFunc("GET /healthz", c.handleHealthz)
 	c.mux.HandleFunc("GET /metrics", c.handleMetrics)
 
-	var pending []coordRecord
+	var pending []service.PendingJob
 	if cfg.JournalPath != "" {
-		j, p, err := openCoordJournal(cfg.JournalPath, &c.jobSeq)
+		j, recs, err := service.OpenJournal(cfg.JournalPath)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("fleet: %w", err)
 		}
+		rp := service.FoldJournal(recs, "fl-")
 		c.journal = j
-		pending = p
+		c.jobSeq.Store(rp.Seq)
+		pending = rp.Pending
 	}
 
 	probeCtx, cancelProbes := context.WithCancel(context.Background())
@@ -241,11 +244,11 @@ func New(cfg Config) (*Coordinator, error) {
 			defer c.recovering.Done()
 			// Sequential on purpose: recovery traffic is rare, and a
 			// deterministic drive order makes restarts reproducible.
-			for _, rec := range pending {
+			for _, p := range pending {
 				if recoverCtx.Err() != nil {
 					return
 				}
-				c.recoverJob(recoverCtx, rec.ID, rec.Req)
+				c.recoverJob(recoverCtx, p.ID, p.Req)
 			}
 		}()
 	}
@@ -275,7 +278,7 @@ func (c *Coordinator) Close() {
 	c.recovering.Wait()
 	c.journalOnce.Do(func() {
 		if c.journal != nil {
-			_ = c.journal.close()
+			_ = c.journal.Close()
 		}
 	})
 }

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -318,18 +319,21 @@ func TestFleetUnavailable(t *testing.T) {
 	}
 }
 
-// TestFleetRelaysBusyRetryAfter: when every worker sheds the job as
-// busy with a 1 s hint, the coordinator's caller gets 429 with
-// Retry-After: 1. The worker client makes one attempt per call, so the
-// hint reaches the router intact and the router passes it on.
-func TestFleetRelaysBusyRetryAfter(t *testing.T) {
-	var posts atomic.Int64
+// busyFleet routes one job through a coordinator over two workers that
+// shed every submission as busy with a 1 s hint, under the given retry
+// budget (0 means the default), and returns the caller's rejection and
+// the time of every submission the workers saw.
+func busyFleet(t *testing.T, budget int) (status int, retryAfter string, kind service.ErrorKind, posts []time.Time) {
+	t.Helper()
+	var mu sync.Mutex
 	busy := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/healthz" {
 			service.WriteJSON(w, http.StatusOK, service.Health{Status: "ok"})
 			return
 		}
-		posts.Add(1)
+		mu.Lock()
+		posts = append(posts, time.Now())
+		mu.Unlock()
 		service.WriteError(w, &service.JobError{Kind: service.ErrBusy, Message: "job queue full", RetryAfter: time.Second})
 	})
 	urls := make([]string, 2)
@@ -338,7 +342,7 @@ func TestFleetRelaysBusyRetryAfter(t *testing.T) {
 		t.Cleanup(ws.Close)
 		urls[i] = ws.URL
 	}
-	coord, err := New(Config{Workers: urls, HeartbeatEvery: time.Hour, RetryBudget: 2})
+	coord, err := New(Config{Workers: urls, HeartbeatEvery: time.Hour, RetryBudget: budget})
 	if err != nil {
 		t.Fatalf("fleet.New: %v", err)
 	}
@@ -346,15 +350,42 @@ func TestFleetRelaysBusyRetryAfter(t *testing.T) {
 	ts := httptest.NewServer(coord.Handler())
 	defer ts.Close()
 
-	status, retryAfter, kind := postRejected(t, ts.URL, &service.JobRequest{Workload: "dmm"})
+	status, retryAfter, kind = postRejected(t, ts.URL, &service.JobRequest{Workload: "dmm"})
+	mu.Lock()
+	defer mu.Unlock()
+	return status, retryAfter, kind, posts
+}
+
+// TestFleetRelaysBusyRetryAfter: when every worker sheds the job as
+// busy with a 1 s hint, the coordinator's caller gets 429 with
+// Retry-After: 1. The worker client makes one attempt per call, so the
+// hint reaches the router intact and the router passes it on.
+func TestFleetRelaysBusyRetryAfter(t *testing.T) {
+	status, retryAfter, kind, posts := busyFleet(t, 2)
 	if status != http.StatusTooManyRequests || kind != service.ErrBusy {
 		t.Fatalf("status %d kind %s, want 429 busy", status, kind)
 	}
 	if retryAfter != "1" {
 		t.Errorf("Retry-After = %q, want \"1\" (the workers' hint)", retryAfter)
 	}
-	if got := posts.Load(); got != 2 {
+	if got := len(posts); got != 2 {
 		t.Errorf("workers saw %d submissions, want 2 (the retry budget)", got)
+	}
+}
+
+// TestFleetHonoursBusyRetryAfter: under the default retry budget (three
+// passes over two workers) the router waits out the workers' 1 s hint
+// between passes instead of resubmitting after its 100 ms backoff.
+func TestFleetHonoursBusyRetryAfter(t *testing.T) {
+	status, retryAfter, kind, posts := busyFleet(t, 0)
+	if status != http.StatusTooManyRequests || kind != service.ErrBusy || retryAfter != "1" {
+		t.Fatalf("status %d kind %s Retry-After %q, want 429 busy \"1\"", status, kind, retryAfter)
+	}
+	if got := len(posts); got != 6 {
+		t.Fatalf("workers saw %d submissions, want 6 (the default budget)", got)
+	}
+	if span := posts[len(posts)-1].Sub(posts[0]); span < 2*time.Second {
+		t.Errorf("6 submissions within %v, want at least 2s (two waits of the 1s hint)", span)
 	}
 }
 

@@ -2,97 +2,20 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"sync/atomic"
 
 	"tia/internal/service"
-	"tia/internal/wal"
 )
 
 // The coordinator journal makes accepted jobs durable across a
-// coordinator restart: every job appends an "accepted" record (with its
-// full request) before routing starts and a "terminal" record once the
-// outcome is delivered. Replay at startup is the set difference — every
-// accepted-but-unterminated job is re-driven to exactly one terminal
-// state, first by looking for it on its ring sequence (the workers may
-// well have outlived the coordinator) and only then by resubmitting it
-// under its original identity, resuming from the stash's disk mirror
-// when one survived.
-//
-// Cancelled and deadline outcomes are deliberately not journaled
-// terminal (mirroring the worker journal's replay policy): the client
-// whose disconnect or deadline produced them died with the old
-// coordinator, so after a restart the job is still owed a completed
-// run — which lands in the workers' result caches for the client's
-// resubmission to hit.
-const (
-	coordRecAccepted = "accepted"
-	coordRecTerminal = "terminal"
-)
-
-// coordRecord is one journal record.
-type coordRecord struct {
-	Kind string              `json:"kind"`
-	ID   string              `json:"id"`
-	Req  *service.JobRequest `json:"req,omitempty"`
-}
-
-// coordJournal is the wal-backed record stream.
-type coordJournal struct{ log *wal.Log }
-
-// openCoordJournal opens (or creates) the journal, replays it into the
-// pending (accepted ∖ terminal) set in acceptance order, and advances
-// seq past every replayed coordinator-minted id so new jobs cannot
-// collide with journaled ones.
-func openCoordJournal(path string, seq *atomic.Int64) (*coordJournal, []coordRecord, error) {
-	log, payloads, err := wal.Open(path, wal.DefaultMaxRecord)
-	if err != nil {
-		return nil, nil, fmt.Errorf("fleet: journal: %w", err)
-	}
-	accepted := make(map[string]coordRecord)
-	var order []string
-	for _, p := range payloads {
-		var rec coordRecord
-		if json.Unmarshal(p, &rec) != nil {
-			continue // framing-valid but unparseable: skip, keep replaying
-		}
-		switch rec.Kind {
-		case coordRecAccepted:
-			if rec.Req == nil {
-				continue
-			}
-			if _, dup := accepted[rec.ID]; !dup {
-				order = append(order, rec.ID)
-			}
-			accepted[rec.ID] = rec
-		case coordRecTerminal:
-			delete(accepted, rec.ID)
-		}
-		var n int64
-		if _, err := fmt.Sscanf(rec.ID, "fl-%d", &n); err == nil && n > seq.Load() {
-			seq.Store(n)
-		}
-	}
-	var pending []coordRecord
-	for _, id := range order {
-		if rec, ok := accepted[id]; ok {
-			pending = append(pending, rec)
-		}
-	}
-	return &coordJournal{log: log}, pending, nil
-}
-
-func (j *coordJournal) append(rec coordRecord) error {
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	return j.log.Append(b)
-}
-
-func (j *coordJournal) close() error { return j.log.Close() }
+// coordinator restart. It is the workers' journal (service.Journal):
+// every job appends an "accepted" record (with its full request) before
+// routing starts and a "terminal" record once a final outcome (see
+// service.TerminalOutcome) is delivered. Replay at startup is the
+// workers' fold — every accepted-but-unterminated job is re-driven to
+// exactly one terminal state, first by looking for it on its ring
+// sequence (the workers may well have outlived the coordinator) and only
+// then by resubmitting it under its original identity, resuming from the
+// stash's disk mirror when one survived.
 
 // journalAccepted records a job before routing starts. The inline
 // resume snapshot is stripped: checkpoint durability belongs to the
@@ -104,7 +27,7 @@ func (c *Coordinator) journalAccepted(id string, req *service.JobRequest) error 
 	}
 	r := *req
 	r.ResumeSnapshot = nil
-	return c.journal.append(coordRecord{Kind: coordRecAccepted, ID: id, Req: &r})
+	return c.journal.Append(service.JournalRecord{Kind: service.RecAccepted, ID: id, Req: &r})
 }
 
 // journalTerminal records a delivered outcome. Append failures are
@@ -114,31 +37,12 @@ func (c *Coordinator) journalTerminal(id string) {
 	if c.journal == nil {
 		return
 	}
-	_ = c.journal.append(coordRecord{Kind: coordRecTerminal, ID: id})
-}
-
-// isTerminalOutcome reports whether a routing outcome counts as
-// journal-terminal (see the package comment above: cancelled/deadline
-// do not).
-func isTerminalOutcome(err error) bool {
-	if err == nil {
-		return true
-	}
-	if je, ok := asJobError(err); ok {
-		return je.Kind != service.ErrCancelled && je.Kind != service.ErrDeadline
-	}
-	// Untyped context errors reach here only through paths that predate
-	// the typed conversion; classify them the same way.
-	return !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
+	_ = c.journal.Append(service.JournalRecord{Kind: service.RecTerminal, ID: id})
 }
 
 // recoverJob re-drives one journaled pending job to a terminal state
 // after a coordinator restart.
 func (c *Coordinator) recoverJob(ctx context.Context, id string, req *service.JobRequest) {
-	if req == nil {
-		c.journalTerminal(id)
-		return
-	}
 	key := affinityKey(req)
 	for _, u := range c.ring.sequence(key, c.cfg.MaxFailover) {
 		if ctx.Err() != nil {
@@ -157,7 +61,7 @@ func (c *Coordinator) recoverJob(ctx context.Context, id string, req *service.Jo
 			c.metrics.JobsRecovered.Add(1)
 			return
 		case service.JobStateFailed:
-			if st.Error != nil && (st.Error.Kind == service.ErrCancelled || st.Error.Kind == service.ErrDeadline) {
+			if st.Error != nil && !service.TerminalOutcome(st.Error) {
 				continue // severed by the old coordinator's death: re-run
 			}
 			c.journalTerminal(id)
@@ -168,7 +72,7 @@ func (c *Coordinator) recoverJob(ctx context.Context, id string, req *service.Jo
 			// Follow the job to its end instead of re-running it.
 			if _, jerr, ok := c.reattach(ctx, w, id); ok {
 				c.metrics.Reattaches.Add(1)
-				if jerr == nil || isTerminalOutcome(jerr) {
+				if jerr == nil || service.TerminalOutcome(jerr) {
 					c.journalTerminal(id)
 				}
 				c.metrics.JobsRecovered.Add(1)
@@ -185,7 +89,7 @@ func (c *Coordinator) recoverJob(ctx context.Context, id string, req *service.Jo
 		r.ResumeSnapshot = snap
 	}
 	_, _, err := c.routeJobAs(ctx, id, &r)
-	if isTerminalOutcome(err) {
+	if service.TerminalOutcome(err) {
 		c.journalTerminal(id)
 	}
 	c.metrics.JobsRecovered.Add(1)

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -127,28 +126,28 @@ func TestCoordinatorJournalRecovery(t *testing.T) {
 func TestCoordinatorJournalSeqResume(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "c.wal")
-	j, _, err := openCoordJournal(path, new(atomic.Int64))
+	j, _, err := service.OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 7; i++ {
 		id := fmt.Sprintf("fl-%06d", i)
-		j.append(coordRecord{Kind: coordRecAccepted, ID: id, Req: &service.JobRequest{Workload: "dmm"}})
+		j.Append(service.JournalRecord{Kind: service.RecAccepted, ID: id, Req: &service.JobRequest{Workload: "dmm"}})
 		if i < 7 {
-			j.append(coordRecord{Kind: coordRecTerminal, ID: id})
+			j.Append(service.JournalRecord{Kind: service.RecTerminal, ID: id})
 		}
 	}
-	j.close()
-	var seq atomic.Int64
-	j2, pending, err := openCoordJournal(path, &seq)
+	j.Close()
+	j2, recs, err := service.OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j2.close()
-	if len(pending) != 1 || pending[0].ID != "fl-000007" {
+	defer j2.Close()
+	rp := service.FoldJournal(recs, "fl-")
+	if pending := rp.Pending; len(pending) != 1 || pending[0].ID != "fl-000007" {
 		t.Fatalf("pending = %+v, want just fl-000007", pending)
 	}
-	if seq.Load() != 7 {
-		t.Fatalf("sequence resumed at %d, want 7", seq.Load())
+	if rp.Seq != 7 {
+		t.Fatalf("sequence resumed at %d, want 7", rp.Seq)
 	}
 }

@@ -122,7 +122,7 @@ func (c *Coordinator) routeJob(ctx context.Context, req *service.JobRequest) ([]
 		return nil, "", &service.JobError{Kind: service.ErrInternal, Message: fmt.Sprintf("coordinator journal: %v", err)}
 	}
 	res, u, err := c.routeJobAs(ctx, id, req)
-	if isTerminalOutcome(err) {
+	if service.TerminalOutcome(err) {
 		c.journalTerminal(id)
 	}
 	return res, u, err
@@ -169,13 +169,18 @@ func (c *Coordinator) routeJobAs(ctx context.Context, id string, req *service.Jo
 	attempts := 0
 	var lastErr error
 	lastURL := ""
+	// hint is the largest Retry-After the workers sent in the last pass:
+	// the next pass waits it out rather than resubmitting within it.
+	var hint time.Duration
 	for pass := 0; attempts < c.cfg.RetryBudget; pass++ {
 		if pass > 0 {
+			// The job's deadline, carried by ctx, caps the wait.
 			select {
 			case <-ctx.Done():
 				return nil, lastURL, ctxJobError(ctx)
-			case <-time.After(c.cfg.RetryBackoff):
+			case <-time.After(max(c.cfg.RetryBackoff, hint)):
 			}
+			hint = 0
 		}
 		// Prefer workers whose breakers admit traffic; when every breaker
 		// refuses, sweep the full sequence anyway with acquire bypassed —
@@ -259,6 +264,7 @@ func (c *Coordinator) routeJobAs(ctx context.Context, id string, req *service.Jo
 					return nil, u, je
 				}
 				lastErr = je
+				hint = max(hint, je.RetryAfter)
 				continue
 			}
 			c.reg.markDown(w, err)

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"tia/internal/snapshot"
+	"tia/internal/wal"
 )
 
 // closedTombstones bounds how many terminal job IDs the stash remembers
@@ -38,7 +39,7 @@ type stashEntry struct {
 //     dying of memory).
 //
 // With a stash directory configured, verified entries are also mirrored
-// to disk (one file per job, atomic rename) so the coordinator journal
+// to disk (one file per job, wal.WriteFile) so the coordinator journal
 // can resume migrations across a coordinator restart.
 type snapStash struct {
 	mu       sync.Mutex
@@ -93,7 +94,9 @@ func (s *snapStash) put(id string, snap []byte) bool {
 	s.metrics.StashBytes.Store(s.bytes)
 	s.mu.Unlock()
 	if s.dir != "" {
-		s.persist(id, snap)
+		// Best-effort, as the worker checkpointer's write: the mirror
+		// serves coordinator-restart recovery, not correctness.
+		_ = wal.WriteFile(s.path(id), snap)
 	}
 	return true
 }
@@ -185,26 +188,6 @@ func (s *snapStash) resident() (entries int, bytes int64) {
 
 func (s *snapStash) path(id string) string {
 	return filepath.Join(s.dir, id+".snap")
-}
-
-// persist mirrors a verified snapshot to the stash directory with the
-// same atomic write-temp/rename discipline the worker checkpointer
-// uses; failures are tolerated (the mirror is an optimization for
-// coordinator-restart recovery, not a correctness dependency).
-func (s *snapStash) persist(id string, snap []byte) {
-	tmp := s.path(id) + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return
-	}
-	_, werr := f.Write(snap)
-	serr := f.Sync()
-	cerr := f.Close()
-	if werr != nil || serr != nil || cerr != nil {
-		_ = os.Remove(tmp)
-		return
-	}
-	_ = os.Rename(tmp, s.path(id))
 }
 
 // diskSnapshot loads a job's persisted stash mirror, verifying before

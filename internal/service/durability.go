@@ -6,13 +6,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"tia/internal/fabric"
+	"tia/internal/wal"
 )
 
 // Crash-safe job durability: every accepted job is journaled before it
@@ -25,7 +23,7 @@ import (
 // durability is the journal-backed state hanging off a Server; the zero
 // value (journal nil) disables all of it.
 type durability struct {
-	journal     *journal
+	journal     *Journal
 	snapshotDir string
 
 	// lag counts journaled jobs whose outcome the journal does not know
@@ -34,8 +32,8 @@ type durability struct {
 	// record.
 	lag atomic.Int64
 
-	// resume maps a replayed job ID to its checkpointed snapshot bytes,
-	// consumed by the first run of that job.
+	// resume maps a job ID to the snapshot its next run resumes from
+	// (see stageResume).
 	mu     sync.Mutex
 	resume map[string][]byte
 
@@ -45,17 +43,17 @@ type durability struct {
 
 // journalAppend writes one record if journaling is on. An append failure
 // is a durability loss, so callers on the accept path propagate it.
-func (s *Server) journalAppend(rec journalRecord) error {
+func (s *Server) journalAppend(rec JournalRecord) error {
 	if s.dur.journal == nil {
 		return nil
 	}
-	if err := s.dur.journal.append(rec); err != nil {
+	if err := s.dur.journal.Append(rec); err != nil {
 		return err
 	}
 	switch rec.Kind {
-	case recAccepted:
+	case RecAccepted:
 		s.dur.lag.Add(1)
-	case recCompleted, recFailed:
+	case RecCompleted, RecFailed:
 		s.dur.lag.Add(-1)
 	}
 	return nil
@@ -64,33 +62,14 @@ func (s *Server) journalAppend(rec journalRecord) error {
 // journalTerminal records a job's terminal outcome, best-effort: a
 // failed terminal append degrades restart behaviour (the job re-runs)
 // but must not fail a job that already has its result.
-func (s *Server) journalTerminal(rec journalRecord) {
+func (s *Server) journalTerminal(rec JournalRecord) {
 	_ = s.journalAppend(rec)
 }
 
-// terminalJobError reports whether a job error is deterministic — the
-// same submission would fail identically, so restart must not re-run
-// it. Cancellation and deadline expiry are non-terminal: a job cut off
-// by a vanished client is indistinguishable from one cut off by a
-// crash, and durability re-runs both.
-func terminalJobError(err error) bool {
-	var je *JobError
-	if !errors.As(err, &je) {
-		return true
-	}
-	switch je.Kind {
-	case ErrCancelled, ErrDeadline:
-		return false
-	}
-	return true
-}
-
-// runRecorded is the scheduler's run function: it brackets runJob with
-// journal records so the journal always knows each job's latest state.
+// runRecorded is the scheduler's run function: it journals runJob's
+// final outcome (see TerminalOutcome), so replay re-runs only the jobs
+// a crash cut off.
 func (s *Server) runRecorded(ctx context.Context, id string, req *JobRequest) (*JobResult, error) {
-	if err := s.journalAppend(journalRecord{Kind: recStarted, ID: id}); err != nil {
-		return nil, jobErrorf(ErrInternal, "journal: %v", err)
-	}
 	s.tracker.setRunning(id)
 	// A staged resume snapshot the run did not consume (cache hit,
 	// early validation failure) must not leak into a later job that
@@ -99,12 +78,12 @@ func (s *Server) runRecorded(ctx context.Context, id string, req *JobRequest) (*
 	res, err := s.runJob(ctx, id, req)
 	switch {
 	case err == nil:
-		s.journalTerminal(journalRecord{Kind: recCompleted, ID: id, Result: res})
+		s.journalTerminal(JournalRecord{Kind: RecCompleted, ID: id, Result: res})
 		s.removeSnapshot(id)
-	case terminalJobError(err):
+	case TerminalOutcome(err):
 		var je *JobError
 		errors.As(err, &je)
-		s.journalTerminal(journalRecord{Kind: recFailed, ID: id, Error: je})
+		s.journalTerminal(JournalRecord{Kind: RecFailed, ID: id, Error: je})
 		s.removeSnapshot(id)
 	}
 	return res, err
@@ -123,35 +102,20 @@ func (s *Server) snapshotPath(id string) string {
 	return filepath.Join(s.dur.snapshotDir, id+".snap")
 }
 
-// writeCheckpoint snapshots the fabric and persists it atomically
-// (write-temp, fsync, rename), then journals the checkpoint so recovery
-// knows to resume from it.
+// writeCheckpoint snapshots the fabric and persists it with
+// wal.WriteFile, then journals the checkpoint so recovery knows to
+// resume from it.
 func (s *Server) writeCheckpoint(id, fingerprint string, f *fabric.Fabric, cycle int64) error {
 	snap, err := f.Snapshot(fingerprint)
 	if err != nil {
 		return fmt.Errorf("checkpoint %s: %w", id, err)
 	}
-	final := s.snapshotPath(id)
-	tmp := final + ".tmp"
-	file, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("checkpoint %s: %w", id, err)
-	}
-	if _, err := file.Write(snap); err == nil {
-		err = file.Sync()
-	}
-	if cerr := file.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, final)
-	}
-	if err != nil {
-		os.Remove(tmp)
+	file := s.snapshotPath(id)
+	if err := wal.WriteFile(file, snap); err != nil {
 		return fmt.Errorf("checkpoint %s: %w", id, err)
 	}
 	s.tracker.setCheckpoint(id, cycle)
-	return s.journalAppend(journalRecord{Kind: recCheckpointed, ID: id, Cycles: cycle, File: final})
+	return s.journalAppend(JournalRecord{Kind: RecCheckpointed, ID: id, Cycles: cycle, File: file})
 }
 
 // removeSnapshot discards a finished job's checkpoint file.
@@ -163,9 +127,9 @@ func (s *Server) removeSnapshot(id string) {
 }
 
 // stageResume parks snapshot bytes for a job ID; the job's run consumes
-// them via restoreOrRestart. Used by journal replay (checkpointed jobs)
-// and by snapshot import (JobRequest.ResumeSnapshot, the migration
-// path) — staging works with or without a journal.
+// them via restoreOrRestart. submitExisting stages a request's
+// ResumeSnapshot (the migration path, with or without a journal);
+// journal replay puts a newer checkpoint into that field first.
 func (s *Server) stageResume(id string, snap []byte) {
 	s.dur.mu.Lock()
 	defer s.dur.mu.Unlock()
@@ -205,71 +169,37 @@ func (s *Server) restoreOrRestart(id, fingerprint string, f *fabric.Fabric, budg
 	return 1 // let the run surface its own budget exhaustion
 }
 
-// pendingJob is one journal replay unit: a job with no terminal record.
-type pendingJob struct {
-	id       string
-	req      *JobRequest
-	snapFile string
-}
-
-// recoverFromJournal folds replayed records into the result cache and
-// re-enqueues every unfinished job in the background. Completed records
+// recoverFromJournal folds a journal's replay into the server and
+// re-enqueues every unfinished job in the background. Completed results
 // repopulate the content-addressed result cache so a restarted daemon
 // serves finished work without re-simulating; the job sequence resumes
 // past every replayed ID so new jobs never collide.
-func (s *Server) recoverFromJournal(recs []journalRecord) {
-	pending := map[string]*pendingJob{}
-	var order []string
-	var maxSeq int64
-	for _, rec := range recs {
-		if n := jobSeqOf(rec.ID); n > maxSeq {
-			maxSeq = n
-		}
-		switch rec.Kind {
-		case recAccepted:
-			if rec.Req == nil {
-				continue
-			}
-			if _, ok := pending[rec.ID]; !ok {
-				order = append(order, rec.ID)
-			}
-			pending[rec.ID] = &pendingJob{id: rec.ID, req: rec.Req}
-		case recCheckpointed:
-			if p, ok := pending[rec.ID]; ok {
-				p.snapFile = rec.File
-			}
-		case recCompleted:
-			if rec.Result != nil && rec.Result.Key != "" {
-				s.results.put(rec.Result.Key, rec.Result)
-			}
-			delete(pending, rec.ID)
-		case recFailed:
-			delete(pending, rec.ID)
-		}
+func (s *Server) recoverFromJournal(rp Replay) {
+	for _, res := range rp.Results {
+		s.results.put(res.Key, res)
 	}
-	s.jobSeq.Store(maxSeq)
-
-	sort.Strings(order)
-	for _, id := range order {
-		p, ok := pending[id]
-		if !ok {
-			continue
-		}
-		if p.snapFile != "" {
-			if snap, err := os.ReadFile(p.snapFile); err == nil {
-				s.stageResume(p.id, snap)
+	s.jobSeq.Store(rp.Seq)
+	for _, p := range rp.Pending {
+		req := p.Req
+		if p.Checkpoint != "" {
+			// The checkpoint is newer than any snapshot the request
+			// carried in (it was taken by a run that started from it).
+			if snap, err := os.ReadFile(p.Checkpoint); err == nil {
+				r := *req
+				r.ResumeSnapshot = snap
+				req = &r
 			}
 		}
 		s.dur.lag.Add(1)
 		s.metrics.JobsReplayed.Add(1)
 		s.dur.replay.Add(1)
-		go func(p *pendingJob) {
+		go func(id string, req *JobRequest) {
 			defer s.dur.replay.Done()
 			// Replay re-runs under a fresh background context: the
 			// original submitter is gone. The result lands in the cache
 			// and the journal; errors are journaled by runRecorded.
-			_, _ = s.submitExisting(context.Background(), p.id, p.req)
-		}(p)
+			_, _ = s.submitExisting(context.Background(), id, req)
+		}(p.ID, req)
 	}
 }
 
@@ -285,18 +215,4 @@ func (s *Server) JournalLag() int64 {
 		return 0
 	}
 	return s.dur.lag.Load()
-}
-
-// jobSeqOf extracts the numeric sequence from a "job-NNNNNN" ID; 0 for
-// anything else.
-func jobSeqOf(id string) int64 {
-	rest, ok := strings.CutPrefix(id, "job-")
-	if !ok {
-		return 0
-	}
-	n, err := strconv.ParseInt(rest, 10, 64)
-	if err != nil || n < 0 {
-		return 0
-	}
-	return n
 }

@@ -65,16 +65,25 @@ func craftCrashState(t *testing.T, cfg Config, id string, req *JobRequest, mid i
 		t.Fatal(err)
 	}
 	j, recs := openTestJournal(t, cfg.JournalPath)
-	defer j.close()
+	defer j.Close()
 	if len(recs) != 0 {
 		t.Fatalf("crafting over a non-empty journal (%d records)", len(recs))
 	}
-	mustAppend(t, j, journalRecord{Kind: recAccepted, ID: id, Req: req})
-	mustAppend(t, j, journalRecord{Kind: recStarted, ID: id})
+	mustAppend(t, j, JournalRecord{Kind: RecAccepted, ID: id, Req: req})
 	if mid <= 0 {
 		return
 	}
+	file := filepath.Join(snapDir, id+".snap")
+	if err := os.WriteFile(file, snapshotAt(t, req, mid), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mustAppend(t, j, JournalRecord{Kind: RecCheckpointed, ID: id, Cycles: mid, File: file})
+}
 
+// snapshotAt returns a genuine snapshot of req's workload fabric stopped
+// at cycle mid.
+func snapshotAt(t *testing.T, req *JobRequest, mid int64) []byte {
+	t.Helper()
 	// Reproduce the mid-flight fabric the way runWorkloadJob builds it,
 	// including the assembled-form fingerprint the snapshot is keyed by.
 	spec, err := workloads.ByName(req.Workload)
@@ -98,15 +107,11 @@ func craftCrashState(t *testing.T, cfg Config, id string, req *JobRequest, mid i
 	if err != nil {
 		t.Fatalf("snapshot at cycle %d: %v", mid, err)
 	}
-	file := filepath.Join(snapDir, id+".snap")
-	if err := os.WriteFile(file, snap, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	mustAppend(t, j, journalRecord{Kind: recCheckpointed, ID: id, Cycles: mid, File: file})
+	return snap
 }
 
 // TestRestartReplaysInterruptedJob is the crash-recovery acceptance
-// test: a job accepted and started but never finished (the journal of a
+// test: a job accepted but never finished (the journal of a
 // kill -9'd daemon) is re-run on restart under its original ID, and the
 // replayed result is byte-identical to an uninterrupted run.
 func TestRestartReplaysInterruptedJob(t *testing.T) {
@@ -204,6 +209,38 @@ func TestRestartResumesFromCheckpoint(t *testing.T) {
 	}
 }
 
+// TestRestartResumesFromNewestState crafts the crash of a migrated job:
+// it arrived with a resume snapshot at cycle 300 and checkpointed at
+// cycle 600 before the crash. The restart must resume from the newer
+// checkpoint, not from the request's older snapshot.
+func TestRestartResumesFromNewestState(t *testing.T) {
+	const migrated, mid = 300, 600
+	want := baselineRun(t, &JobRequest{Workload: "dmm"})
+
+	req := &JobRequest{Workload: "dmm"}
+	req.ResumeSnapshot = snapshotAt(t, req, migrated)
+	cfg := durableConfig(t.TempDir())
+	craftCrashState(t, cfg, "job-000004", req, mid)
+	svc := mustNew(t, cfg)
+	defer svc.Drain()
+	svc.WaitRecovered()
+
+	if got := svc.Metrics().JobsResumed.Load(); got != 1 {
+		t.Errorf("JobsResumed = %d, want 1", got)
+	}
+	if cycles := svc.Metrics().CyclesSimulated.Load(); cycles != want.Cycles-mid {
+		t.Errorf("CyclesSimulated = %d, want %d (resume from the checkpoint at cycle %d, not the request's snapshot at %d)",
+			cycles, want.Cycles-mid, mid, migrated)
+	}
+	got, err := svc.Submit(context.Background(), &JobRequest{Workload: "dmm"})
+	if err != nil {
+		t.Fatalf("post-recovery submit: %v", err)
+	}
+	if !got.Cached || !bytes.Equal(normalizedResult(t, got), normalizedResult(t, want)) {
+		t.Errorf("resumed result diverges from uninterrupted run (cached=%v)", got.Cached)
+	}
+}
+
 // TestRestartFallsBackOnCorruptSnapshot overwrites the checkpoint with
 // garbage: the job must still complete correctly by re-running from
 // cycle zero — a bad checkpoint degrades to recomputation, never to a
@@ -241,10 +278,9 @@ func TestRestartFallsBackOnCorruptSnapshot(t *testing.T) {
 func TestRestartSkipsDeterministicFailures(t *testing.T) {
 	cfg := durableConfig(t.TempDir())
 	j, _ := openTestJournal(t, cfg.JournalPath)
-	mustAppend(t, j, journalRecord{Kind: recAccepted, ID: "job-000001", Req: &JobRequest{Workload: "nonesuch"}})
-	mustAppend(t, j, journalRecord{Kind: recStarted, ID: "job-000001"})
-	mustAppend(t, j, journalRecord{Kind: recFailed, ID: "job-000001", Error: jobErrorf(ErrBadRequest, "no such workload")})
-	j.close()
+	mustAppend(t, j, JournalRecord{Kind: RecAccepted, ID: "job-000001", Req: &JobRequest{Workload: "nonesuch"}})
+	mustAppend(t, j, JournalRecord{Kind: RecFailed, ID: "job-000001", Error: jobErrorf(ErrBadRequest, "no such workload")})
+	j.Close()
 
 	svc := mustNew(t, cfg)
 	defer svc.Drain()

@@ -1,47 +1,44 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"tia/internal/wal"
 )
 
-// The write-ahead job journal makes accepted jobs durable across daemon
-// crashes. Every state transition is appended as one CRC-framed JSON
-// record and fsync'd before the transition takes effect elsewhere, so a
-// restarted (or kill -9'd) daemon can replay the file and reconstruct
-// exactly which jobs were accepted, which finished, and which were cut
-// off mid-flight:
+// The write-ahead job journal makes accepted jobs durable across a
+// crash, for a worker daemon and for the fleet coordinator alike: both
+// append the same records to a Journal and replay them through the same
+// fold. Every record is one CRC-framed JSON payload, fsync'd before the
+// transition it records takes effect elsewhere (framing, fsync and
+// torn-tail truncation live in internal/wal). The vocabulary:
 //
 //	accepted     job admitted; carries the full request (the replay unit)
-//	started      a worker began executing the job
-//	checkpointed a mid-run fabric snapshot was persisted for the job
-//	completed    the job produced a result (carried inline, to repopulate
-//	             the result cache on restart)
-//	failed       the job failed deterministically; replay must not re-run it
+//	checkpointed a worker persisted a mid-run fabric snapshot for the job
+//	completed    a worker's job produced a result (carried inline, to
+//	             repopulate the result cache on restart)
+//	failed       a worker's job failed deterministically; not re-run
+//	terminal     the coordinator delivered the job's outcome
 //
-// A job whose latest record is non-terminal (accepted/started/
-// checkpointed) was lost to a crash and is re-enqueued on recovery —
-// resuming from its latest snapshot when one was checkpointed.
-//
-// Framing, fsync discipline, and torn-tail truncation live in
-// internal/wal (extracted from here so the fleet coordinator's journal
-// shares them); this file only defines the record vocabulary.
+// A job accepted and never completed, failed or terminal was cut off by
+// a crash: replay hands it back as pending, with its latest checkpoint.
+// Any other kind is ignored on replay; journals written before this
+// vocabulary also carry "started" records, which nothing reads.
 const (
-	recAccepted     = "accepted"
-	recStarted      = "started"
-	recCheckpointed = "checkpointed"
-	recCompleted    = "completed"
-	recFailed       = "failed"
+	RecAccepted     = "accepted"
+	RecCheckpointed = "checkpointed"
+	RecCompleted    = "completed"
+	RecFailed       = "failed"
+	RecTerminal     = "terminal"
 )
 
-// maxJournalRecord bounds one record's payload; a length prefix beyond
-// it is treated as tail corruption, not an allocation request.
-const maxJournalRecord = wal.DefaultMaxRecord
-
-// journalRecord is one framed journal entry.
-type journalRecord struct {
+// JournalRecord is one journal entry.
+type JournalRecord struct {
 	Kind string `json:"kind"`
 	ID   string `json:"id"`
 	// Req is the full submission, carried on accepted records so replay
@@ -57,36 +54,113 @@ type journalRecord struct {
 	Error *JobError `json:"error,omitempty"`
 }
 
-// journal is the job-record view over a wal.Log.
-type journal struct {
+// Journal is the job-record view over a wal.Log.
+type Journal struct {
 	log *wal.Log
 }
 
-// openJournal opens (creating if absent) a journal, replays every intact
-// record, truncates any torn tail, and positions the file for appends.
-// It returns the replayed records in append order. A record that frames
-// and checksums correctly but does not parse as a journalRecord is
-// skipped (it cannot be a torn tail — the WAL already validated the
-// framing — so later intact records must not be discarded with it).
-func openJournal(path string) (*journal, []journalRecord, error) {
-	log, payloads, err := wal.Open(path, maxJournalRecord)
+// PendingJob is a journaled job with no terminal record: a crash cut it
+// off, and it is owed a run.
+type PendingJob struct {
+	ID  string
+	Req *JobRequest
+	// Checkpoint is the snapshot file of the job's latest checkpointed
+	// record, "" when it has none.
+	Checkpoint string
+}
+
+// Replay is what a journal's records add up to.
+type Replay struct {
+	// Pending is accepted ∖ (completed ∪ failed ∪ terminal), in order of
+	// each job's latest acceptance.
+	Pending []PendingJob
+	// Results are the completed records' results, in journal order.
+	Results []*JobResult
+	// Seq is the highest sequence number n of any journaled ID of the
+	// form prefix+n: new IDs minted past it cannot collide.
+	Seq int64
+}
+
+// OpenJournal opens (creating if absent) a journal, truncates any torn
+// tail, positions the file for appends, and returns the intact records
+// in append order (FoldJournal adds them up). A record that frames and
+// checksums correctly but does not parse as a JournalRecord is skipped:
+// it cannot be a torn tail, so the intact records after it must not be
+// discarded with it.
+func OpenJournal(path string) (*Journal, []JournalRecord, error) {
+	log, payloads, err := wal.Open(path, wal.DefaultMaxRecord)
 	if err != nil {
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
-	recs := make([]journalRecord, 0, len(payloads))
+	recs := make([]JournalRecord, 0, len(payloads))
 	for _, p := range payloads {
-		var rec journalRecord
-		if err := json.Unmarshal(p, &rec); err != nil {
-			continue
+		var rec JournalRecord
+		if json.Unmarshal(p, &rec) == nil {
+			recs = append(recs, rec)
 		}
-		recs = append(recs, rec)
 	}
-	return &journal{log: log}, recs, nil
+	return &Journal{log: log}, recs, nil
 }
 
-// append frames one record, writes it, and fsyncs before returning; once
-// append returns nil the record survives a crash.
-func (j *journal) append(rec journalRecord) error {
+// FoldJournal replays records in append order into a Replay. seqPrefix
+// names the IDs whose sequence Replay.Seq tracks ("job-" for a worker,
+// "fl-" for the coordinator).
+func FoldJournal(recs []JournalRecord, seqPrefix string) Replay {
+	type acceptance struct {
+		at  int // index into order of the latest acceptance
+		job PendingJob
+	}
+	var (
+		rp    Replay
+		order []string
+		live  = map[string]*acceptance{}
+	)
+	for _, rec := range recs {
+		rp.Seq = max(rp.Seq, seqOf(rec.ID, seqPrefix))
+		switch rec.Kind {
+		case RecAccepted:
+			if rec.Req != nil {
+				live[rec.ID] = &acceptance{at: len(order), job: PendingJob{ID: rec.ID, Req: rec.Req}}
+				order = append(order, rec.ID)
+			}
+		case RecCheckpointed:
+			if a, ok := live[rec.ID]; ok {
+				a.job.Checkpoint = rec.File
+			}
+		case RecCompleted:
+			if rec.Result != nil && rec.Result.Key != "" {
+				rp.Results = append(rp.Results, rec.Result)
+			}
+			delete(live, rec.ID)
+		case RecFailed, RecTerminal:
+			delete(live, rec.ID)
+		}
+	}
+	for i, id := range order {
+		if a, ok := live[id]; ok && a.at == i {
+			rp.Pending = append(rp.Pending, a.job)
+		}
+	}
+	return rp
+}
+
+// seqOf returns n for an ID of the form prefix+n with n a non-negative
+// decimal; 0 for anything else.
+func seqOf(id, prefix string) int64 {
+	rest, ok := strings.CutPrefix(id, prefix)
+	if !ok {
+		return 0
+	}
+	n, err := strconv.ParseInt(rest, 10, 64)
+	if err != nil || n < 0 {
+		return 0
+	}
+	return n
+}
+
+// Append frames one record, writes it, and fsyncs before returning; once
+// Append returns nil the record survives a crash.
+func (j *Journal) Append(rec JournalRecord) error {
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("journal: encode %s record: %w", rec.Kind, err)
@@ -94,5 +168,21 @@ func (j *journal) append(rec journalRecord) error {
 	return j.log.Append(payload)
 }
 
-// close releases the journal file.
-func (j *journal) close() error { return j.log.Close() }
+// Close releases the journal file.
+func (j *Journal) Close() error { return j.log.Close() }
+
+// TerminalOutcome reports whether a job's outcome is final: the same
+// submission would end the same way, so the journal records it and a
+// restart must not re-run the job. Success and deterministic failures
+// are final. Cancellation and deadline expiry are not: a job cut off by
+// a vanished client is indistinguishable from one cut off by a crash,
+// and the client died with the process, so after a restart the job is
+// still owed a run — which lands in the result cache for the client's
+// resubmission to hit.
+func TerminalOutcome(err error) bool {
+	var je *JobError
+	if errors.As(err, &je) {
+		return je.Kind != ErrCancelled && je.Kind != ErrDeadline
+	}
+	return !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
+}

@@ -139,13 +139,13 @@ func New(cfg Config) (*Server, error) {
 		if err := os.MkdirAll(cfg.SnapshotDir, 0o755); err != nil {
 			return nil, fmt.Errorf("service: snapshot dir: %w", err)
 		}
-		j, recs, err := openJournal(cfg.JournalPath)
+		j, recs, err := OpenJournal(cfg.JournalPath)
 		if err != nil {
 			return nil, fmt.Errorf("service: %w", err)
 		}
 		s.dur.journal = j
 		s.dur.snapshotDir = cfg.SnapshotDir
-		s.recoverFromJournal(recs)
+		s.recoverFromJournal(FoldJournal(recs, "job-"))
 	}
 	return s, nil
 }
@@ -170,7 +170,7 @@ func (s *Server) Drain() {
 	s.sched.close()
 	if s.dur.journal != nil {
 		s.dur.replay.Wait()
-		_ = s.dur.journal.close()
+		_ = s.dur.journal.Close()
 	}
 }
 
@@ -197,7 +197,7 @@ func (s *Server) Submit(ctx context.Context, req *JobRequest) (*JobResult, error
 	if !s.tracker.begin(id) {
 		return nil, jobErrorf(ErrConflict, "job_id %q already names a queued or running job", id)
 	}
-	if err := s.journalAppend(journalRecord{Kind: recAccepted, ID: id, Req: req}); err != nil {
+	if err := s.journalAppend(JournalRecord{Kind: RecAccepted, ID: id, Req: req}); err != nil {
 		return nil, jobErrorf(ErrInternal, "journal: %v", err)
 	}
 	return s.submitExisting(ctx, id, req)
@@ -222,7 +222,7 @@ func (s *Server) submitExisting(ctx context.Context, id string, req *JobRequest)
 	if err != nil {
 		var je *JobError
 		if errors.As(err, &je) && je.Kind == ErrBusy {
-			s.journalTerminal(journalRecord{Kind: recFailed, ID: id, Error: je})
+			s.journalTerminal(JournalRecord{Kind: RecFailed, ID: id, Error: je})
 		}
 	}
 	s.trackOutcome(id, res, err)

@@ -1,8 +1,7 @@
-// Package wal is the CRC-framed, fsync'd append-only record log that
-// crash-safe state in this repo is built on. It was extracted from the
-// service's job journal (PR 4) so the fleet coordinator's durable state
-// can reuse the exact same framing and torn-tail recovery instead of
-// inventing a second one.
+// Package wal is the durable-state layer: the CRC-framed, fsync'd
+// append-only record log the service's and the fleet coordinator's job
+// journal is built on, and WriteFile, the one atomic whole-file write
+// that every checkpoint, stash mirror, snapshot and state file uses.
 //
 // Framing is length + CRC32 + payload per record. The log is only ever
 // extended; the single destructive operation is truncating a torn tail
@@ -19,6 +18,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 )
 
@@ -133,4 +133,44 @@ func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.f.Close()
+}
+
+// WriteFile replaces the file at path with data, atomically and
+// durably: it writes path+".tmp", fsyncs and closes it, renames it over
+// path, then fsyncs the directory so the rename itself survives a
+// crash. A crash at any point leaves either the old file or the new one
+// whole, never a torn mix. If the write fails before the rename, the
+// old file is untouched and the temporary is removed; an error from the
+// final directory fsync means the new file is in place but may not
+// survive a crash. Concurrent calls for one path are not supported:
+// they share the temporary.
+func WriteFile(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	err = dir.Sync()
+	if cerr := dir.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -179,4 +180,100 @@ func TestAppendRefusesWhatOpenDrops(t *testing.T) {
 			t.Errorf("record %d = %q, want %q", i, recs[i], want[i])
 		}
 	}
+}
+
+// TestWriteFileReplacesWhole: a successful write replaces the old
+// contents whole, longer or shorter, and leaves no temporary behind.
+func TestWriteFileReplacesWhole(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "state")
+	for _, data := range [][]byte{[]byte("first, longer contents"), []byte("second")} {
+		if err := WriteFile(path, data); err != nil {
+			t.Fatalf("WriteFile: %v", err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("read back %q, %v; want %q", got, err, data)
+		}
+		assertOnlyEntry(t, dir, "state")
+	}
+}
+
+// TestWriteFileFailureKeepsOld: a write that fails leaves whatever was
+// at the path as it was and no temporary behind, whether it fails
+// creating the temporary or renaming it.
+func TestWriteFileFailureKeepsOld(t *testing.T) {
+	// The rename fails: the target is a non-empty directory.
+	dir := t.TempDir()
+	path := filepath.Join(dir, "state")
+	if err := os.MkdirAll(filepath.Join(path, "keep"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFile(path, []byte("new")); err == nil {
+		t.Fatal("WriteFile over a non-empty directory succeeded")
+	}
+	if fi, err := os.Stat(filepath.Join(path, "keep")); err != nil || !fi.IsDir() {
+		t.Errorf("old contents damaged: %v", err)
+	}
+	assertOnlyEntry(t, dir, "state")
+
+	// Creating the temporary fails: its directory does not exist.
+	missing := filepath.Join(dir, "absent", "state")
+	if err := WriteFile(missing, []byte("new")); err == nil {
+		t.Fatal("WriteFile into a missing directory succeeded")
+	}
+	assertOnlyEntry(t, dir, "state")
+}
+
+// assertOnlyEntry fails unless dir holds exactly the entry name.
+func assertOnlyEntry(t *testing.T, dir, name string) {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != name {
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
+		}
+		t.Errorf("directory holds %v, want just %s", names, name)
+	}
+}
+
+// TestOnlyWriteFileRenames: every whole-file replacement in the module
+// goes through WriteFile, so each is fsync'd and its rename made
+// durable. A non-test os.Rename anywhere else fails this test.
+func TestOnlyWriteFileRenames(t *testing.T) {
+	root := filepath.Join("..", "..")
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && (strings.HasPrefix(d.Name(), ".") || fileExists(filepath.Join(path, "go.mod"))) {
+				return filepath.SkipDir // hidden, or another module
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if bytes.Contains(src, []byte("os.Rename(")) && filepath.Clean(path) != filepath.Join(root, "internal", "wal", "wal.go") {
+			t.Errorf("%s calls os.Rename; use wal.WriteFile", path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func fileExists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }
